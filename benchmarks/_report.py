@@ -6,31 +6,10 @@ result to ``benchmarks/results/<name>.txt`` so EXPERIMENTS.md can quote
 measured output verbatim.  Benchmarks run their measurement exactly once
 (``benchmark.pedantic(..., rounds=1)``) — the quantity of interest is the
 *measured counts*, not the wall-clock of the measuring harness (wall-clock
-scaling has its own bench, ``bench_scaling.py``).
-
-Machine-readable output
------------------------
-Next to the human-readable ``.txt`` reports, benchmarks emit JSON records
-via :func:`write_json_record` into ``benchmarks/results/BENCH_<bench>.json``.
-Each file holds a list of records with the fixed schema::
-
-    {"bench": str, "params": {...}, "wall_clock_s": float | None,
-     "counters": {...} | None, "obs": {...} | None}
-
-``params`` identifies the measured configuration (``n``, ``m``, group
-size, ...), ``wall_clock_s`` is the best measured wall-clock in seconds
-(``None`` for count-only benches), and ``counters`` carries whatever
-counted quantities the bench tracks (operation-counter snapshots, message
-censuses).  ``obs`` is an optional observability summary (fastexp
-public-value-cache hit/miss statistics and hit rates, produced by
-:func:`obs_summary`); being deterministic, the cache statistics are gated
-exactly by ``check_regression.py``.  CI's regression gate consumes these
-files; see ``docs/PERFORMANCE.md`` and ``docs/OBSERVABILITY.md``.
+is measured by the performance ledger, ``benchmarks/ledger/``).
 """
 
-import json
 import os
-import time
 
 RESULTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "results")
@@ -50,109 +29,3 @@ def write_report(name, text):
 def run_once(benchmark, fn):
     """Run ``fn`` exactly once under the benchmark timer."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
-
-
-def json_path(bench):
-    """Return the path of a bench's machine-readable record file."""
-    return os.path.join(RESULTS_DIR, "BENCH_%s.json" % bench)
-
-
-def obs_summary(outcome):
-    """Build the ``obs`` record section from a finished DMW outcome.
-
-    Carries the execution-scoped fastexp cache statistics (hit/miss
-    counts per namespace plus the overall hit rate) and the resilience
-    counters (retransmissions, recoveries, quarantines — all exactly
-    zero on the fault-free benchmark configurations, which
-    ``check_regression.py`` gates); extend here, not in individual
-    benches, so the record schema stays uniform.
-    """
-    stats = dict(getattr(outcome, "cache_stats", {}) or {})
-    if not stats:
-        return None
-    total = stats.get("hits", 0) + stats.get("misses", 0)
-    hit_rate = (stats.get("hits", 0) / total) if total else 0.0
-    metrics = getattr(outcome, "network_metrics", None)
-    resilience = {
-        "retransmissions": getattr(metrics, "retransmissions", 0),
-        "recovered_messages": getattr(metrics, "recovered_messages", 0),
-        "degraded": bool(getattr(outcome, "degraded", False)),
-        "quarantined_tasks": sorted(getattr(outcome, "task_aborts", {})
-                                    or {}),
-    }
-    return {"cache": stats, "cache_hit_rate": round(hit_rate, 6),
-            "resilience": resilience}
-
-
-def write_json_record(bench, params, wall_clock_s=None, counters=None,
-                      obs=None, extra=None):
-    """Record one ``{bench, params, wall_clock_s, counters, obs}``
-    measurement.
-
-    Records accumulate (and are replaced on matching ``params``) in
-    ``benchmarks/results/BENCH_<bench>.json`` so a parametrised bench
-    writes one file holding every configuration.  ``extra`` merges
-    additional bench-specific fields into the record (e.g. the parallel
-    speedup bench's equivalence verdict and speedup ratio).  Returns the
-    file path.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = json_path(bench)
-    records = []
-    if os.path.exists(path):
-        with open(path) as handle:
-            records = json.load(handle)
-    records = [record for record in records if record["params"] != params]
-    record = {
-        "bench": bench,
-        "params": params,
-        "wall_clock_s": wall_clock_s,
-        "counters": counters,
-    }
-    if obs is not None:
-        record["obs"] = obs
-    if extra is not None:
-        record["extra"] = dict(extra)
-    records.append(record)
-    records.sort(key=lambda record: json.dumps(record["params"],
-                                               sort_keys=True))
-    with open(path, "w") as handle:
-        json.dump(records, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def best_wall_clock(fn, rounds=3, warmup=1):
-    """Return ``(best_seconds, last_result)`` over ``rounds`` timed runs.
-
-    ``warmup`` untimed runs come first so process-wide precomputation
-    (fixed-base generator tables) is excluded, mirroring how a long-lived
-    deployment amortises it.
-    """
-    result = None
-    for _ in range(warmup):
-        result = fn()
-    best = None
-    for _ in range(rounds):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        if best is None or elapsed < best:
-            best = elapsed
-    return best, result
-
-
-def calibration_loop(iterations=200000):
-    """Time a fixed big-int multiply loop (machine-speed yardstick).
-
-    The regression gate compares *normalised* wall-clocks
-    (``wall_clock_s / calibration_s``) so a committed baseline from one
-    machine remains meaningful on another (e.g. a CI runner).
-    """
-    value = (1 << 61) - 1
-    modulus = (1 << 89) - 1
-    accumulator = 1
-    start = time.perf_counter()
-    for _ in range(iterations):
-        accumulator = (accumulator * value) % modulus
-    return time.perf_counter() - start

@@ -8,7 +8,7 @@ square-and-multiply) for DMW, over sweeps of ``n``, ``m``, and the group
 size ``log p``.
 """
 
-from _report import run_once, write_json_record, write_report
+from _report import run_once, write_report
 
 from repro.analysis import (
     fit_loglog_slope,
@@ -71,28 +71,6 @@ def test_table1_computation(benchmark):
     growth = work[-1] / work[0]
     bits_growth = p_rows[-1][0] / p_rows[0][0]
     assert 1.2 < growth <= bits_growth + 0.2
-
-    # Machine-readable counted totals: these are *analytic-schedule*
-    # counts, so they must be bit-identical across implementations of the
-    # execution layer (the fast paths never change them — the regression
-    # gate checks exact equality, not a tolerance).
-    for key in ("dmw_n", "dmw_m"):
-        for sample in data[key]:
-            write_json_record(
-                "table1_computation",
-                {"sweep": key, "n": sample.num_agents,
-                 "m": sample.num_tasks, "p_bits": sample.p_bits},
-                counters={"computation": sample.computation,
-                          "messages": sample.messages},
-            )
-    for sample in data["dmw_p"]:
-        write_json_record(
-            "table1_computation",
-            {"sweep": "dmw_p", "n": sample.num_agents,
-             "m": sample.num_tasks, "p_bits": sample.p_bits},
-            counters={"computation": sample.computation,
-                      "messages": sample.messages},
-        )
 
     report = "Table 1 (computation): measured scaling exponents\n"
     report += render_table(

@@ -6,8 +6,8 @@ route through :mod:`repro.crypto.backend` (directly, or via ``modular``/
 ``fastexp``, which wrap it).  A stray three-argument ``pow(...)`` — or a
 direct ``gmpy2`` import/call — executes on a hard-coded engine, so the
 ``python`` and ``gmpy2`` backends would no longer be interchangeable and
-the bit-identical-across-backends guarantee of ``check_regression.py``'s
-backend gate could silently rot.
+the bit-identical-across-backends guarantee (``tests/test_backend.py``)
+could silently rot.
 
 Sanctioned idiom: ``backend.ACTIVE.powmod(...)`` / ``backend.ACTIVE.invert``
 (or the counted ``mod_exp``/``mod_inv`` wrappers).  Exempt:

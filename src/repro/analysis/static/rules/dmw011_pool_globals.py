@@ -8,8 +8,10 @@ worker depends on timing, so the contamination is irreproducible by
 construction.  Results must flow back through the picklable
 :class:`~repro.parallel.ShardResult`; per-process setup belongs in the
 pool *initializer*, which runs once before any task and is the one
-sanctioned writer of worker-process globals (that is how ``_SPEC`` and
-the arithmetic-backend selection are installed).
+sanctioned writer of worker-process globals.  (``repro.parallel``
+installs ``_SPEC`` and the arithmetic-backend selection from the task
+path instead, value-guarded on the spec each unit of work carries, with
+an audited inline suppression at each write.)
 
 Statically: the rule finds the pool entry points — functions passed as
 ``initializer=`` to ``ProcessPoolExecutor(...)`` and functions submitted

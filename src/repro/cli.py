@@ -479,25 +479,12 @@ def cmd_history_trend(args) -> int:
             _history_config_label(row["config"]),
             ("%.4f" % row["wall_clock_s"]
              if row["wall_clock_s"] is not None else "-"),
-            ("%.2f" % row["normalized"]
-             if row["normalized"] is not None else "-"),
             row["messages"] if row["messages"] is not None else "-",
             "; ".join(row["anomalies"]) or "-",
         ])
     print(render_table(["#", "fingerprint", "source", "config", "wall (s)",
-                        "normalized", "messages", "anomalies"], table))
+                        "messages", "anomalies"], table))
     print("\n%d entries, %d anomaly flag(s)" % (len(rows), anomaly_count))
-    return 0
-
-
-def cmd_history_ingest(args) -> int:
-    from .obs import entries_from_bench_dir
-    entries = entries_from_bench_dir(args.results_dir)
-    if not entries:
-        print("no BENCH_*.json records under %s" % args.results_dir)
-        return 1
-    count = HistoryStore(args.store).extend(entries)
-    print("ingested %d bench record(s) into %s" % (count, args.store))
     return 0
 
 
@@ -679,13 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     trend_parser.add_argument("--fingerprint", default=None,
                               help="only this config fingerprint")
     trend_parser.set_defaults(handler=cmd_history_trend)
-
-    ingest_parser = history_sub.add_parser(
-        "ingest-bench", help="ingest committed BENCH_*.json records")
-    add_store(ingest_parser)
-    ingest_parser.add_argument("results_dir",
-                               help="directory holding BENCH_*.json files")
-    ingest_parser.set_defaults(handler=cmd_history_ingest)
 
     reproduce_parser = subparsers.add_parser(
         "reproduce", help="regenerate every experiment in one run")

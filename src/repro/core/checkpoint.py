@@ -37,15 +37,14 @@ What is deliberately *not* captured:
   since the restart.
 
 Serialization lives in :mod:`repro.serialization` (format version 4,
-document type ``dmw_checkpoint``; version-3 documents without the
-frontier/cache fields remain loadable); this module holds only the
-in-memory state transfer, keeping the dependency one-directional.
+document type ``dmw_checkpoint``); this module holds only the in-memory
+state transfer, keeping the dependency one-directional.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set
+from typing import TYPE_CHECKING, Any, Dict, List, Set
 
 from ..network.metrics import NetworkMetrics
 from .exceptions import ParameterError, ProtocolAbort
@@ -80,8 +79,8 @@ class ProtocolCheckpoint:
     num_tasks:
         Total number of auctions the execution runs.
     next_task:
-        One past the highest attempted task (kept for format-version-3
-        compatibility; :meth:`completed_set` is authoritative).
+        One past the most recently attempted task (reported by the trace
+        and the CLI; :meth:`completed_set` is authoritative).
     degraded:
         Whether the interrupted execution ran in graceful-degradation
         mode (a resume must use the same mode).
@@ -106,9 +105,7 @@ class ProtocolCheckpoint:
         empty for plain synchronous networks.
     completed_tasks:
         The completed-auction frontier: every task already attempted
-        (completed or quarantined).  ``None`` on documents written before
-        format version 4, in which case the prefix ``range(next_task)``
-        is implied (see :meth:`completed_set`).
+        (completed or quarantined).
     cache_state:
         :meth:`~repro.crypto.fastexp.PublicValueCache.export_state`
         snapshot of the shared public-value cache (sequential driver), or
@@ -121,6 +118,7 @@ class ProtocolCheckpoint:
     next_task: int
     degraded: bool
     num_agents: int
+    completed_tasks: List[int]
     transcripts: List[AuctionTranscript] = field(default_factory=list)
     task_aborts: Dict[int, ProtocolAbort] = field(default_factory=dict)
     agent_rng_states: List[List[Any]] = field(default_factory=list)
@@ -128,18 +126,11 @@ class ProtocolCheckpoint:
     network_metrics: Dict[str, int] = field(default_factory=dict)
     round_index: int = 0
     timeout_state: Dict[str, Any] = field(default_factory=dict)
-    completed_tasks: Optional[List[int]] = None
     cache_state: Dict[str, Any] = field(default_factory=dict)
 
     def completed_set(self) -> Set[int]:
-        """Tasks the resumed run must *not* re-execute.
-
-        Version-4 documents carry the frontier explicitly; older
-        documents imply the prefix ``range(next_task)``.
-        """
-        if self.completed_tasks is not None:
-            return set(self.completed_tasks)
-        return set(range(self.next_task))
+        """Tasks the resumed run must *not* re-execute."""
+        return set(self.completed_tasks)
 
     # -- capture ---------------------------------------------------------------
     @classmethod

@@ -238,9 +238,9 @@ def select_backend(name: str, strict: bool = False) -> ArithmeticBackend:
         )
         backend = PythonBackend()
     # Reachable from `_run_shard_with_spec` only as the value-guarded
-    # re-install of the pool initializer path: the resident service pool
-    # outlives any one job's PoolSpec, so spec changes re-run the same
-    # sanctioned per-process setup the initializer performs.
+    # PoolSpec install: a pool worker (the resident service pool outlives
+    # any one job) re-selects the engine only when the spec it is handed
+    # differs from the one it already holds.
     ACTIVE = backend  # dmwlint: disable=DMW011
     return backend
 

@@ -50,7 +50,6 @@ from .history import (
     HistoryStore,
     config_fingerprint,
     diff_entries,
-    entries_from_bench_dir,
     entry_from_report,
     theorem11_message_bounds,
     trend_rows,
@@ -93,7 +92,6 @@ __all__ = [
     "SpanRecorder",
     "config_fingerprint",
     "diff_entries",
-    "entries_from_bench_dir",
     "entry_from_report",
     "parse_prometheus",
     "provenance_summary",

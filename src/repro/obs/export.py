@@ -33,21 +33,20 @@ from .flight import FlightRecorder
 from .metrics import MetricsRegistry, registry_for_run
 from .spans import SpanRecorder
 
-#: Bumped whenever the run-report schema changes shape.  Version 2 adds
-#: the ``resilience`` section (retry/quarantine accounting — exact zeros
-#: on fault-free runs, which the benchmark regression gate asserts).
-#: Version 3 adds the ``parallelism`` section (process-pool driver
+#: Bumped whenever the run-report schema changes shape.  Version 4
+#: carries the ``resilience`` section (retry/quarantine accounting — exact
+#: zeros on fault-free runs), ``parallelism`` (process-pool driver
 #: metadata — ``workers``/``tasks_pooled``/``batches``; empty for the
-#: in-process drivers).  Version 4 adds ``flight_summary`` (the flight
-#: recorder's per-type/per-kind message-event tallies; empty when flight
-#: recording was off), ``profile`` (per-phase cProfile hotspots; empty
-#: without ``--profile``), and ``provenance`` (package version,
-#: arithmetic backend, git commit when available) so historical runs are
-#: attributable.  Earlier documents remain valid.
+#: in-process drivers), ``flight_summary`` (the flight recorder's
+#: per-type/per-kind message-event tallies; empty when flight recording
+#: was off), ``profile`` (per-phase cProfile hotspots; empty without
+#: ``--profile``), and ``provenance`` (package version, arithmetic
+#: backend, git commit when available) so historical runs are
+#: attributable.
 REPORT_VERSION = 4
 
 #: Versions :func:`validate_run_report` accepts.
-_ACCEPTED_VERSIONS = (2, 3, 4)
+_ACCEPTED_VERSIONS = (4,)
 
 
 def _sum_operations(agent_operations) -> Dict[str, int]:
@@ -189,10 +188,9 @@ def provenance_summary() -> Dict[str, Any]:
 def resilience_summary(outcome: Any) -> Dict[str, Any]:
     """The resilience section of the run report (``docs/RESILIENCE.md``).
 
-    Every field is exactly zero/false/empty on a fault-free run — the
-    benchmark regression gate (``benchmarks/check_regression.py``) pins
-    that down so retries and quarantines can never silently leak into
-    the headline Theorem 11/12 accounting.
+    Every field is exactly zero/false/empty on a fault-free run, so
+    retries and quarantines can never silently leak into the headline
+    Theorem 11/12 accounting.
     """
     metrics = outcome.network_metrics
     task_aborts = getattr(outcome, "task_aborts", {}) or {}
@@ -278,43 +276,35 @@ def validate_run_report(document: Any) -> None:
     for key in ("params", "completed", "totals", "cache", "resilience",
                 "phases", "spans", "events", "metrics"):
         _require(key in document, "missing key %r" % key)
-    if document["version"] >= 3:
-        _require("parallelism" in document, "missing key 'parallelism'")
-        _require(isinstance(document["parallelism"], dict),
-                 "parallelism must be an object")
-    if document["version"] >= 4:
-        for key in ("flight_summary", "profile", "provenance"):
-            _require(key in document, "missing key %r" % key)
-            _require(isinstance(document[key], dict),
-                     "%s must be an object" % key)
-        provenance = document["provenance"]
-        for key in ("package_version", "arithmetic_backend"):
-            _require(key in provenance, "provenance missing %r" % key)
-        flight_summary = document["flight_summary"]
-        if flight_summary:
-            for key in ("events_recorded", "events_retained", "capacity",
-                        "messages", "by_type", "by_kind"):
-                _require(key in flight_summary,
-                         "flight_summary missing %r" % key)
-            _require(flight_summary["events_retained"]
-                     <= flight_summary["events_recorded"],
-                     "flight_summary retains more events than recorded")
-            _require(sum(flight_summary["by_type"].values())
-                     == flight_summary["events_recorded"],
-                     "flight_summary.by_type must sum to events_recorded")
-            _require(sum(flight_summary["by_kind"].values())
-                     == flight_summary["events_recorded"],
-                     "flight_summary.by_kind must sum to events_recorded")
-        profile = document["profile"]
-        if profile:
-            _require("phases" in profile and "top_n" in profile,
-                     "profile must carry phases and top_n")
-            for phase_name, body in profile["phases"].items():
-                for key in ("functions_profiled", "calls", "time_s",
-                            "hotspots"):
-                    _require(key in body,
-                             "profile phase %r missing %r"
-                             % (phase_name, key))
+    for key in ("parallelism", "flight_summary", "profile", "provenance"):
+        _require(key in document, "missing key %r" % key)
+        _require(isinstance(document[key], dict),
+                 "%s must be an object" % key)
+    provenance = document["provenance"]
+    for key in ("package_version", "arithmetic_backend"):
+        _require(key in provenance, "provenance missing %r" % key)
+    flight_summary = document["flight_summary"]
+    if flight_summary:
+        for key in ("events_recorded", "events_retained", "capacity",
+                    "messages", "by_type", "by_kind"):
+            _require(key in flight_summary, "flight_summary missing %r" % key)
+        _require(flight_summary["events_retained"]
+                 <= flight_summary["events_recorded"],
+                 "flight_summary retains more events than recorded")
+        _require(sum(flight_summary["by_type"].values())
+                 == flight_summary["events_recorded"],
+                 "flight_summary.by_type must sum to events_recorded")
+        _require(sum(flight_summary["by_kind"].values())
+                 == flight_summary["events_recorded"],
+                 "flight_summary.by_kind must sum to events_recorded")
+    profile = document["profile"]
+    if profile:
+        _require("phases" in profile and "top_n" in profile,
+                 "profile must carry phases and top_n")
+        for phase_name, body in profile["phases"].items():
+            for key in ("functions_profiled", "calls", "time_s", "hotspots"):
+                _require(key in body, "profile phase %r missing %r"
+                         % (phase_name, key))
     _require(isinstance(document["completed"], bool),
              "completed must be a bool")
 

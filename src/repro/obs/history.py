@@ -1,30 +1,28 @@
 """Persistent run-history analytics: append-only JSONL across executions.
 
-Every run report (and every committed ``BENCH_*.json`` record) dies with
-its process unless something persists it; the history store is that
-something.  It is an append-only JSONL file of ``dmw_history_entry``
-documents, each keyed by a *config fingerprint* — a stable hash over the
-run's identifying configuration (``n``, ``m``, seed, backend,
-parallelism, mechanism) — so runs of the same configuration line up into
-a trajectory and runs of different configurations never get compared by
-accident.
+Every run report dies with its process unless something persists it;
+the history store is that something.  It is an append-only JSONL file of
+``dmw_history_entry`` documents, each keyed by a *config fingerprint* —
+a stable hash over the run's identifying configuration (``n``, ``m``,
+seed, backend, parallelism, mechanism) — so runs of the same
+configuration line up into a trajectory and runs of different
+configurations never get compared by accident.
 
 Entry schema (one JSON object per line)::
 
     {"type": "dmw_history_entry", "version": 1,
-     "recorded_at": <unix seconds>, "source": "run_report" | "bench",
+     "recorded_at": <unix seconds>, "source": "run_report",
      "fingerprint": <12-hex sha256 prefix of the sorted config>,
      "config": {"num_agents", "num_tasks", "seed", "backend",
                 "parallel", "workers", "mechanism", ...},
-     "wall_clock_s": float | null,          # run-span duration / bench best
-     "calibration_s": float | null,         # machine-speed yardstick
+     "wall_clock_s": float | null,          # run-span duration
      "counters": {...operation totals...} | null,
      "network": {...NetworkMetrics.as_dict()...} | null,
      "outcome": {"completed", "schedule", "payments", "degraded",
                  "quarantined_tasks"} | null,
      "provenance": {...run-report provenance...} | null}
 
-Three analytics run over the store (surfaced by ``dmw history``):
+Two analytics run over the store (surfaced by ``dmw history``):
 
 * **diff** — compare two entries' operation counters, network totals,
   and outcome.  DMW is deterministic given its config, and the
@@ -38,18 +36,12 @@ Three analytics run over the store (surfaced by ``dmw history``):
   different from the drivers' known round counts, and counter drift
   *within* a fingerprint (same config must reproduce identical counted
   work — Theorem 12's schedule is deterministic).
-* **ingest** — pull the committed benchmark records into the store so
-  the trajectory is non-empty from day one
-  (:func:`entries_from_bench_dir`); ``benchmarks/check_regression.py
-  --only history`` gates calibration-normalised wall-clock against the
-  stored trend.
 
 See ``docs/OBSERVABILITY.md`` ("Run history").
 """
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import json
 import os
@@ -59,7 +51,7 @@ try:  # POSIX advisory locking; absent on some platforms (e.g. Windows).
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 #: Entry schema version.
 ENTRY_VERSION = 1
@@ -129,14 +121,6 @@ class HistoryStore:
             os.close(fd)
         return index + 1
 
-    def extend(self, entries: Iterable[Dict[str, Any]]) -> int:
-        """Append several entries; returns how many were written."""
-        count = 0
-        for entry in entries:
-            self.append(entry)
-            count += 1
-        return count
-
     def load(self) -> List[Dict[str, Any]]:
         """Every entry, in append order (empty when the file is absent)."""
         if not os.path.exists(self.path):
@@ -173,7 +157,6 @@ class HistoryStore:
 def make_entry(config: Dict[str, Any], *,
                source: str,
                wall_clock_s: Optional[float] = None,
-               calibration_s: Optional[float] = None,
                counters: Optional[Dict[str, int]] = None,
                network: Optional[Dict[str, int]] = None,
                outcome: Optional[Dict[str, Any]] = None,
@@ -188,7 +171,6 @@ def make_entry(config: Dict[str, Any], *,
         "fingerprint": config_fingerprint(config),
         "config": dict(config),
         "wall_clock_s": wall_clock_s,
-        "calibration_s": calibration_s,
         "counters": counters,
         "network": network,
         "outcome": outcome,
@@ -239,52 +221,6 @@ def entry_from_report(document: Dict[str, Any],
         outcome=outcome, provenance=document.get("provenance"),
         recorded_at=recorded_at,
     )
-
-
-def entries_from_bench_dir(results_dir: str,
-                           recorded_at: Optional[float] = None
-                           ) -> List[Dict[str, Any]]:
-    """History entries for every committed ``BENCH_*.json`` record.
-
-    The calibration bench's measurement becomes each entry's
-    ``calibration_s`` (the machine-speed yardstick the regression gate
-    normalises by); the calibration record itself is not ingested.
-    """
-    calibration_s: Optional[float] = None
-    calibration_path = os.path.join(results_dir,
-                                    "BENCH_scaling_calibration.json")
-    if os.path.exists(calibration_path):
-        with open(calibration_path) as handle:
-            for record in json.load(handle):
-                if record.get("wall_clock_s") is not None:
-                    calibration_s = record["wall_clock_s"]
-    entries: List[Dict[str, Any]] = []
-    for path in sorted(glob.glob(os.path.join(results_dir,
-                                              "BENCH_*.json"))):
-        if os.path.basename(path) == "BENCH_scaling_calibration.json":
-            continue
-        with open(path) as handle:
-            records = json.load(handle)
-        for record in records:
-            params = record.get("params") or {}
-            config = {"mechanism": "dmw", "bench": record.get("bench")}
-            config.update(params)
-            # Normalise the bench parameter names onto the run-config
-            # vocabulary so Theorem 11 anomaly checks apply when the
-            # bench measured a full DMW run.
-            if "n" in params:
-                config["num_agents"] = params["n"]
-            if "m" in params:
-                config["num_tasks"] = params["m"]
-            entries.append(make_entry(
-                config, source="bench",
-                wall_clock_s=record.get("wall_clock_s"),
-                calibration_s=calibration_s,
-                counters=record.get("counters"),
-                network=None, outcome=None, provenance=None,
-                recorded_at=recorded_at,
-            ))
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +358,12 @@ def trend_rows(entries: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
                     anomalies.append(
                         "counter drift within fingerprint %s"
                         % fingerprint)
-            wall = entry.get("wall_clock_s")
-            calibration = entry.get("calibration_s")
             rows.append({
                 "index": index,
                 "fingerprint": fingerprint,
                 "source": entry.get("source"),
                 "config": entry.get("config") or {},
-                "wall_clock_s": wall,
-                "normalized": (wall / calibration
-                               if wall is not None and calibration
-                               else None),
+                "wall_clock_s": entry.get("wall_clock_s"),
                 "messages": (entry.get("network")
                              or {}).get("point_to_point_messages"),
                 "anomalies": anomalies,

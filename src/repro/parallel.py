@@ -21,12 +21,12 @@ Determinism contract (``docs/PERFORMANCE.md``)
   substreams, so outcomes, transcripts, and per-agent
   :class:`~repro.crypto.modular.OperationCounter` totals are identical
   across drivers by construction.
-* **Work units** are picklable: a worker receives only the task index;
-  the shared :class:`PoolSpec` (parameters, true values, rng roots) is
-  installed once per worker process via the pool initializer.  Nothing
-  secret crosses the process boundary that the agents would not have
-  derived themselves; shard *results* carry only public data (the
-  transcript, accounting totals, trace/span exports).
+* **Work units** are picklable ``(PoolSpec, task)`` pairs: the worker
+  installs the :class:`PoolSpec` (parameters, true values, rng roots)
+  whenever it differs from the one it already holds.  Nothing secret
+  crosses the process boundary that the agents would not have derived
+  themselves; shard *results* carry only public data (the transcript,
+  accounting totals, trace/span exports).
 * **Dispatch is batched and the merge is ordered**: tasks are submitted
   in deterministic batches of ``workers`` and merged strictly in task
   order, so the frontier only ever grows as a prefix of the remaining
@@ -115,10 +115,11 @@ _POST_MERGE_HOOK: Optional[Callable[["ShardResult"], None]] = None
 class PoolSpec:
     """Everything a worker process needs to rebuild the execution context.
 
-    Installed once per worker via the pool initializer; deliberately tiny
-    and picklable (parameters are a few hundred bytes).  ``rng_roots``
-    are the parent agents' substream roots, so worker-side agents derive
-    exactly the parent's per-task randomness.
+    Shipped with every unit of work and installed by
+    :func:`_run_shard_with_spec`; deliberately tiny and picklable
+    (parameters are a few hundred bytes).  ``rng_roots`` are the parent
+    agents' substream roots, so worker-side agents derive exactly the
+    parent's per-task randomness.
     """
 
     parameters: Any
@@ -177,25 +178,28 @@ _SPEC: Optional[PoolSpec] = None
 
 
 def _init_worker(spec: PoolSpec) -> None:
-    """Pool initializer: stash the shared spec in the worker process.
+    """Install ``spec`` as this worker process's execution context.
 
     Also re-selects the parent's arithmetic backend by name — module
     globals do not survive the process boundary, so the engine choice
     must be re-established in every worker.
     """
     global _SPEC
-    _SPEC = spec
+    # The one sanctioned per-process install point, value-guarded by
+    # _run_shard_with_spec: a recycled worker only ever reinstalls the
+    # spec of the job whose task it is about to run.
+    _SPEC = spec  # dmwlint: disable=DMW011
     crypto_backend.select_backend(spec.backend)
 
 
 def _run_shard_with_spec(work: Tuple[PoolSpec, int]) -> ShardResult:
-    """Shard entry point for a *resident* executor shared across jobs.
+    """Shard entry point for every pool, owned or resident.
 
-    A long-lived daemon cannot rely on the pool initializer: the same
-    worker processes serve many jobs with different specs (and possibly
-    different arithmetic backends), so each unit of work carries its
-    job's spec and the worker re-installs it — backend selection
-    included — whenever it differs from the one already installed.
+    Worker processes may serve many jobs with different specs (and
+    possibly different arithmetic backends) — the always-on service
+    keeps one resident pool across jobs — so each unit of work carries
+    its job's spec and the worker re-installs it, backend selection
+    included, whenever it differs from the one already installed.
     ``PoolSpec`` is a frozen dataclass, so the equality check compares
     by value across the pickle boundary.
     """
@@ -220,7 +224,7 @@ def _run_shard(task: int) -> ShardResult:
     parent would record the quarantine twice).
     """
     spec = _SPEC
-    if spec is None:  # pragma: no cover - initializer contract
+    if spec is None:  # pragma: no cover - entry-point contract
         raise RuntimeError("worker used before _init_worker installed a spec")
     # Local import: repro.core.protocol imports this module lazily, so the
     # reverse import must happen at call time to stay cycle-free.
@@ -466,10 +470,9 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
     ----------
     pool:
         A resident executor to reuse across jobs (the always-on
-        service); each unit of work then carries the job's spec and is
-        re-installed worker-side by :func:`_run_shard_with_spec`.  When
-        omitted, a per-call executor with the classic initializer path
-        is created and torn down here.
+        service).  When omitted, a per-call executor is created and torn
+        down here.  Either way each unit of work carries the job's spec
+        and is installed worker-side by :func:`_run_shard_with_spec`.
     warm_cache:
         Cache whose entries pre-seed every shard's per-task cache (see
         :attr:`PoolSpec.cache_state`).
@@ -502,33 +505,22 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
         return None
     if pool is not None:
         return _drive_pool(protocol, pool, spec, remaining, num_tasks,
-                           workers, checkpoint_path, resident=True)
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_init_worker,
-                             initargs=(spec,)) as owned_pool:
+                           workers, checkpoint_path)
+    with ProcessPoolExecutor(max_workers=workers) as owned_pool:
         return _drive_pool(protocol, owned_pool, spec, remaining, num_tasks,
-                           workers, checkpoint_path, resident=False)
+                           workers, checkpoint_path)
 
 
 def _drive_pool(protocol: "DMWProtocol", pool: ProcessPoolExecutor,
                 spec: PoolSpec, remaining: List[int], num_tasks: int,
-                workers: int, checkpoint_path: Optional[str],
-                resident: bool) -> Optional[ProtocolAbort]:
-    """Submit batches, merge results in task order, checkpoint frontiers.
-
-    ``resident`` pools (shared across a daemon's jobs) route through
-    :func:`_run_shard_with_spec` so every shard carries and re-installs
-    its job's spec; owned pools installed the spec once at fork via the
-    initializer and submit the bare task index.
-    """
+                workers: int, checkpoint_path: Optional[str]
+                ) -> Optional[ProtocolAbort]:
+    """Submit batches, merge results in task order, checkpoint frontiers."""
     batch_count = 0
     for batch in _batches(remaining, workers):
         batch_count += 1
-        if resident:
-            futures = [pool.submit(_run_shard_with_spec, (spec, task))
-                       for task in batch]
-        else:
-            futures = [pool.submit(_run_shard, task) for task in batch]
+        futures = [pool.submit(_run_shard_with_spec, (spec, task))
+                   for task in batch]
         # Deterministic ordered merge: results are consumed in task
         # order regardless of which worker finishes first.
         for future in futures:

@@ -26,25 +26,16 @@ from .network.metrics import NetworkMetrics
 from .scheduling.problem import SchedulingProblem, Task
 from .scheduling.schedule import PartialSchedule, Schedule
 
-#: Bumped whenever an encoding changes shape.  Version 2 adds the optional
-#: ``trace`` (structured event log) and ``cache_stats`` outcome fields;
-#: version-1 documents remain loadable (the new keys default to empty).
-#: Version 3 adds the ``dmw_checkpoint`` document type, partial schedules
-#: (``null`` assignment entries for quarantined tasks), and the optional
-#: ``degraded``/``task_aborts`` outcome fields; version-1/2 documents
-#: remain loadable (the new keys default to empty/False).
-#: Version 4 adds the checkpoint's completed-auction frontier
-#: (``completed_tasks``) and public-value cache snapshot (``cache_state``)
-#: plus the optional ``parallelism`` outcome section (process-pool driver
-#: metadata); version-3 documents remain loadable (the frontier defaults
-#: to the ``next_task`` prefix, the cache snapshot to empty).
+#: Bumped whenever an encoding changes shape.  Version 4 carries the
+#: outcome's ``trace``, ``cache_stats``, ``degraded``/``task_aborts`` and
+#: ``parallelism`` fields, partial schedules (``null`` assignment entries
+#: for quarantined tasks), and the ``dmw_checkpoint`` document with its
+#: completed-auction frontier (``completed_tasks``) and public-value cache
+#: snapshot (``cache_state``).
 FORMAT_VERSION = 4
 
 #: Document versions :func:`loads` accepts.
-SUPPORTED_VERSIONS = (1, 2, 3, 4)
-
-#: First format version that can carry each v3-only document type.
-_CHECKPOINT_MIN_VERSION = 3
+SUPPORTED_VERSIONS = (4,)
 
 
 class SerializationError(ValueError):
@@ -213,12 +204,11 @@ def outcome_from_dict(document: Dict[str, Any]) -> DMWOutcome:
         abort=abort,
         network_metrics=metrics,
         agent_operations=list(document["agent_operations"]),
-        cache_stats=dict(document.get("cache_stats") or {}),
-        degraded=bool(document.get("degraded", False)),
+        cache_stats=dict(document["cache_stats"]),
+        degraded=bool(document["degraded"]),
         task_aborts={int(task): _abort_from_dict(raw)
-                     for task, raw in
-                     (document.get("task_aborts") or {}).items()},
-        parallelism=dict(document.get("parallelism") or {}),
+                     for task, raw in document["task_aborts"].items()},
+        parallelism=dict(document["parallelism"]),
     )
 
 
@@ -241,11 +231,10 @@ def metrics_from_dict(raw_metrics: Dict[str, Any]) -> NetworkMetrics:
 def trace_from_dict(document: Dict[str, Any]) -> Optional[ProtocolTrace]:
     """Recover the embedded event trace from an outcome document.
 
-    Returns ``None`` when the document was written without a trace
-    (including every version-1 document).
+    Returns ``None`` when the document was written without a trace.
     """
     _check(document, "dmw_outcome")
-    events = document.get("trace")
+    events = document["trace"]
     if events is None:
         return None
     return ProtocolTrace.from_list(events)
@@ -256,12 +245,11 @@ def trace_from_dict(document: Dict[str, Any]) -> Optional[ProtocolTrace]:
 def checkpoint_to_dict(checkpoint: ProtocolCheckpoint) -> Dict[str, Any]:
     """Encode a :class:`~repro.core.checkpoint.ProtocolCheckpoint`.
 
-    Format version 3+ only (version 4 adds the completed-auction
-    frontier and the cache snapshot).  The rng states are the JSON
-    encodings produced by :func:`repro.core.checkpoint.encode_rng_state`;
-    no cryptographic secret appears in the document — the cache snapshot
-    holds only bulletin-board-derivable public values (see the module
-    docstring of :mod:`repro.core.checkpoint`).
+    The rng states are the JSON encodings produced by
+    :func:`repro.core.checkpoint.encode_rng_state`; no cryptographic
+    secret appears in the document — the cache snapshot holds only
+    bulletin-board-derivable public values (see the module docstring of
+    :mod:`repro.core.checkpoint`).
     """
     return {
         "type": "dmw_checkpoint",
@@ -281,9 +269,7 @@ def checkpoint_to_dict(checkpoint: ProtocolCheckpoint) -> Dict[str, Any]:
         "network_metrics": dict(checkpoint.network_metrics),
         "round_index": checkpoint.round_index,
         "timeout_state": dict(checkpoint.timeout_state),
-        "completed_tasks": (list(checkpoint.completed_tasks)
-                            if checkpoint.completed_tasks is not None
-                            else None),
+        "completed_tasks": list(checkpoint.completed_tasks),
         "cache_state": dict(checkpoint.cache_state),
     }
 
@@ -291,11 +277,6 @@ def checkpoint_to_dict(checkpoint: ProtocolCheckpoint) -> Dict[str, Any]:
 def checkpoint_from_dict(document: Dict[str, Any]) -> ProtocolCheckpoint:
     """Decode a checkpoint document written by :func:`checkpoint_to_dict`."""
     _check(document, "dmw_checkpoint")
-    if document["version"] < _CHECKPOINT_MIN_VERSION:
-        raise SerializationError(
-            "dmw_checkpoint requires format version >= %d, got %r"
-            % (_CHECKPOINT_MIN_VERSION, document["version"])
-        )
     return ProtocolCheckpoint(
         num_tasks=document["num_tasks"],
         next_task=document["next_task"],
@@ -310,13 +291,9 @@ def checkpoint_from_dict(document: Dict[str, Any]) -> ProtocolCheckpoint:
         agent_operations=list(document["agent_operations"]),
         network_metrics=dict(document["network_metrics"]),
         round_index=document["round_index"],
-        timeout_state=dict(document.get("timeout_state") or {}),
-        # Version-3 documents predate the explicit frontier; None keeps
-        # ProtocolCheckpoint.completed_set() on its prefix fallback.
-        completed_tasks=(list(document["completed_tasks"])
-                         if document.get("completed_tasks") is not None
-                         else None),
-        cache_state=dict(document.get("cache_state") or {}),
+        timeout_state=dict(document["timeout_state"]),
+        completed_tasks=list(document["completed_tasks"]),
+        cache_state=dict(document["cache_state"]),
     )
 
 

@@ -95,9 +95,9 @@ class TestCheckpointDocument:
         assert loaded.completed_tasks == checkpoint.completed_tasks
         assert loaded.completed_set() == {0}
 
-    def test_version3_document_implies_prefix_frontier(self, params5,
-                                                       problem, tmp_path):
-        """Pre-frontier documents fall back to the ``next_task`` prefix."""
+    def test_version3_document_is_rejected(self, params5, problem,
+                                           tmp_path):
+        """Pre-frontier documents are no longer read."""
         path = str(tmp_path / "cp.json")
         checkpoint_after(params5, problem, 2, path)
         with open(path) as handle:
@@ -105,9 +105,9 @@ class TestCheckpointDocument:
         document["version"] = 3
         document.pop("completed_tasks")
         document.pop("cache_state")
-        loaded = serialization.checkpoint_from_dict(document)
-        assert loaded.completed_tasks is None
-        assert loaded.completed_set() == {0, 1}
+        with pytest.raises(serialization.SerializationError,
+                           match="version 3"):
+            serialization.checkpoint_from_dict(document)
 
     def test_document_is_versioned(self, params5, problem, tmp_path):
         path = str(tmp_path / "cp.json")
@@ -116,7 +116,6 @@ class TestCheckpointDocument:
             document = json.load(handle)
         assert document["type"] == "dmw_checkpoint"
         assert document["version"] == serialization.FORMAT_VERSION
-        assert document["version"] >= 3
 
     def test_checkpoint_write_is_atomic(self, params5, problem, tmp_path):
         """No stray temp file is left next to the checkpoint."""

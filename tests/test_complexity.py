@@ -102,6 +102,29 @@ class TestDMWMeasurement:
         assert dmw.computation > 50 * centralized.computation
 
 
+class TestTable1CountedTotals:
+    """Exact Theorem 11/12 counted totals for the Table 1 sweeps.
+
+    Counted work is a pure function of the seeded exponents, so any drift
+    here means the analytic schedule, the RNG substreams, or the bid
+    draws changed.
+    """
+
+    @pytest.mark.parametrize("n, m, group_size, computation, messages", [
+        (4, 2, "small", 8191, 172),
+        (6, 2, "small", 15199, 336),
+        (12, 2, "small", 84222, 1248),
+        (6, 8, "small", 62426, 1374),
+        (6, 2, "tiny", 10749, 336),
+        (6, 2, "medium", 22145, 336),
+    ])
+    def test_counted_totals_are_pinned(self, n, m, group_size, computation,
+                                       messages):
+        sample = measure_dmw(n, m, group_size=group_size)
+        assert (sample.computation, sample.messages) \
+            == (computation, messages)
+
+
 class TestTable1Fits:
     def test_small_sweep_matches_predictions(self):
         from repro.analysis.complexity import table1_fits

@@ -615,7 +615,7 @@ class TestLabelEscapingProperty:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: schema versions 2, 3, and 4 all validate
+# Satellite: only schema version 4 validates
 # ---------------------------------------------------------------------------
 
 class TestVersionCompatibility:
@@ -632,20 +632,22 @@ class TestVersionCompatibility:
             assert key in v4_document
         validate_run_report(v4_document)
 
-    def test_v3_documents_still_validate(self, v4_document):
+    def test_v3_documents_are_rejected(self, v4_document):
         document = json.loads(json.dumps(v4_document))
         document["version"] = 3
         for key in ("flight_summary", "profile", "provenance"):
             document.pop(key)
-        validate_run_report(document)
+        with pytest.raises(ReportSchemaError, match="version 3"):
+            validate_run_report(document)
 
-    def test_v2_documents_still_validate(self, v4_document):
+    def test_v2_documents_are_rejected(self, v4_document):
         document = json.loads(json.dumps(v4_document))
         document["version"] = 2
         for key in ("flight_summary", "profile", "provenance",
                     "parallelism"):
             document.pop(key)
-        validate_run_report(document)
+        with pytest.raises(ReportSchemaError, match="version 2"):
+            validate_run_report(document)
 
     def test_provenance_identifies_the_build(self, v4_document):
         provenance = v4_document["provenance"]

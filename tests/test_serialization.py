@@ -166,24 +166,23 @@ class TestTraceEmbedding:
 
 
 class TestVersionCompatibility:
-    def test_version_1_outcome_still_loads(self, params5, problem53):
-        """Documents written before trace/cache_stats existed must load."""
+    def test_version_1_outcome_is_rejected(self, params5, problem53):
+        """Documents written before trace/cache_stats existed are no
+        longer read."""
         outcome = run_dmw(problem53, parameters=params5,
                           rng=random.Random(0))
         document = json.loads(serialization.dumps(outcome))
         document["version"] = 1
         del document["cache_stats"]
         del document["trace"]
-        restored = serialization.loads(json.dumps(document))
-        assert restored.completed
-        assert restored.schedule == outcome.schedule
-        assert restored.cache_stats == {}
-        assert serialization.trace_from_dict(document) is None
+        with pytest.raises(serialization.SerializationError,
+                           match="version 1"):
+            serialization.loads(json.dumps(document))
 
     def test_current_documents_carry_version_4(self, problem53):
         document = json.loads(serialization.dumps(problem53))
         assert document["version"] == serialization.FORMAT_VERSION == 4
-        assert serialization.SUPPORTED_VERSIONS == (1, 2, 3, 4)
+        assert serialization.SUPPORTED_VERSIONS == (4,)
 
 
 class TestNaiveOutcomeRoundTrip:
