@@ -633,11 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
                                                 required=True)
 
     def add_store(sub):
-        sub.add_argument("--store",
-                         default="benchmarks/results/history.jsonl",
-                         metavar="PATH",
-                         help="history JSONL path "
-                              "(default %(default)s)")
+        sub.add_argument("--store", required=True, metavar="PATH",
+                         help="history JSONL path (as written by "
+                              "'run --history PATH')")
 
     list_parser = history_sub.add_parser(
         "list", help="list every stored entry")

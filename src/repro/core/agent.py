@@ -540,7 +540,8 @@ class DMWAgent:
         """Resolve and remember the second price ``y**``."""
         state = self._state(task)
         second_price, _ = resolve_second_price(
-            self.parameters, state.valid_excluded_lambdas, self.counter
+            self.parameters, state.valid_excluded_lambdas, self.counter,
+            self.cache
         )
         state.second_price = declassify(
             second_price, label="y**",

@@ -108,11 +108,12 @@ class PolynomialCommitment:
         z1^{value(point)} z2^{blinding(point)}`` — the right-hand side of
         eqs. (7)-(9).
 
-        Execution uses Straus multi-exponentiation (one shared squaring
-        chain for all ``sigma`` terms) and, when ``cache`` is given, a
-        per-execution memo keyed by ``(modulus, elements, point)``; the
-        counted cost is the per-term square-and-multiply schedule in every
-        case (replayed against ``counter`` on cache hits).
+        Execution uses Horner in the exponent at the (small) point
+        (:func:`~repro.crypto.fastexp.horner_multi_exp`) and, when
+        ``cache`` is given, a per-execution memo keyed by
+        ``(modulus, elements, point)``; the counted cost is the per-term
+        square-and-multiply schedule in every case (replayed against
+        ``counter`` on cache hits).
         """
         group = self.parameters.group
         if not fastexp.enabled():
@@ -134,32 +135,17 @@ class PolynomialCommitment:
                 counter.count_exp_batch(exp_count, exp_work)
                 counter.count_mul(exp_count)
                 return value
-        powers = []
         exp_work = 0
         power = 1
         for _ in self.elements:
             power = (power * reduced_point) % q
-            powers.append(power)
             if power > 1:
                 exp_work += power.bit_length() + power.bit_count() - 2
         exp_count = len(self.elements)
         counter.count_exp_batch(exp_count, exp_work)
         counter.count_mul(exp_count)
-        if cache is not None:
-            # The same commitment vector is evaluated at up to n distinct
-            # pseudonyms per execution; keeping its Straus digit tables in
-            # the execution cache amortises the table build across all of
-            # them (window 5 is the sweet spot at fixture sizes).
-            table_key = (group.p, self.elements)
-            tables = cache.get_tables(table_key)
-            if tables is None:
-                tables = fastexp.straus_tables(self.elements, group.p,
-                                               window=5)
-                cache.put_tables(table_key, tables)
-            value = fastexp.multi_exp_with_tables(tables, powers, group.p,
-                                                  window=5)
-        else:
-            value = multi_exp(self.elements, powers, group.p)
+        value = fastexp.horner_multi_exp(self.elements, reduced_point, q,
+                                         group.p)
         if key is not None:
             cache.put_evaluation(key, (value, exp_count, exp_work))
         return value
@@ -262,9 +248,8 @@ def verify_share_batch(commitments: Sequence[PolynomialCommitment],
     exponents[1] = blinding_total
     if cache is not None:
         # Compose cached window-5 Straus tables: the generator pair is
-        # shared protocol-wide, each vector's tables are the same rows
-        # PolynomialCommitment.evaluate keeps, so per-share and batched
-        # runs amortise the identical table builds.
+        # shared protocol-wide, and each vector's tables serve every
+        # pseudonym that batch-verifies against it in this execution.
         tables: List[Sequence[int]] = []
         generator_key = ("batch-generators", group.p, parameters.z1,
                          parameters.z2)

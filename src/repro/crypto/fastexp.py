@@ -10,14 +10,17 @@ model bit-for-bit identical:
   public generators ``z1``/``z2``, built once per ``(base, modulus)`` and
   shared process-wide (:func:`fixed_base_table`);
 * :func:`multi_exp` — Straus/Shamir simultaneous multi-exponentiation for
-  commitment-vector evaluations ``prod_l C_l^{alpha^l}`` and the
-  degree-resolution products ``prod_k Lambda_k^{rho_k}``;
+  products with full-size exponents: the degree-resolution products
+  ``prod_k Lambda_k^{rho_k}`` and batched share verification;
+* :func:`horner_multi_exp` — Horner in the exponent for commitment-vector
+  evaluations ``prod_l C_l^{alpha^l}`` at the small public pseudonyms;
 * :func:`batch_mod_inv` — Montgomery's batch-inversion trick (one real
   inversion plus ``3(k-1)`` multiplications for ``k`` inverses);
 * :class:`PublicValueCache` — a per-execution memo for publicly derivable
   values (``Gamma_{i,k}``, ``Phi_{i,k}``, commitment evaluations, Lagrange
-  weight vectors) so the ``O(n^2)`` Phase-III verification loops compute
-  each public value exactly once per execution.
+  weight vectors, first- and second-price resolutions) so the ``O(n^2)``
+  Phase-III verification loops compute each public value exactly once per
+  execution.
 
 Counting discipline
 -------------------
@@ -270,10 +273,10 @@ def straus_tables(bases: Sequence[int], modulus: int,
     ``tables[i][d - 1] == bases[i] ** d mod modulus`` for every window
     digit ``d`` in ``1 .. 2^window - 1``.  Building costs
     ``t * (2^window - 2)`` multiplications for ``t`` bases; reusing the
-    result across many exponent vectors (e.g. evaluating one commitment
-    vector at every agent's pseudonym) amortises that away — which is why
-    :meth:`~repro.crypto.commitments.PolynomialCommitment.evaluate` keeps
-    these tables in the execution's :class:`PublicValueCache`.
+    result across many exponent vectors (e.g. batch-verifying one
+    commitment vector at every agent's pseudonym) amortises that away —
+    which is why :func:`~repro.crypto.commitments.verify_share_batch`
+    keeps these tables in the execution's :class:`PublicValueCache`.
     """
     if modulus <= 0:
         raise ValueError("modulus must be positive")
@@ -357,6 +360,37 @@ def multi_exp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
                                  window)
 
 
+def horner_multi_exp(bases: Sequence[int], point: int, order: int,
+                     modulus: int) -> int:
+    """Return ``prod_{l=1..t} bases[l-1] ** (point^l mod order) mod modulus``.
+
+    Horner in the exponent (uncounted): over the leading slots
+    ``l = 1..L`` whose powers ``point^l`` stay below ``order``,
+    ``acc = (acc * bases[l-1]) ** point`` for ``l = L`` down to ``1``
+    raises every base to exactly ``point^l`` with one small-exponent
+    C-level ``powmod`` per slot and no tables.  Each remaining slot,
+    where ``point^l`` would wrap, gets its own ``powmod`` by the reduced
+    power.  So the result is exact for *every* base, including elements
+    outside the subgroup of order ``order``, for which ``point^l`` and
+    ``point^l mod order`` give different values.  ``point`` must lie in
+    ``0 .. order - 1``; at the protocol's pseudonyms ``1..n`` almost no
+    power wraps.
+    """
+    powmod = _backend.ACTIVE.powmod
+    leading = 0
+    power = 1
+    while leading < len(bases) and power * point < order:
+        power *= point
+        leading += 1
+    acc = 1
+    for index in range(leading - 1, -1, -1):
+        acc = powmod(acc * bases[index] % modulus, point, modulus)
+    for index in range(leading, len(bases)):
+        power = power * point % order
+        acc = acc * powmod(bases[index], power, modulus) % modulus
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Montgomery batch inversion
 # ---------------------------------------------------------------------------
@@ -418,14 +452,17 @@ def batch_mod_inv(values: Sequence[int], modulus: int,
 class PublicValueCache:
     """Memo for publicly derivable values within one DMW execution.
 
-    Two namespaces:
+    Counted namespaces (plus the uncounted Straus tables of
+    :meth:`get_tables`):
 
     * *commitment evaluations* — ``(modulus, commitment elements, point)``
       -> ``(value, exponent schedule)``; serves ``Gamma_{i,k}``,
       ``Phi_{i,k}`` and every eq. (7)-(9) right-hand side;
     * *interpolation weights* — ``(point tuple, modulus)`` -> the combined
       Lagrange-at-zero weight vector used by plaintext winner
-      identification (eq. (14)).
+      identification (eq. (14)); the same namespace holds every whole
+      eq. (12) resolution, first and second price, with its recorded
+      counter.
 
     The cache stores no secrets: every entry is computable by any observer
     of the bulletin board.  Counter replay is the *caller's* job (the call
@@ -470,11 +507,15 @@ class PublicValueCache:
 
     # -- Straus digit tables -------------------------------------------------
     def get_tables(self, key: CacheKey) -> Optional[CacheEntry]:
-        """Precomputed :func:`straus_tables` for one commitment vector.
+        """Precomputed :func:`straus_tables` for batched share verification.
 
-        Table reuse is *not* counted as a hit/miss: the tables are an
-        execution artefact with no analytic-model counterpart (their build
-        cost is uncounted, like every other fast-path internal).
+        Only :func:`~repro.crypto.commitments.verify_share_batch` keeps
+        tables here (the generator pair and each batched commitment
+        vector); per-share evaluation uses Horner in the exponent and
+        builds none.  Table reuse is *not* counted as a hit/miss: the
+        tables are an execution artefact with no analytic-model
+        counterpart (their build cost is uncounted, like every other
+        fast-path internal).
         """
         return self._tables.get(key)
 

@@ -91,12 +91,12 @@ class Polynomial:
     # -- arithmetic -------------------------------------------------------------
     def evaluate(self, x: int, counter: OperationCounter = NULL_COUNTER) -> int:
         """Evaluate at ``x`` by Horner's rule, counting one multiplication
-        and one addition per degree."""
+        and one addition per stored coefficient (charged once per call)."""
+        counter.count_mul(len(self.coefficients))
+        counter.count_add(len(self.coefficients))
         result = 0
         x %= self.modulus
         for coefficient in reversed(self.coefficients):
-            counter.count_mul()
-            counter.count_add()
             result = (result * x + coefficient) % self.modulus
         return result
 

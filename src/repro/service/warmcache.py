@@ -1,12 +1,13 @@
 """Cross-run warm caches keyed by group parameters.
 
 The single biggest per-job cost after process startup is precomputation:
-fixed-base tables for the public generators, Straus digit tables for
-commitment vectors, and the :class:`~repro.crypto.fastexp
-.PublicValueCache` entries the Phase-III verification loops derive from
-published data.  All of these are *content-keyed public values* — a
-commitment evaluation is keyed by ``(modulus, commitment elements,
-point)``, a weight vector by ``(points, modulus)`` — so serving them
+fixed-base tables for the public generators, and the
+:class:`~repro.crypto.fastexp.PublicValueCache` entries the Phase-III
+verification loops derive from published data (plus the Straus digit
+tables of batched share verification).  All of these are
+*content-keyed public values* — a commitment evaluation is keyed by
+``(modulus, commitment elements, point)``, a weight vector by
+``(points, modulus)`` — so serving them
 across executions of the same group can never produce a stale or secret
 value.  The protocol still charges every agent the naive analytic
 schedule on cache hits (``docs/PERFORMANCE.md``), so warming changes

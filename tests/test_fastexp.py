@@ -26,7 +26,8 @@ from repro.core.deviant import standard_deviations
 from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol
 from repro.core.agent import DMWAgent
-from repro.crypto import fastexp
+from repro.crypto import fastexp, interpolation
+from repro.crypto.commitments import PolynomialCommitment
 from repro.crypto.fastexp import (
     FixedBaseTable,
     PublicValueCache,
@@ -287,6 +288,55 @@ class TestPublicValueCache:
         assert cache.stats()["evaluations"] == 2
 
 
+def _first_wrapping_point(order, slot):
+    """Smallest point whose ``slot``-th power reaches ``order``."""
+    point = max(2, int(order ** (1.0 / slot)))
+    while point ** slot >= order:
+        point -= 1
+    while point ** slot < order:
+        point += 1
+    return point
+
+
+class TestCommitmentEvaluationExactness:
+    """Horner in the exponent equals the naive per-slot reference.
+
+    The protocol never checks that published commitment elements lie in
+    the order-q subgroup, so the fast evaluation must be exact for any
+    element of ``Z_p^*`` — including at points whose powers wrap mod q,
+    where plain Horner over every slot would not be.
+    """
+
+    SIGMA = 12
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small"])
+    def test_matches_naive_for_any_base(self, group_size):
+        parameters = fixture_group(group_size)
+        group = parameters.group
+        q = group.q
+        rng = random.Random("exactness-" + group_size)
+        points = {0, 1, 2, 6, q - 1}
+        for slot in (2, 3, 6, self.SIGMA):
+            wrapping = _first_wrapping_point(q, slot)
+            points.update((wrapping - 1, wrapping))
+        points.update(rng.randrange(q) for _ in range(3))
+        for width in range(1, self.SIGMA + 1):
+            elements = tuple(rng.randrange(1, group.p) for _ in range(width))
+            assert not all(group.contains(e) for e in elements)
+            commitment = PolynomialCommitment(parameters, elements)
+            for point in sorted(points):
+                reference_counter = OperationCounter()
+                with naive_mode():
+                    expected = commitment.evaluate(point, reference_counter)
+                cache = PublicValueCache()
+                for cache_arg in (None, cache, cache):  # plain, miss, hit
+                    counter = OperationCounter()
+                    assert commitment.evaluate(point, counter,
+                                               cache_arg) == expected
+                    assert counter.snapshot() == reference_counter.snapshot()
+        assert any(point ** self.SIGMA >= q for point in points)
+
+
 # ---------------------------------------------------------------------------
 # Whole-protocol equivalence: fast vs naive must be byte-identical
 # ---------------------------------------------------------------------------
@@ -418,3 +468,19 @@ def test_property_fast_naive_equivalence(data):
                                        label="deviation")
     _assert_identical(*_run_both_ways(num_agents, group_size, times,
                                       deviant_mix, seed, num_tasks))
+
+
+def test_degree_resolution_memoised_for_both_prices(monkeypatch):
+    """One eq. (12) resolution per price per task, shared by all agents."""
+    calls = []
+    original = interpolation._resolve_degree_in_exponent
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(interpolation, "_resolve_degree_in_exponent",
+                        counting)
+    outcome = _build_protocol(6, "small", TIMES_6, {}, seed=7).execute(2)
+    assert outcome.completed
+    assert len(calls) == 2 * 2  # first and second price, per task

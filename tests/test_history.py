@@ -327,3 +327,9 @@ class TestHistoryCli:
     def test_trend_reports_no_anomalies(self, store_path, capsys):
         assert cli_main(["history", "trend", "--store", store_path]) == 0
         assert "0 anomaly flag(s)" in capsys.readouterr().out
+
+    def test_store_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["history", "list"])
+        assert exit_info.value.code == 2
+        assert "--store" in capsys.readouterr().err
