@@ -1,6 +1,8 @@
 """Transport seam: golden bit-identity, socket parity, timeout parity.
 
-Three guarantees pinned here:
+Besides the socket transport's wire contract (one frame per endpoint per
+phase, inbox order, the authenticated hello, attributable failures) and
+its lifecycle, three guarantees are pinned here:
 
 1. **Golden bit-identity** — the machine/transport refactor changed the
    driver's shape, not its behaviour: every golden fixture entry
@@ -17,12 +19,16 @@ Three guarantees pinned here:
    plans with dropped links and crashes.
 """
 
+import asyncio
 import gc
 import json
 import os
 import random
+import socket
+import struct
 import sys
 import warnings
+from collections import Counter
 
 import pytest
 
@@ -33,6 +39,7 @@ from golden_transport import FIXTURE_PATH, GOLDEN_DRIVERS, capture_run
 from repro.core import DMWParameters
 from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol, run_dmw
+from repro.network import asyncio_transport
 from repro.network.asynchronous import NO_RETRY, RetryPolicy, TimeoutNetwork
 from repro.network.faults import FaultPlan
 from repro.network.latency import LatencyModel
@@ -183,6 +190,167 @@ class TestAsyncioTransportLifecycle:
         leaked = [w for w in caught
                   if issubclass(w.category, ResourceWarning)]
         assert not leaked, [str(w.message) for w in leaked]
+
+
+_TOKEN = bytes(range(32))
+
+
+class _WriterStub:
+    closed = False
+
+    def close(self):
+        self.closed = True
+
+
+class _Poison:
+    """Unpickling this fails the test: it must never reach pickle.loads."""
+
+    def __reduce__(self):
+        return (pytest.fail, ("a frame from a rejected peer was unpickled",))
+
+
+def _serve_hello(hello, payload):
+    """Run the hub side of one connection that sends ``hello`` and then
+    one submit frame; return what it queued, the unclaimed ids after it,
+    and whether it closed the connection."""
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(hello + asyncio_transport._encode_frame(
+            ("submit", payload)))
+        reader.feed_eof()
+        frames = asyncio.Queue()
+        unclaimed = {0, 2}  # participant 1 has already said hello
+        writer = _WriterStub()
+        await asyncio_transport._hub_side(_TOKEN, unclaimed, frames, reader,
+                                          writer)
+        queued = []
+        while not frames.empty():
+            queued.append(frames.get_nowait())
+        return queued, unclaimed, writer.closed
+    return asyncio.run(scenario())
+
+
+class TestAsyncioTransportWire:
+    """The wire contract: batched frames, inbox order, the authenticated
+    hello, and failures that name who is missing."""
+
+    def test_one_frame_per_endpoint_per_phase(self, monkeypatch):
+        encode = asyncio_transport._encode_frame
+        written = []
+
+        def counting_encode(frame):
+            written.append(frame[0])
+            return encode(frame)
+
+        transport = create_transport("asyncio", 4)
+        monkeypatch.setattr(asyncio_transport, "_encode_frame",
+                            counting_encode)
+        try:
+            for sender in range(4):
+                for recipient in range(4):
+                    if recipient != sender:
+                        transport.send(sender, recipient, "x",
+                                       (sender, recipient))
+                transport.publish(sender, "y", sender)
+            assert transport.step() == 24  # 12 unicasts + 4 x 3 copies
+        finally:
+            transport.close()
+        assert Counter(written) == {"submit": 4, "copy": 4, "ack": 4}
+        assert len(written) <= 3 * transport.num_participants
+
+    def test_inbox_order_matches_timeout_network(self):
+        """Late copies recovered by a retry join the inbox after the
+        on-time ones, exactly as TimeoutNetwork hands them off."""
+        n, timeout = 4, 0.015
+        policy = RetryPolicy(max_attempts=3)
+        network = TimeoutNetwork(n, LatencyModel(random.Random(5)),
+                                 round_timeout=timeout, extra_participants=1,
+                                 retry_policy=policy)
+        transport = create_transport(
+            "asyncio", n, latency_model=LatencyModel(random.Random(5)),
+            round_timeout=timeout, retry_policy=policy)
+        try:
+            for round_index in range(4):
+                for target in (network, transport):
+                    for sender in range(n):
+                        recipient = (sender + 1 + round_index % (n - 1)) % n
+                        target.send(sender, recipient, "unicast",
+                                    (round_index, sender))
+                        target.publish(sender, "broadcast",
+                                       (round_index, sender))
+                    target.send(n, round_index % n, "claim", round_index)
+                assert transport.step() == network.deliver()
+            assert transport.recovered == network.recovered > 0
+            for agent in range(transport.num_participants):
+                assert transport.peek(agent) == network.peek(agent)
+        finally:
+            transport.close()
+
+    def test_hub_refuses_connections_after_setup(self):
+        transport = create_transport("asyncio", 2)
+        try:
+            port = transport._hub_writers[0].get_extra_info("sockname")[1]
+            with pytest.raises(ConnectionRefusedError):
+                socket.create_connection(("127.0.0.1", port),
+                                         timeout=2).close()
+        finally:
+            transport.close()
+
+    def test_hello_with_token_and_free_id_is_accepted(self):
+        queued, unclaimed, closed = _serve_hello(
+            _TOKEN + struct.pack(">I", 0), ["benign"])
+        assert [(pid, kind) for pid, kind, _ in queued] == \
+            [(0, "hello"), (0, "submit"), (0, "closed")]
+        assert queued[1][2] == ["benign"]
+        assert unclaimed == {2}
+        assert closed
+
+    @pytest.mark.parametrize("token,pid", [
+        (bytes(32), 0),   # wrong token
+        (_TOKEN, 3),      # out-of-range participant id
+        (_TOKEN, 1),      # participant id already taken
+    ], ids=["wrong-token", "out-of-range", "duplicate"])
+    def test_forged_hello_is_dropped_before_unpickling(self, token, pid):
+        queued, unclaimed, closed = _serve_hello(
+            token + struct.pack(">I", pid), _Poison())
+        assert queued == []
+        assert unclaimed == {0, 2}
+        assert closed
+
+    @pytest.mark.parametrize("side", ["_client_writers", "_hub_writers"])
+    def test_lost_connection_names_participant_and_round(self, side):
+        transport = create_transport("asyncio", 3)
+        try:
+            transport.send(0, 1, "x", 1)
+            assert transport.step() == 1
+            transport.send(1, 2, "y", 2)
+            transport.send(2, 1, "z", 3)
+            getattr(transport, side)[1].transport.abort()
+            with pytest.raises(TransportError,
+                               match=r"round 1: .*participant\(s\) 1 "):
+                transport.step()
+        finally:
+            transport.close()
+
+    def test_stalled_ack_names_participant_and_round(self, monkeypatch):
+        endpoint = asyncio_transport._endpoint
+
+        async def deaf_endpoint(pid, reader, writer, inboxes):
+            if pid == 2:  # reads nothing, so never acknowledges
+                await asyncio.Event().wait()
+            await endpoint(pid, reader, writer, inboxes)
+
+        monkeypatch.setattr(asyncio_transport, "_endpoint", deaf_endpoint)
+        transport = create_transport("asyncio", 3)
+        transport._wall_bound = lambda: 0.2
+        try:
+            transport.send(0, 2, "x", 1)
+            with pytest.raises(TransportError,
+                               match=r"round 0: no ack frame from "
+                                     r"participant\(s\) 2 within 0\.2s"):
+                transport.step()
+        finally:
+            transport.close()
 
 
 # ---------------------------------------------------------------------------
