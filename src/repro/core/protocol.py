@@ -595,15 +595,12 @@ class DMWProtocol:
             tests).
         warm_cache:
             An externally prepared :class:`PublicValueCache` to use as
-            the execution's shared cache instead of a fresh one.  The
-            always-on service passes a per-job cache pre-seeded with a
-            previous same-group job's public entries
-            (:meth:`PublicValueCache.seed_from`), so repeat-parameter
-            jobs skip recomputation.  Entries are content-keyed public
-            values and every call site charges the naive analytic
-            schedule on hits, so outcomes, transcripts, and per-agent
-            counters are bit-identical with or without warming — only
-            ``cache_stats`` (and wall-clock) differ, by design.
+            the execution's shared cache instead of a fresh one: the
+            service's warm store seeds it with earlier same-group jobs'
+            public entries.  Call sites charge the analytic schedule on
+            hits, so only ``cache_stats`` and wall-clock differ.  The
+            pool driver rejects it with :class:`ParameterError`: pool
+            shards always start cold.
         pool:
             A live ``ProcessPoolExecutor`` to run pool shards on instead
             of a per-call executor (requires the pool driver to be
@@ -626,6 +623,9 @@ class DMWProtocol:
             or resume is not None)
         if use_pool and workers is None:
             workers = os.cpu_count() or 1
+        if use_pool and warm_cache is not None:
+            raise ParameterError(
+                "warm_cache is in-process only; pool shards start cold")
         if resume is not None:
             if resume.num_tasks != num_tasks:
                 raise ParameterError(
@@ -644,7 +644,7 @@ class DMWProtocol:
         # charged the full analytic schedule on every hit (see
         # docs/PERFORMANCE.md).  A fresh cache per execute() call keeps
         # auctions from different executions fully isolated; the service
-        # layer opts into cross-run warming by passing a pre-seeded cache.
+        # warms its in-process jobs by passing a pre-seeded cache.
         shared_cache = (warm_cache if warm_cache is not None
                         else PublicValueCache())
         for agent in self.agents:
@@ -688,8 +688,7 @@ class DMWProtocol:
                 from ..parallel import run_pool_auctions
                 assert workers is not None
                 abort = run_pool_auctions(self, num_tasks, workers,
-                                          checkpoint_path,
-                                          pool=pool, warm_cache=warm_cache)
+                                          checkpoint_path, pool=pool)
                 if abort is not None:
                     return self._void(abort)
             elif parallel:

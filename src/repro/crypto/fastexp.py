@@ -39,8 +39,11 @@ A :class:`PublicValueCache` is keyed purely by content (commitment
 elements, evaluation point, modulus), so a stale hit is mathematically
 impossible.  Scoping is nonetheless strict: the protocol creates one
 fresh cache per :meth:`~repro.core.protocol.DMWProtocol.execute` call and
-shares it across that execution's agents — caches never survive an
-auction run nor leak between executions.
+shares it across that execution's agents.  The one exception is in
+process: the service's warm store
+(:class:`~repro.service.warmcache.WarmCacheStore`) seeds a sequential or
+barrier job's cache with earlier same-group jobs' entries.  No cache
+entry crosses a process boundary: every pool shard starts cold.
 
 Use :func:`naive_mode` to disable every fast path and fall back to the
 reference implementations (the equivalence property tests in
@@ -471,7 +474,8 @@ class PublicValueCache:
 
     Scoping rule: one cache per protocol execution, created by
     :meth:`~repro.core.protocol.DMWProtocol.execute` and shared by that
-    execution's agents; never reused across executions.
+    execution's agents.  The service's in-process warm store is the one
+    exception (:meth:`seed_from`); pool shards never receive entries.
     """
 
     __slots__ = ("_evaluations", "_weights", "_tables", "hits", "misses",
@@ -604,10 +608,11 @@ class PublicValueCache:
     def seed_from(self, other: "PublicValueCache") -> None:
         """Copy another cache's *entries* into this one (not its counters).
 
-        The warm-cache path of the always-on service: a fresh per-job
-        cache is seeded with a previous job's public entries so repeat
-        parameters skip recomputation, while this cache's hit/miss
-        counters still describe only the current job.  Entries are
+        The warm-cache path of the always-on service's in-process
+        (sequential and barrier) jobs: a fresh per-job cache is seeded
+        with a previous job's public entries so repeat parameters skip
+        recomputation, while this cache's hit/miss counters still
+        describe only the current job.  Entries are
         immutable tuples keyed purely by content, so sharing them across
         executions can never serve a stale value.
         """

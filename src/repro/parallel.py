@@ -25,8 +25,10 @@ Determinism contract (``docs/PERFORMANCE.md``)
   installs the :class:`PoolSpec` (parameters, true values, rng roots)
   whenever it differs from the one it already holds.  Nothing secret
   crosses the process boundary that the agents would not have derived
-  themselves; shard *results* carry only public data (the transcript,
-  accounting totals, trace/span exports).
+  themselves, and no cache entry crosses it at all, so a unit stays the
+  same few hundred bytes however warm the parent's caches are; shard
+  *results* carry only public data (the transcript, accounting totals,
+  trace/span exports).
 * **Dispatch is batched and the merge is ordered**: tasks are submitted
   in deterministic batches of ``workers`` and merged strictly in task
   order, so the frontier only ever grows as a prefix of the remaining
@@ -63,8 +65,10 @@ auctions (cross-task Lagrange-weight hits), while the pool driver's
 shards use per-task caches.  The merged statistics are the deterministic
 per-task sums — identical for every ``workers`` count ≥ 1 (pinned by
 ``tests/test_process_pool.py``) — but not equal to the shared-cache
-numbers.  Counters are unaffected either way: the analytic schedule is
-charged on cache hits too (``docs/PERFORMANCE.md``).
+numbers.  They are also what a service pool job reports, because the
+daemon's warm store never seeds a shard.  Counters are unaffected either
+way: the analytic schedule is charged on cache hits too
+(``docs/PERFORMANCE.md``).
 
 Checkpointing
 -------------
@@ -119,7 +123,8 @@ class PoolSpec:
     :func:`_run_shard_with_spec`; deliberately tiny and picklable
     (parameters are a few hundred bytes).  ``rng_roots`` are the parent
     agents' substream roots, so worker-side agents derive exactly the
-    parent's per-task randomness.
+    parent's per-task randomness.  It carries no cache state: every shard
+    starts from a fresh :class:`PublicValueCache`.
     """
 
     parameters: Any
@@ -140,13 +145,6 @@ class PoolSpec:
     #: back to pure python and still produces the identical outcome
     #: (backends never change counted or computed values).
     backend: str = "python"
-    #: Warm-cache snapshot (entries-only :meth:`PublicValueCache
-    #: .export_state`, no ``stats`` section) used to pre-seed each
-    #: shard's per-task cache.  Outcomes and counters are unaffected —
-    #: call sites charge the analytic schedule on hits — so the merged
-    #: results stay bit-identical to a cold run; only the merged
-    #: ``cache_stats`` shift, exactly as for the sequential warm path.
-    cache_state: Optional[Dict[str, Any]] = None
 
 
 @dataclass
@@ -248,11 +246,6 @@ def _run_shard(task: int) -> ShardResult:
     protocol = DMWProtocol(spec.parameters, agents, trace=trace,
                            observer=recorder, flight=flight)
     cache = PublicValueCache()
-    if spec.cache_state:
-        # Warm shard: import a previous same-group job's public entries
-        # (entries only — the snapshot carries no stats section, so this
-        # shard's hit/miss counters describe only its own lookups).
-        cache.import_state(spec.cache_state)
     for agent in agents:
         agent.adopt_cache(cache)
     protocol._shared_cache = cache
@@ -457,8 +450,7 @@ def _batches(items: List[int], size: int) -> List[List[int]]:
 
 def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
                       checkpoint_path: Optional[str],
-                      pool: Optional[ProcessPoolExecutor] = None,
-                      warm_cache: Optional[PublicValueCache] = None
+                      pool: Optional[ProcessPoolExecutor] = None
                       ) -> Optional[ProtocolAbort]:
     """Drive the remaining auctions through a process pool and merge.
 
@@ -473,19 +465,13 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
         service).  When omitted, a per-call executor is created and torn
         down here.  Either way each unit of work carries the job's spec
         and is installed worker-side by :func:`_run_shard_with_spec`.
-    warm_cache:
-        Cache whose entries pre-seed every shard's per-task cache (see
-        :attr:`PoolSpec.cache_state`).
+        Every shard starts from a fresh per-task cache: no cache entry
+        crosses the process boundary, whichever pool runs it.
     """
     _validate_poolable(protocol)
     done = {t.task for t in protocol._transcripts}
     done.update(protocol._task_aborts)
     remaining = [task for task in range(num_tasks) if task not in done]
-    cache_state: Optional[Dict[str, Any]] = None
-    if warm_cache is not None and warm_cache.entry_count():
-        cache_state = warm_cache.export_state()
-        # Entries only: each shard's stats must describe its own lookups.
-        cache_state.pop("stats", None)
     spec = PoolSpec(
         parameters=protocol.parameters,
         true_values=tuple(tuple(agent.true_values)
@@ -499,7 +485,6 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
                  and getattr(protocol.observer, "profiler", None)
                  is not None),
         backend=crypto_backend.ACTIVE.name,
-        cache_state=cache_state,
     )
     if not remaining:
         return None

@@ -299,10 +299,13 @@ def checkpoint_from_dict(document: Dict[str, Any]) -> ProtocolCheckpoint:
 
 def save_checkpoint(checkpoint: ProtocolCheckpoint, path: str) -> None:
     """Write a checkpoint document to ``path`` (atomic via temp+rename,
-    so a crash mid-write never corrupts the previous checkpoint)."""
+    so a crash mid-write never corrupts the previous checkpoint).
+
+    Compact, one line: without ``indent`` the C JSON encoder runs, and a
+    checkpoint is rewritten after every task."""
     import os
-    text = json.dumps(checkpoint_to_dict(checkpoint), indent=2,
-                      sort_keys=True, default=secret_json_default)
+    text = json.dumps(checkpoint_to_dict(checkpoint), sort_keys=True,
+                      default=secret_json_default)
     temp_path = path + ".tmp"
     with open(temp_path, "w") as handle:
         handle.write(text + "\n")

@@ -9,8 +9,9 @@ per instance.  This package turns the reproduction into that daemon:
   field-level errors (the gateway's 4xx bodies);
 * :mod:`repro.service.warmcache` — the cross-run warm-cache layer:
   public-value entries and fixed-base tables survive between jobs keyed
-  by group parameters, so repeat-parameter jobs skip precomputation
-  while every counter stays bit-identical (``docs/SERVICE.md``);
+  by group parameters, so repeat-parameter sequential and barrier jobs
+  skip precomputation while every counter stays bit-identical; pool
+  shards start cold (``docs/SERVICE.md``);
 * :mod:`repro.service.engine` — the resident worker engine: a queue,
   one executor thread running jobs strictly in submission order
   (sequential or sharded over a long-lived ``repro.parallel`` pool),

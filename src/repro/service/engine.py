@@ -6,11 +6,12 @@ One :class:`AuctionService` owns:
   submitted jobs run strictly in submission order, so the daemon's
   results are deterministic regardless of arrival interleaving;
 * the :class:`~repro.service.warmcache.WarmCacheStore` — repeat-group
-  jobs start from the accumulated public entries and skip
-  precomputation (outcomes and counters bit-identical; only
+  sequential and barrier jobs start from the accumulated public entries
+  and skip precomputation (outcomes and counters bit-identical; only
   ``cache_stats`` and wall-clock shift, by design);
 * an optional resident ``ProcessPoolExecutor`` for ``mode="pool"`` jobs,
-  reused across jobs (shards re-install their job's spec worker-side);
+  reused across jobs (shards re-install their job's spec worker-side
+  and start cold: the warm store stays in this process);
 * a persistent metrics registry (`dmw_service_*`, `dmw_warm_cache_*`,
   `dmw_fixed_base_table_*`) concatenated with the latest finished job's
   canonical run registry for ``/metrics``.
@@ -185,14 +186,20 @@ class AuctionService:
                 record.started_at = time.time()
                 self._busy += 1
             self._queue_depth.set(self._queue.qsize())
+            state, error = "done", None
             try:
                 self._execute(record)
-                record.state = "done"
             except Exception:
-                record.state = "failed"
-                record.error = traceback.format_exc(limit=8)
-            record.finished_at = time.time()
-            self._jobs_total.inc(state=record.state)
+                state, error = "failed", traceback.format_exc(limit=8)
+            finished_at = time.time()
+            # The gateway reads records without the lock: stamp first and
+            # publish the terminal state last, so a poll that sees "done"
+            # or "failed" always sees finished_at and the error too.
+            with self._lock:
+                record.finished_at = finished_at
+                record.error = error
+                record.state = state
+            self._jobs_total.inc(state=state)
             duration = record.duration()
             if duration is not None:
                 self._job_seconds.observe(
@@ -224,18 +231,19 @@ class AuctionService:
             recorder = SpanRecorder()
             protocol = DMWProtocol(parameters, agents, trace=trace,
                                    observer=recorder)
-            record.warm = self.store.warm(parameters)
-            cache = self.store.cache_for(parameters)
+            # Pool shards start cold: cache entries never cross processes.
+            pooled = request.mode == "pool"
+            record.warm = not pooled and self.store.warm(parameters)
+            cache = None if pooled else self.store.cache_for(parameters)
             outcome = protocol.execute(
                 problem.num_tasks,
                 parallel=(request.mode != "sequential"),
                 degraded=request.degraded,
-                workers=(request.workers if request.mode == "pool"
-                         else None),
+                workers=request.workers if pooled else None,
                 warm_cache=cache,
-                pool=(self._resident_pool() if request.mode == "pool"
-                      else None))
-            self.store.absorb(parameters, cache)
+                pool=self._resident_pool() if pooled else None)
+            if cache is not None:
+                self.store.absorb(parameters, cache)
             registry = registry_for_run(outcome, agents=agents, trace=trace,
                                         recorder=recorder)
             document = run_report(outcome, agents=agents, trace=trace,

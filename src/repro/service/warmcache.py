@@ -14,7 +14,9 @@ schedule on cache hits (``docs/PERFORMANCE.md``), so warming changes
 wall-clock and ``cache_stats`` only; outcomes, transcripts and Table 1
 counters are bit-identical with or without it.
 
-:class:`WarmCacheStore` is the daemon's keeper of that state: one
+:class:`WarmCacheStore` is the daemon's keeper of that state, for its
+in-process (sequential and barrier) jobs only: pool shards start cold,
+because no cache entry crosses the process boundary.  It holds one
 entries-only :class:`PublicValueCache` per group (LRU-bounded), plus the
 eviction hook into the process-wide fixed-base table cache
 (:func:`repro.crypto.fastexp.clear_fixed_base_tables`) so dropping a

@@ -252,3 +252,15 @@ class TestResumeValidation:
         protocol = DMWProtocol(params4, agents)
         with pytest.raises(ParameterError):
             loaded.apply(protocol)
+
+
+class TestCompactCheckpoint:
+    def test_checkpoint_is_one_line_that_round_trips(self, params5, problem,
+                                                     tmp_path):
+        """No ``indent``: the C JSON encoder writes the whole document."""
+        path = str(tmp_path / "cp.json")
+        checkpoint = checkpoint_after(params5, problem, 2, path)
+        with open(path) as handle:
+            text = handle.read()
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert serialization.load_checkpoint(path) == checkpoint

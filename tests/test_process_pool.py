@@ -288,3 +288,15 @@ class TestCLI:
                     if line.startswith(("schedule:", "payments:"))]
 
         assert result_lines(resumed) == result_lines(first)
+
+
+class TestColdShards:
+    def test_warm_cache_is_rejected_by_the_pool_driver(self, tmp_path):
+        from repro.crypto.fastexp import PublicValueCache
+        params = params_for(5)
+        for route in ({"workers": 1},
+                      {"checkpoint_path": str(tmp_path / "cp.json")}):
+            protocol = build_protocol(params, make_problem(params, 3))
+            with pytest.raises(ParameterError, match="warm_cache"):
+                protocol.execute(3, parallel=True,
+                                 warm_cache=PublicValueCache(), **route)

@@ -17,6 +17,12 @@ Pins the daemon's contracts (``docs/SERVICE.md``):
    through ``using_backend()`` per job).
 5. **Warm-cache store semantics** — entries survive between jobs keyed
    by group, eviction clears the group's fixed-base tables.
+6. **Metrics endpoint** — the canonical series plus the job histogram.
+7. **Pool jobs start cold** — the warm store never crosses the process
+   boundary: a pool job's work units, ``cache_stats`` and ``warm`` flag
+   are the same on a fresh daemon and a warmed one.
+8. **Terminal-state publication** — a record reads ``done`` only once
+   ``finished_at`` is stamped.
 """
 
 import json
@@ -396,3 +402,91 @@ class TestMetricsEndpoint:
         assert any(name == "dmw_service_job_duration_seconds_count"
                    and dict(labels).get("cache") == "cold"
                    for name, labels in samples)
+
+
+# ---------------------------------------------------------------------------
+# 7. Pool jobs start cold
+# ---------------------------------------------------------------------------
+
+POOL_JOB = {**JOB, "mode": "pool", "workers": 2}
+
+
+def _run(service, job):
+    record = service.submit(job)
+    assert service.wait_idle(300)
+    assert record.state == "done", record.error
+    return record
+
+
+def _warm_store(service, jobs=4):
+    """Sequential jobs on POOL_JOB's group, its own instance first."""
+    for offset in range(jobs):
+        record = _run(service, {**JOB, "seed": JOB["seed"] + offset})
+    assert record.warm is True
+    assert service.store.stats()["entries"] > 0
+
+
+class TestPoolJobsStartCold:
+    def test_work_unit_size_does_not_grow_with_the_store(self, service,
+                                                         monkeypatch):
+        import pickle
+
+        import repro.parallel as parallel_mod
+
+        drive = parallel_mod._drive_pool
+        sizes = []
+
+        def capture(protocol, pool, spec, remaining, *rest):
+            sizes.append([len(pickle.dumps((spec, task)))
+                          for task in remaining])
+            return drive(protocol, pool, spec, remaining, *rest)
+
+        monkeypatch.setattr(parallel_mod, "_drive_pool", capture)
+        _run(service, POOL_JOB)
+        _warm_store(service)
+        _run(service, POOL_JOB)
+        cold, warmed = sizes
+        assert len(cold) == JOB["tasks"]
+        assert warmed == cold
+
+    def test_warmed_daemon_runs_pool_jobs_cold_and_says_so(self, service):
+        cold = _run(service, POOL_JOB)
+        _warm_store(service)
+        warmed = _run(service, POOL_JOB)
+        assert cold.warm is False and warmed.warm is False
+        assert warmed.cache_stats == cold.cache_stats
+        assert _signature(warmed.report) == _signature(cold.report)
+        assert warmed.outcome.agent_operations == \
+            cold.outcome.agent_operations
+
+
+# ---------------------------------------------------------------------------
+# 8. Terminal-state publication
+# ---------------------------------------------------------------------------
+
+class TestTerminalStatePublication:
+    def test_finished_at_is_stamped_before_the_state_turns_done(
+            self, service, monkeypatch):
+        import time
+
+        from repro.service import engine
+
+        reads = []
+
+        class StateProbe:
+            """The engine's clock: every wall-clock read also records the
+            state of the job being stamped (read without the lock, as the
+            gateway reads it)."""
+
+            def __getattr__(self, name):
+                return getattr(time, name)
+
+            def time(self):
+                record = service._jobs.get("job-1")
+                reads.append(None if record is None else record.state)
+                return float(len(reads))
+
+        monkeypatch.setattr(engine, "time", StateProbe())
+        record = _run(service, JOB)
+        assert record.finished_at is not None
+        assert reads[int(record.finished_at) - 1] == "running"
