@@ -33,7 +33,7 @@ class RawPowOnBaseRule(Rule):
     invariant = ("Theorem 12 cost accounting and the PublicValueCache "
                  "replay counters are exact only when base exponentiations "
                  "use the cached fixed-base tables")
-    include_parts = ("crypto", "core", "auctions")
+    include_parts = ("crypto", "core")
     exempt_names = ("backend.py", "fastexp.py", "modular.py", "groups.py")
 
     def check(self, context: FileContext) -> Iterator[Violation]:

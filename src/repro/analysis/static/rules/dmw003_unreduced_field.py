@@ -75,7 +75,7 @@ class UnreducedFieldArithmeticRule(Rule):
     invariant = ("all arithmetic on shares/coefficients/commitments must "
                  "stay in Z_p/Z_q (eq. (3)-(7)); un-reduced values make "
                  "honest data fail verification")
-    include_parts = ("crypto", "core", "auctions")
+    include_parts = ("crypto", "core")
 
     def check(self, context: FileContext) -> Iterator[Violation]:
         reduced = self._reduced_nodes(context.tree)

@@ -71,7 +71,7 @@ class SecretTaintRule(ProjectRule):
     invariant = ("losing bids stay hidden below the collusion threshold c "
                  "(Theorem 13); the only sanctioned reveals (y*, winner, "
                  "y**) must pass through declassify(...)")
-    include_parts = ("crypto", "core", "auctions", "network")
+    include_parts = ("crypto", "core", "network")
 
     # -- intra-function pass ----------------------------------------------
     def check(self, context: FileContext) -> Iterator[Violation]:

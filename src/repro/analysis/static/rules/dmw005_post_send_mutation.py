@@ -51,7 +51,7 @@ class PostSendMutationRule(Rule):
     invariant = ("the network delivers by reference: post-send mutation "
                  "rewrites what recipients and the transcript observed, "
                  "breaking equivocation checks and replay")
-    include_parts = ("core", "network", "auctions")
+    include_parts = ("core", "network")
 
     def check(self, context: FileContext) -> Iterator[Violation]:
         for node in ast.walk(context.tree):

@@ -32,7 +32,7 @@ class BackendBypassRule(Rule):
     invariant = ("python and gmpy2 backends stay interchangeable (identical "
                  "outcomes, transcripts, counters) only while all modular "
                  "arithmetic routes through repro.crypto.backend")
-    include_parts = ("crypto", "core", "auctions")
+    include_parts = ("crypto", "core")
     exempt_names = ("backend.py", "primes.py")
 
     def check(self, context: FileContext) -> Iterator[Violation]:

@@ -46,13 +46,11 @@ from .core import DMWParameters
 from .core.agent import DMWAgent
 from .core.audit import audit_protocol_run
 from .core.protocol import DMWProtocol
-from .core.trace import ProtocolTrace
 from .mechanisms import MinWork, truthful_bids
 from .obs import (
-    FlightRecorder,
     HistoryStore,
     PhaseProfiler,
-    SpanRecorder,
+    Recorder,
     entry_from_report,
     registry_for_run,
     run_report,
@@ -93,27 +91,27 @@ def _print_instance(problem: SchedulingProblem) -> None:
         print("  A%d: %s" % (agent + 1, [int(v) for v in row]))
 
 
-def _emit_observability(args, outcome, agents, trace, recorder, parameters,
-                        audit_report, flight=None) -> None:
-    """Write the requested observability artefacts for one ``run``."""
+def _emit_observability(args, outcome, agents, recorder, parameters,
+                        audit_report) -> None:
+    """Write the requested views of the run's recorder."""
     wants_report = bool(args.report or args.history)
     if not (wants_report or args.metrics or args.trace_json
             or args.chrome_trace or args.flight_json):
         return
-    registry = registry_for_run(outcome, agents=agents, trace=trace,
-                                recorder=recorder, audit_report=audit_report)
+    registry = registry_for_run(outcome, agents=agents, recorder=recorder,
+                                audit_report=audit_report)
     document = None
     if wants_report:
-        document = run_report(outcome, agents=agents, trace=trace,
-                              recorder=recorder, registry=registry,
-                              parameters=parameters,
-                              audit_report=audit_report, flight=flight)
+        document = run_report(outcome, agents=agents, recorder=recorder,
+                              registry=registry, parameters=parameters,
+                              audit_report=audit_report)
     if args.report:
         write_run_report(args.report, document)
         print("run report written to %s" % args.report)
     if args.trace_json:
         with open(args.trace_json, "w") as handle:
-            json.dump(trace.to_list(), handle, indent=2)
+            json.dump([event.to_dict() for event in recorder.events],
+                      handle, indent=2)
             handle.write("\n")
         print("trace written to %s" % args.trace_json)
     if args.metrics:
@@ -125,11 +123,10 @@ def _emit_observability(args, outcome, agents, trace, recorder, parameters,
                 handle.write(text)
             print("metrics written to %s" % args.metrics)
     if args.chrome_trace:
-        write_chrome_trace(args.chrome_trace, recorder=recorder,
-                           flight=flight)
+        write_chrome_trace(args.chrome_trace, recorder)
         print("chrome trace written to %s" % args.chrome_trace)
-    if args.flight_json and flight is not None:
-        flight.dump(args.flight_json, reason="cli: --flight-json")
+    if args.flight_json:
+        recorder.dump(args.flight_json, reason="cli: --flight-json")
         print("flight log written to %s" % args.flight_json)
     if args.history and document is not None:
         store = HistoryStore(args.history)
@@ -196,19 +193,20 @@ def cmd_run(args) -> int:
                  rng=random.Random(master.getrandbits(64)))
         for index in range(parameters.num_agents)
     ]
-    observing = bool(args.report or args.metrics or args.trace_json
-                     or args.chrome_trace or args.profile or args.history)
-    trace = (ProtocolTrace()
-             if (args.trace or args.trace_json or args.report
-                 or args.history) else None)
-    recorder = SpanRecorder() if observing else None
-    if recorder is not None and args.profile:
-        recorder.profiler = PhaseProfiler(top_n=args.profile_top)
-    flight = None
-    if args.chrome_trace or args.flight_json or args.flight_dump:
-        flight = FlightRecorder(capacity=args.flight_buffer)
-        if args.flight_dump:
-            flight.dump_on_abort = args.flight_dump
+    # Every observability flag is a view of one recorder; the message
+    # views also switch on its message ring.
+    messages = bool(args.chrome_trace or args.flight_json
+                    or args.flight_dump)
+    if messages and args.flight_buffer < 1:
+        raise SystemExit("--flight-buffer must be positive")
+    recorder = None
+    if (messages or args.trace or args.trace_json or args.report
+            or args.metrics or args.profile or args.history):
+        recorder = Recorder(
+            message_capacity=args.flight_buffer if messages else 0)
+        if args.profile:
+            recorder.profiler = PhaseProfiler(top_n=args.profile_top)
+        recorder.dump_on_abort = args.flight_dump
     transport = _build_transport(args, parameters)
     network = None if transport is not None else _build_network(args,
                                                                 parameters)
@@ -216,9 +214,8 @@ def cmd_run(args) -> int:
     # to (and including) execute() runs under the finally so validation
     # errors in the protocol constructor cannot leak it.
     try:
-        protocol = DMWProtocol(parameters, agents, trace=trace,
-                               observer=recorder, network=network,
-                               flight=flight, transport=transport)
+        protocol = DMWProtocol(parameters, agents, recorder=recorder,
+                               network=network, transport=transport)
         resume = None
         if args.resume:
             from . import serialization
@@ -239,15 +236,14 @@ def cmd_run(args) -> int:
                  outcome.parallelism.get("batches", 0)))
     if args.trace:
         print("\nprotocol trace:")
-        print(trace.render())
-        if recorder is not None:
-            print("\nspan timeline:")
-            print(recorder.render_timeline())
+        print(recorder.render_events())
+        print("\nspan timeline:")
+        print(recorder.render_timeline())
     if not outcome.completed:
         print("\nABORTED: %s (phase %s)" % (outcome.abort.reason,
                                             outcome.abort.phase))
-        _emit_observability(args, outcome, agents, trace, recorder,
-                            parameters, None, flight=flight)
+        _emit_observability(args, outcome, agents, recorder, parameters,
+                            None)
         return 1
     print("\nschedule:", list(outcome.schedule.assignment))
     print("payments:", list(outcome.payments))
@@ -269,7 +265,7 @@ def cmd_run(args) -> int:
               % (metrics.retransmissions, metrics.recovered_messages))
     if args.output:
         from . import serialization
-        serialization.save(outcome, args.output, trace=trace)
+        serialization.save(outcome, args.output, recorder=recorder)
         print("outcome written to %s" % args.output)
     audit_report = None
     if args.audit:
@@ -280,8 +276,8 @@ def cmd_run(args) -> int:
         for finding in audit_report.findings:
             print("  [%s] task=%s: %s" % (finding.check, finding.task,
                                           finding.detail))
-    _emit_observability(args, outcome, agents, trace, recorder, parameters,
-                        audit_report, flight=flight)
+    _emit_observability(args, outcome, agents, recorder, parameters,
+                        audit_report)
     if audit_report is not None and not audit_report.ok:
         return 1
     return 0
@@ -535,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="write a versioned JSON run report "
                                  "(spans, totals, metrics) to PATH")
     run_parser.add_argument("--trace-json", default=None, metavar="PATH",
-                            help="write the structured event trace as "
-                                 "JSON to PATH")
+                            help="write the protocol events (the run "
+                                 "report's events list) as JSON to PATH")
     run_parser.add_argument("--metrics", default=None, metavar="PATH",
                             help="write Prometheus text-format metrics to "
                                  "PATH ('-' for stdout)")
@@ -545,14 +541,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  "JSON merging spans and message events to "
                                  "PATH")
     run_parser.add_argument("--flight-json", default=None, metavar="PATH",
-                            help="dump the full flight-recorder event log "
-                                 "as JSON to PATH")
+                            help="dump the recorded message events as "
+                                 "JSON to PATH")
     run_parser.add_argument("--flight-dump", default=None, metavar="PATH",
-                            help="on abort or quarantine, dump the flight "
-                                 "recorder to PATH automatically")
+                            help="on abort or quarantine, dump the "
+                                 "message events to PATH automatically")
     run_parser.add_argument("--flight-buffer", type=int, default=65536,
                             metavar="N",
-                            help="flight-recorder ring-buffer capacity in "
+                            help="message-event ring-buffer capacity in "
                                  "events (default 65536)")
     run_parser.add_argument("--profile", action="store_true",
                             help="capture per-phase cProfile hotspots into "

@@ -36,7 +36,6 @@ from .outcome import AuctionTranscript, DMWOutcome
 from .parameters import DMWParameters
 from .payments import PaymentDecision, PaymentInfrastructure
 from .protocol import DMWProtocol, run_dmw
-from .trace import NULL_TRACE, ProtocolTrace, TraceEvent
 from .resolution import (
     ResolutionError,
     identify_winner,
@@ -96,10 +95,7 @@ __all__ = [
     "phi_value",
     "resolve_first_price",
     "resolve_second_price",
-    "NULL_TRACE",
-    "ProtocolTrace",
     "SilentWinnerAgent",
-    "TraceEvent",
     "run_dmw",
     "run_naive",
     "standard_deviations",

@@ -63,14 +63,7 @@ from ..network.faults import FaultPlan
 from ..network.simulator import SynchronousNetwork
 from ..network.transport import (InProcessTransport, Transport,
                                  create_transport)
-from ..obs.flight import FlightRecorder
-from ..obs.spans import (
-    KIND_RUN,
-    KIND_TASK,
-    NULL_RECORDER,
-    PAYMENTS_PHASE,
-    SpanRecorder,
-)
+from ..obs.recorder import KIND_RUN, KIND_TASK, PAYMENTS_PHASE, Recorder
 from ..scheduling.problem import SchedulingProblem
 from ..scheduling.schedule import PartialSchedule, Schedule
 from .agent import DMWAgent
@@ -80,7 +73,6 @@ from .outcome import AuctionTranscript, DMWOutcome
 from .parameters import DMWParameters
 from .payments import PaymentInfrastructure
 from .resolution import ResolutionError
-from .trace import NULL_TRACE, ProtocolTrace
 
 
 class DMWProtocol:
@@ -94,12 +86,17 @@ class DMWProtocol:
         One agent per pseudonym, honest or deviating, in index order.
     fault_plan:
         Optional substrate fault injection.
-    observer:
-        Optional :class:`~repro.obs.spans.SpanRecorder`; when given, the
-        driver emits nested ``run -> task -> phase`` spans whose
-        operation/network deltas partition the execution totals exactly
-        (see ``docs/OBSERVABILITY.md``).  Defaults to the allocation-free
-        :data:`~repro.obs.spans.NULL_RECORDER`.
+    recorder:
+        Optional :class:`~repro.obs.recorder.Recorder`, installed on the
+        network.  The driver records nested ``run -> task -> phase``
+        spans, whose operation and network deltas partition the
+        execution totals exactly, and each protocol event once; the
+        network adds one ``network_round`` event per barrier and, when
+        the recorder has a message capacity, the message events (see
+        ``docs/OBSERVABILITY.md``).  When omitted, the driver uses the
+        network's recorder: the allocation-free
+        :data:`~repro.obs.recorder.NULL_RECORDER` unless the caller
+        installed one on a network it built.
     """
 
     def __init__(self, parameters: DMWParameters,
@@ -107,9 +104,7 @@ class DMWProtocol:
                  fault_plan: Optional[FaultPlan] = None,
                  record_deliveries: bool = False,
                  network: Optional[SynchronousNetwork] = None,
-                 trace: Optional[ProtocolTrace] = None,
-                 observer: Optional[SpanRecorder] = None,
-                 flight: Optional[FlightRecorder] = None,
+                 recorder: Optional[Recorder] = None,
                  transport: Optional[Transport] = None) -> None:
         if len(agents) != parameters.num_agents:
             raise ParameterError(
@@ -164,19 +159,9 @@ class DMWProtocol:
         # endpoint — the accounting the Theorem 11 tests pin down).
         self.network.broadcast_to_extras = True
         self.infrastructure = PaymentInfrastructure(parameters.num_agents)
-        self.trace = trace if trace is not None else NULL_TRACE
-        self.observer = observer if observer is not None else NULL_RECORDER
-        # The network emits per-round events through the same recorder.
-        self.network.observer = self.observer
-        # Flight recorder: install the supplied one on the network, or
-        # adopt whatever the (possibly caller-built) network carries; the
-        # default is the allocation-free null recorder.
-        if flight is not None:
-            self.network.flight = flight
-        self.flight = self.network.flight
-        if self.flight.enabled and self.observer.enabled:
-            # Share the span recorder's clock epoch and owning-span ids.
-            self.flight.span_source = self.observer
+        if recorder is not None:
+            self.network.recorder = recorder
+        self.recorder = self.network.recorder
         self._transcripts: List[AuctionTranscript] = []
         self._task_aborts: Dict[int, ProtocolAbort] = {}
         self._shared_cache: Optional[PublicValueCache] = None
@@ -205,18 +190,12 @@ class DMWProtocol:
         return self.agents[0]
 
     def _void(self, abort: ProtocolAbort) -> DMWOutcome:
-        self.trace.record("abort", task=abort.task, phase=abort.phase,
-                          reason=abort.reason,
-                          detected_by=abort.detected_by,
-                          offender=abort.offender)
-        if self.observer.enabled:
-            self.observer.event("abort", task=abort.task, phase=abort.phase,
-                                reason=abort.reason,
-                                detected_by=abort.detected_by,
-                                offender=abort.offender)
-        if self.flight.enabled:
-            self.flight.abort_dump("abort: %s (task=%s phase=%s)"
-                                   % (abort.reason, abort.task, abort.phase))
+        self.recorder.event("abort", task=abort.task, phase=abort.phase,
+                            reason=abort.reason,
+                            detected_by=abort.detected_by,
+                            offender=abort.offender)
+        self.recorder.abort_dump("abort: %s (task=%s phase=%s)"
+                                 % (abort.reason, abort.task, abort.phase))
         return DMWOutcome(
             completed=False, schedule=None, payments=None,
             transcripts=list(self._transcripts), abort=abort,
@@ -241,18 +220,12 @@ class DMWProtocol:
     def _quarantine(self, task: int, abort: ProtocolAbort) -> None:
         """Degraded mode: condemn one auction instead of the whole run."""
         self._task_aborts[task] = abort
-        self.trace.record("task_quarantined", task=task, phase=abort.phase,
-                          reason=abort.reason,
-                          detected_by=abort.detected_by,
-                          offender=abort.offender)
-        if self.observer.enabled:
-            self.observer.event("task_quarantined", task=task,
-                                phase=abort.phase, reason=abort.reason,
-                                detected_by=abort.detected_by,
-                                offender=abort.offender)
-        if self.flight.enabled:
-            self.flight.abort_dump("task_quarantined: task %d (%s)"
-                                   % (task, abort.reason))
+        self.recorder.event("task_quarantined", task=task,
+                            phase=abort.phase, reason=abort.reason,
+                            detected_by=abort.detected_by,
+                            offender=abort.offender)
+        self.recorder.abort_dump("task_quarantined: task %d (%s)"
+                                 % (task, abort.reason))
 
     def _fail_task(self, task: int, abort: ProtocolAbort,
                    active: List[int]) -> Optional[ProtocolAbort]:
@@ -278,9 +251,7 @@ class DMWProtocol:
         from .checkpoint import ProtocolCheckpoint
         checkpoint = ProtocolCheckpoint.capture(self, num_tasks, next_task)
         save_checkpoint(checkpoint, path)
-        self.trace.record("checkpoint_written", next_task=next_task)
-        if self.observer.enabled:
-            self.observer.event("checkpoint_written", next_task=next_task)
+        self.recorder.event("checkpoint_written", next_task=next_task)
 
     def _summed_operations(self) -> Dict[str, int]:
         """Sum of every agent's counter snapshot (the span ops source)."""
@@ -302,14 +273,8 @@ class DMWProtocol:
     # messages, computation, and outcomes (``tests/test_parallel.py``).
     def _run_auction(self, task: int) -> Optional[ProtocolAbort]:
         """Run one task's auction on barriers of its own."""
-        if self.flight.enabled:
-            self.flight.current_task = task
-        try:
-            with self.observer.span("task", kind=KIND_TASK, task=task):
-                return self._run_auctions([task])
-        finally:
-            if self.flight.enabled:
-                self.flight.current_task = None
+        with self.recorder.span("task", kind=KIND_TASK, task=task):
+            return self._run_auctions([task])
 
     def _run_auctions(self, tasks: Sequence[int]) -> Optional[ProtocolAbort]:
         """Run a batch of auctions, each phase inside one shared barrier.
@@ -318,40 +283,35 @@ class DMWProtocol:
         degraded mode is quarantined by :meth:`_fail_task` and leaves the
         batch; once no task is left, no further rounds run.
         """
-        obs = self.observer
+        recorder = self.recorder
         for task in tasks:
-            self.trace.record("auction_start", task=task)
+            recorder.event("auction_start", task=task)
         active = list(tasks)
         # Phase spans name their task only when the batch is one auction.
         span_task = tasks[0] if len(tasks) == 1 else None
-        with obs.span("bidding", task=span_task):
+        with recorder.span("bidding", task=span_task):
             abort = self._run_bidding(active)
         if abort is not None or not active:
             return abort
-        with obs.span("aggregation", task=span_task):
+        with recorder.span("aggregation", task=span_task):
             abort = self._run_aggregation(active)
         if abort is not None or not active:
             return abort
-        with obs.span("disclosure", task=span_task):
+        with recorder.span("disclosure", task=span_task):
             abort = self._run_disclosure(active)
         if abort is not None or not active:
             return abort
-        with obs.span("resolution", task=span_task):
+        with recorder.span("resolution", task=span_task):
             abort = self._run_resolution(active)
         if abort is not None:
             return abort
         reference = self._reference_agent()
         for task in active:
             state = reference.task_state(task)
-            self.trace.record("auction_resolved", task=task,
-                              first_price=state.first_price,
-                              winner=state.winner,
-                              second_price=state.second_price)
-            if obs.enabled:
-                obs.event("auction_resolved", task=task,
-                          first_price=state.first_price,
-                          winner=state.winner,
-                          second_price=state.second_price)
+            recorder.event("auction_resolved", task=task,
+                           first_price=state.first_price,
+                           winner=state.winner,
+                           second_price=state.second_price)
             self._transcripts.append(AuctionTranscript(
                 task=task,
                 first_price=state.first_price,
@@ -385,8 +345,8 @@ class DMWProtocol:
         for machine in self.machines:
             machine.collect_published("lambda_psi", self.transport, boards)
         for task in tasks:
-            self.trace.record("aggregates_published", task=task,
-                              publishers=sorted(boards.get(task, {})))
+            self.recorder.event("aggregates_published", task=task,
+                                publishers=sorted(boards.get(task, {})))
         self._run_complaints("aggregate_complaint", "aggregates", tasks,
                              boards, AgentMachine.act_validate_aggregates,
                              AgentMachine.act_arbitrate_aggregates)
@@ -410,9 +370,9 @@ class DMWProtocol:
                                   key=lambda i: self.parameters.pseudonyms[i])
                      for task in tasks}
         for task in tasks:
-            self.trace.record("disclosures_published", task=task,
-                              disclosers=sorted(rows.get(task, {})),
-                              claimants=claimants[task])
+            self.recorder.event("disclosures_published", task=task,
+                                disclosers=sorted(rows.get(task, {})),
+                                claimants=claimants[task])
         self._run_complaints("disclosure_complaint", "disclosures", tasks,
                              rows, AgentMachine.act_validate_disclosures,
                              AgentMachine.act_arbitrate_disclosures)
@@ -469,8 +429,8 @@ class DMWProtocol:
                 for task, accused in message.payload:
                     union.setdefault(task, set()).add(accused)
         for task, accused in union.items():
-            self.trace.record("complaints", task=task, stage=stage,
-                              accused=sorted(accused))
+            self.recorder.event("complaints", task=task, stage=stage,
+                                accused=sorted(accused))
             for machine in self.machines:
                 arbitrate(machine, task, boards.get(task, {}),
                           sorted(accused))
@@ -526,8 +486,8 @@ class DMWProtocol:
                 % (decision.conflicting_agents,),
                 phase="payments",
             )
-        self.trace.record("payments_dispensed",
-                          payments=list(decision.payments))
+        self.recorder.event("payments_dispensed",
+                            payments=list(decision.payments))
         self._decision = decision
         return None
 
@@ -653,14 +613,14 @@ class DMWProtocol:
         self._degraded = degraded
         skip: Set[int] = set()
         if resume is not None:
-            # Restore happens before the observer binds its delta sources,
+            # Restore happens before the recorder binds its delta sources,
             # so the run span measures only post-resume work and the
             # phase-partition invariant is preserved.
             resume.apply(self)
             skip = resume.completed_set()
-            self.trace.record("resumed", next_task=resume.next_task,
-                              completed=len(self._transcripts),
-                              quarantined=sorted(self._task_aborts))
+            self.recorder.event("resumed", next_task=resume.next_task,
+                                completed=len(self._transcripts),
+                                quarantined=sorted(self._task_aborts))
         if use_pool:
             # The pool's shards each use a fresh per-task cache; the
             # execution's cache_stats are the merged per-shard sums,
@@ -674,14 +634,15 @@ class DMWProtocol:
             self._cache_stats_override = override
             self._parallelism = {"workers": workers,
                                  "tasks_pooled": num_tasks - len(skip)}
-        obs = self.observer
-        if obs.enabled:
+        recorder = self.recorder
+        if recorder.enabled:
             # Delta sources for the span attribution: summed counted work
             # across agents and the network's running metric totals.
-            obs.bind(self._summed_operations, self.network.metrics.as_dict)
-        with obs.span("run", kind=KIND_RUN, num_tasks=num_tasks,
-                      num_agents=self.parameters.num_agents,
-                      parallel=parallel, workers=workers):
+            recorder.bind(self._summed_operations,
+                          self.network.metrics.as_dict)
+        with recorder.span("run", kind=KIND_RUN, num_tasks=num_tasks,
+                           num_agents=self.parameters.num_agents,
+                           parallel=parallel, workers=workers):
             if use_pool:
                 # Imported lazily: repro.parallel imports core modules, so
                 # a top-level import here would be circular.
@@ -709,7 +670,7 @@ class DMWProtocol:
             # of task order; payments and the outcome expect task order.
             self._transcripts.sort(key=lambda t: t.task)
             completed_tasks = sorted(t.task for t in self._transcripts)
-            with obs.span(PAYMENTS_PHASE):
+            with recorder.span(PAYMENTS_PHASE):
                 abort = self._run_payments(
                     completed_tasks if degraded else None)
             if abort is not None:
@@ -750,10 +711,8 @@ def run_dmw(problem: SchedulingProblem,
             group_size: str = "small",
             parallel: bool = False,
             degraded: bool = False,
-            trace: Optional[ProtocolTrace] = None,
-            observer: Optional[SpanRecorder] = None,
+            recorder: Optional[Recorder] = None,
             workers: Optional[int] = None,
-            flight: Optional[FlightRecorder] = None,
             transport: Optional[Union[str, Transport]] = None) -> DMWOutcome:
     """Convenience entry point: run DMW on an integer-valued instance.
 
@@ -774,19 +733,13 @@ def run_dmw(problem: SchedulingProblem,
         Seeds the per-agent private randomness streams.
     group_size:
         Cryptographic fixture size when generating parameters.
-    trace:
-        Optional :class:`~repro.core.trace.ProtocolTrace` to record the
-        event log into.
-    observer:
-        Optional :class:`~repro.obs.spans.SpanRecorder` for span-based
-        observability (see ``docs/OBSERVABILITY.md``).
+    recorder:
+        Optional :class:`~repro.obs.recorder.Recorder` for the run's
+        spans, protocol events and (with a message capacity) message
+        events (see ``docs/OBSERVABILITY.md``).
     workers:
         With ``parallel=True``, shard the auctions across this many OS
         processes via the pool engine (:mod:`repro.parallel`).
-    flight:
-        Optional :class:`~repro.obs.flight.FlightRecorder` capturing one
-        structured event per message lifecycle step (see
-        ``docs/OBSERVABILITY.md``, "Flight recorder").
     transport:
         Optional :class:`~repro.network.transport.Transport` (or a name
         accepted by :func:`~repro.network.transport.create_transport`,
@@ -812,8 +765,7 @@ def run_dmw(problem: SchedulingProblem,
             transport = owned_transport = create_transport(
                 transport, parameters.num_agents)
     try:
-        protocol = DMWProtocol(parameters, agents, trace=trace,
-                               observer=observer, flight=flight,
+        protocol = DMWProtocol(parameters, agents, recorder=recorder,
                                transport=transport)
         return protocol.execute(problem.num_tasks, parallel=parallel,
                                 degraded=degraded, workers=workers)

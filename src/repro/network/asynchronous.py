@@ -37,8 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Tuple
 
-from ..obs.flight import (EVENT_DELIVER, EVENT_DROP, EVENT_LATE,
-                          EVENT_RECOVERY, EVENT_RETRANSMIT, EVENT_SEND)
+from ..obs.recorder import (EVENT_DELIVER, EVENT_DROP, EVENT_LATE,
+                            EVENT_RECOVERY, EVENT_RETRANSMIT, EVENT_SEND)
 from .faults import FaultPlan
 from .latency import LatencyModel
 from .message import Message
@@ -150,7 +150,7 @@ def deliver_round(network: Any, queued: List[Message],
     ``network`` is the duck-typed state both carry: ``fault_plan``,
     ``latency_model``, ``round_timeout``, ``retry_policy``, ``metrics``,
     ``bulletin_board``, ``num_participants``, ``_broadcast_recipients``,
-    ``observer``, ``flight``, and the counters it advances
+    ``recorder``, and the counters it advances
     (``round_index``, ``clock``, ``round_durations``, ``late_messages``,
     ``retries``, ``recovered``).  Every copy that makes its barrier goes
     to ``hand_off(recipient, copy)``; the number of such copies is
@@ -171,7 +171,8 @@ def deliver_round(network: Any, queued: List[Message],
     fault-plan drops) whether or not they eventually arrive.
     """
     delivered = 0
-    flight = network.flight
+    recorder = network.recorder
+    capture = recorder.records_messages
     round_index = network.round_index
     fault_plan = network.fault_plan
     latency_model = network.latency_model
@@ -181,7 +182,7 @@ def deliver_round(network: Any, queued: List[Message],
     slowest_on_time = 0.0
     withheld_this_round = 0  # fault-plan drops + crashed-sender copies
     # Late copies eligible for retry, paired with the seq of their
-    # original flight "send" event so retry events link back to it.
+    # original "send" message event so retry events link back to it.
     pending: List[Tuple[Message, Optional[int]]] = []
     for message in queued:
         if fault_plan.sender_is_crashed(message.sender, round_index):
@@ -208,42 +209,41 @@ def deliver_round(network: Any, queued: List[Message],
                               field_elements=stamped.field_elements,
                               round_sent=round_index)
             sent_seq: Optional[int] = None
-            if flight.enabled:
-                sent = flight.record(
+            if capture:
+                sent_seq = recorder.message(
                     EVENT_SEND, round_index=round_index,
                     kind=unicast.kind, sender=unicast.sender,
                     receiver=recipient,
                     field_elements=unicast.field_elements)
-                sent_seq = sent.seq if sent is not None else None
             final = fault_plan.transform(unicast, round_index)
             if final is None:
                 withheld_this_round += 1
-                if flight.enabled:
-                    flight.record(EVENT_DROP, round_index=round_index,
-                                  kind=unicast.kind, sender=unicast.sender,
-                                  receiver=recipient,
-                                  field_elements=unicast.field_elements,
-                                  link=sent_seq, detail="fault_plan")
+                if capture:
+                    recorder.message(EVENT_DROP, round_index=round_index,
+                                     kind=unicast.kind, sender=unicast.sender,
+                                     receiver=recipient,
+                                     field_elements=unicast.field_elements,
+                                     link=sent_seq, detail="fault_plan")
                 continue
             delay = latency_model.sample(stamped.sender, recipient)
             if delay > round_timeout:
                 pending.append((final, sent_seq))
-                if flight.enabled:
-                    flight.record(EVENT_LATE, round_index=round_index,
-                                  kind=final.kind, sender=final.sender,
-                                  receiver=recipient,
-                                  field_elements=final.field_elements,
-                                  link=sent_seq, detail="missed_barrier")
+                if capture:
+                    recorder.message(EVENT_LATE, round_index=round_index,
+                                     kind=final.kind, sender=final.sender,
+                                     receiver=recipient,
+                                     field_elements=final.field_elements,
+                                     link=sent_seq, detail="missed_barrier")
                 continue
             slowest_on_time = max(slowest_on_time, delay)
             hand_off(recipient, final)
             delivered += 1
-            if flight.enabled:
-                flight.record(EVENT_DELIVER, round_index=round_index,
-                              kind=final.kind, sender=final.sender,
-                              receiver=recipient,
-                              field_elements=final.field_elements,
-                              link=sent_seq)
+            if capture:
+                recorder.message(EVENT_DELIVER, round_index=round_index,
+                                 kind=final.kind, sender=final.sender,
+                                 receiver=recipient,
+                                 field_elements=final.field_elements,
+                                 link=sent_seq)
     # A barrier waits its full timeout whenever something is missing
     # (late, dropped, or from a crashed sender — all indistinguishable
     # to the receivers); otherwise it releases at the slowest on-time
@@ -262,12 +262,12 @@ def deliver_round(network: Any, queued: List[Message],
         for copy, sent_seq in pending:
             metrics.record_retransmission(copy)
             retries_this_round += 1
-            if flight.enabled:
-                flight.record(EVENT_RETRANSMIT, round_index=round_index,
-                              kind=copy.kind, sender=copy.sender,
-                              receiver=copy.recipient,
-                              field_elements=copy.field_elements,
-                              attempt=attempt, link=sent_seq)
+            if capture:
+                recorder.message(EVENT_RETRANSMIT, round_index=round_index,
+                                 kind=copy.kind, sender=copy.sender,
+                                 receiver=copy.recipient,
+                                 field_elements=copy.field_elements,
+                                 attempt=attempt, link=sent_seq)
             delay = latency_model.sample(copy.sender, copy.recipient)
             if delay > window:
                 still_pending.append((copy, sent_seq))
@@ -277,23 +277,23 @@ def deliver_round(network: Any, queued: List[Message],
             metrics.record_recovery()
             recovered_this_round += 1
             delivered += 1
-            if flight.enabled:
-                flight.record(EVENT_RECOVERY, round_index=round_index,
-                              kind=copy.kind, sender=copy.sender,
-                              receiver=copy.recipient,
-                              field_elements=copy.field_elements,
-                              attempt=attempt, link=sent_seq)
+            if capture:
+                recorder.message(EVENT_RECOVERY, round_index=round_index,
+                                 kind=copy.kind, sender=copy.sender,
+                                 receiver=copy.recipient,
+                                 field_elements=copy.field_elements,
+                                 attempt=attempt, link=sent_seq)
         # The grace barrier waits its full window while anything is
         # still missing; otherwise it releases at the last recovery.
         duration += window if still_pending else slowest_recovered
         pending = still_pending
-    if flight.enabled:
+    if capture:
         for copy, sent_seq in pending:
-            flight.record(EVENT_DROP, round_index=round_index,
-                          kind=copy.kind, sender=copy.sender,
-                          receiver=copy.recipient,
-                          field_elements=copy.field_elements,
-                          link=sent_seq, detail="late")
+            recorder.message(EVENT_DROP, round_index=round_index,
+                             kind=copy.kind, sender=copy.sender,
+                             receiver=copy.recipient,
+                             field_elements=copy.field_elements,
+                             link=sent_seq, detail="late")
     late_this_round = len(pending)
     network.late_messages += late_this_round
     network.retries += retries_this_round
@@ -301,13 +301,12 @@ def deliver_round(network: Any, queued: List[Message],
     network.round_durations.append(duration)
     network.clock += duration
     metrics.record_round()
-    if network.observer.enabled:
-        network.observer.event("network_round", round=round_index,
-                               messages=len(queued), delivered=delivered,
-                               late=late_this_round,
-                               withheld=withheld_this_round,
-                               retries=retries_this_round,
-                               recovered=recovered_this_round,
-                               barrier_duration=duration)
+    if recorder.enabled:
+        recorder.event("network_round", round=round_index,
+                       messages=len(queued), delivered=delivered,
+                       late=late_this_round, withheld=withheld_this_round,
+                       retries=retries_this_round,
+                       recovered=recovered_this_round,
+                       barrier_duration=duration)
     network.round_index = round_index + 1
     return delivered

@@ -18,7 +18,7 @@ each of its three phases:
    that also backs :class:`~repro.network.asynchronous.TimeoutNetwork`
    — crash plans, per-copy fault transforms, sampled latency against
    ``round_timeout``, :class:`~repro.network.asynchronous.RetryPolicy`
-   grace sub-rounds, the clock/duration formulas, and the flight and
+   grace sub-rounds, the clock/duration formulas, and the message and
    ``network_round`` events.  Its hand-off appends each surviving copy
    to its recipient's batch, and each recipient then gets one ``copy``
    frame holding its copies in hand-off order, recovered retransmissions
@@ -44,7 +44,7 @@ bytes, the latency model decides the semantics.  The transport is its
 own ``network_view()`` — it exposes the full duck-typed state surface
 (``metrics``, ``round_index``, ``clock``, ``late_messages``,
 ``retries``, ``recovered``, ``round_durations``, ``bulletin_board``,
-``observer``, ``flight``, ``broadcast_to_extras``) that checkpoints and
+``recorder``, ``broadcast_to_extras``) that checkpoints and
 the observability bindings read.
 """
 
@@ -62,8 +62,7 @@ from collections import defaultdict
 from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from ..obs.flight import NULL_FLIGHT, FlightRecorder
-from ..obs.spans import NULL_RECORDER
+from ..obs.recorder import NULL_RECORDER, Recorder
 from .asynchronous import NO_RETRY, RetryPolicy, deliver_round
 from .faults import FaultPlan, obedient_plan
 from .latency import LatencyModel
@@ -249,8 +248,7 @@ class AsyncioSocketTransport(Transport):
         self.retries = 0
         self.recovered = 0
         self.round_durations: List[float] = []
-        self.observer = NULL_RECORDER
-        self.flight: FlightRecorder = NULL_FLIGHT
+        self.recorder: Recorder = NULL_RECORDER
         self._host = host
         self._seq = 0
         self._pending: List[Tuple[int, Message]] = []

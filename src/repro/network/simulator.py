@@ -23,9 +23,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..obs.flight import (EVENT_DELIVER, EVENT_DROP, EVENT_SEND, NULL_FLIGHT,
-                          FlightRecorder)
-from ..obs.spans import NULL_RECORDER
+from ..obs.recorder import (EVENT_DELIVER, EVENT_DROP, EVENT_SEND,
+                            NULL_RECORDER, Recorder)
 from .faults import FaultPlan, obedient_plan
 from .message import BROADCAST, Message
 from .metrics import NetworkMetrics
@@ -70,16 +69,12 @@ class SynchronousNetwork:
         self.record_deliveries = record_deliveries
         self.delivery_log: List[Message] = []
         self.round_index = 0
-        #: Observability hook: a :class:`~repro.obs.spans.SpanRecorder`
-        #: that receives one ``network_round`` event per delivery barrier.
-        #: The default null recorder keeps the hot path allocation-free
-        #: (every emission is guarded by ``observer.enabled``).
-        self.observer = NULL_RECORDER
-        #: Flight recorder: one :class:`~repro.obs.flight.FlightEvent` per
-        #: unicast copy at each lifecycle step (send/deliver/drop).  The
-        #: default null recorder keeps the hot path allocation-free
-        #: (every emission is guarded by ``flight.enabled``).
-        self.flight: FlightRecorder = NULL_FLIGHT
+        #: Observability hook: the :class:`~repro.obs.recorder.Recorder`
+        #: that receives one ``network_round`` event per delivery barrier
+        #: and, when it records messages, one message event per unicast
+        #: copy at each lifecycle step (send/deliver/drop).  The default
+        #: null recorder keeps the hot path allocation-free.
+        self.recorder: Recorder = NULL_RECORDER
 
     # -- validation -----------------------------------------------------------
     def _check_participant(self, participant: int, role: str) -> None:
@@ -127,7 +122,8 @@ class SynchronousNetwork:
         it just did not arrive).
         """
         delivered = 0
-        flight = self.flight
+        recorder = self.recorder
+        capture = recorder.records_messages
         queued, self._outbox = self._outbox, []
         for message in queued:
             if self.fault_plan.sender_is_crashed(message.sender,
@@ -148,38 +144,37 @@ class SynchronousNetwork:
                                   field_elements=stamped.field_elements,
                                   round_sent=self.round_index)
                 sent_seq: Optional[int] = None
-                if flight.enabled:
+                if capture:
                     # One send event per expanded unicast copy — the unit
                     # NetworkMetrics charges (Theorem 11), dropped or not.
-                    sent = flight.record(
+                    sent_seq = recorder.message(
                         EVENT_SEND, round_index=self.round_index,
                         kind=unicast.kind, sender=unicast.sender,
                         receiver=recipient,
                         field_elements=unicast.field_elements)
-                    sent_seq = sent.seq if sent is not None else None
                 final = self.fault_plan.transform(unicast, self.round_index)
                 if final is not None:
                     self._inboxes[recipient].append(final)
                     if self.record_deliveries:
                         self.delivery_log.append(final)
                     delivered += 1
-                    if flight.enabled:
-                        flight.record(EVENT_DELIVER,
-                                      round_index=self.round_index,
-                                      kind=final.kind, sender=final.sender,
-                                      receiver=recipient,
-                                      field_elements=final.field_elements,
-                                      link=sent_seq)
-                elif flight.enabled:
-                    flight.record(EVENT_DROP, round_index=self.round_index,
-                                  kind=unicast.kind, sender=unicast.sender,
-                                  receiver=recipient,
-                                  field_elements=unicast.field_elements,
-                                  link=sent_seq, detail="fault_plan")
+                    if capture:
+                        recorder.message(EVENT_DELIVER,
+                                         round_index=self.round_index,
+                                         kind=final.kind, sender=final.sender,
+                                         receiver=recipient,
+                                         field_elements=final.field_elements,
+                                         link=sent_seq)
+                elif capture:
+                    recorder.message(EVENT_DROP, round_index=self.round_index,
+                                     kind=unicast.kind, sender=unicast.sender,
+                                     receiver=recipient,
+                                     field_elements=unicast.field_elements,
+                                     link=sent_seq, detail="fault_plan")
         self.metrics.record_round()
-        if self.observer.enabled:
-            self.observer.event("network_round", round=self.round_index,
-                                messages=len(queued), delivered=delivered)
+        if recorder.enabled:
+            recorder.event("network_round", round=self.round_index,
+                           messages=len(queued), delivered=delivered)
         self.round_index += 1
         return delivered
 

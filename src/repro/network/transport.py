@@ -10,7 +10,7 @@ below that loop is a :class:`Transport`.  Two implementations ship:
   (:class:`~repro.network.simulator.SynchronousNetwork` or
   :class:`~repro.network.asynchronous.TimeoutNetwork`) behind the
   interface.  Bit-identical to the pre-refactor driver in outcomes,
-  transcripts, per-agent counters, and flight summaries
+  transcripts, per-agent counters, and message summaries
   (``tests/test_transport.py`` pins this against a golden fixture).
 * :class:`~repro.network.asyncio_transport.AsyncioSocketTransport` —
   localhost TCP with one asyncio reader task per participant.  Its

@@ -1,21 +1,21 @@
-"""Run-report and Prometheus exporters for DMW observability.
-
-Three artefacts leave the process:
+"""The exporters: every artefact that leaves the process is a view of one
+:class:`~repro.obs.recorder.Recorder`.
 
 * :func:`run_report` — one JSON document per ``execute()`` with a stable,
   versioned schema (``type: "dmw_run_report"``): outcome summary, grand
-  totals, per-phase span attribution, cache statistics, the metrics
-  registry dump, and (when tracing was on) the structured event trace.
-  :func:`validate_run_report` checks a document against the schema — used
-  by tests and the CI obs smoke job, with no external dependency.
+  totals, cache statistics, the metrics registry dump, and the recorder's
+  spans and protocol events, each stored once.
+  :func:`validate_run_report` checks a document against the schema —
+  used by tests, the service and the CI obs smoke job, with no external
+  dependency.
 * :func:`MetricsRegistry.to_prometheus` (re-exported here as
   :func:`to_prometheus`) — the text exposition format;
   :func:`parse_prometheus` is the matching round-trip parser used by
   tests and the CI format check.
-* :meth:`~repro.obs.spans.SpanRecorder.render_timeline` — the
-  human-readable view (the CLI prints it under ``--metrics``-free
-  ``--trace`` runs via the classic trace, and under span tracing when a
-  recorder is present).
+* :func:`to_chrome_trace` — a Chrome Trace Event document (loadable in
+  Perfetto or ``chrome://tracing``): spans as duration events and
+  protocol events as instants on the protocol track, message events as
+  instants on per-agent tracks.
 
 Schema documentation lives in ``docs/OBSERVABILITY.md``.
 """
@@ -29,24 +29,24 @@ import subprocess
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..crypto import backend as crypto_backend
-from .flight import FlightRecorder
 from .metrics import MetricsRegistry, registry_for_run
-from .spans import SpanRecorder
+from .recorder import KIND_PHASE, MESSAGE_EVENT_TYPES, Recorder
 
-#: Bumped whenever the run-report schema changes shape.  Version 4
-#: carries the ``resilience`` section (retry/quarantine accounting — exact
-#: zeros on fault-free runs), ``parallelism`` (process-pool driver
-#: metadata — ``workers``/``tasks_pooled``/``batches``; empty for the
-#: in-process drivers), ``flight_summary`` (the flight recorder's
-#: per-type/per-kind message-event tallies; empty when flight recording
-#: was off), ``profile`` (per-phase cProfile hotspots; empty without
-#: ``--profile``), and ``provenance`` (package version, arithmetic
-#: backend, git commit when available) so historical runs are
-#: attributable.
-REPORT_VERSION = 4
+#: Bumped whenever the run-report schema changes shape.  Version 5 stores
+#: each record once: one ``events`` list holds every protocol event, the
+#: ``spans`` list holds every span (the phase partition is read from its
+#: phase-kind spans), and the v4 ``trace`` and ``phases`` copies are gone.
+#: ``resilience`` (retry/quarantine accounting, exact zeros on fault-free
+#: runs), ``parallelism`` (process-pool driver metadata, empty for the
+#: in-process drivers), ``flight_summary`` (the message-event tallies,
+#: empty when messages were not recorded), ``profile`` (per-phase
+#: cProfile hotspots, empty without ``--profile``) and ``provenance``
+#: (package version, arithmetic backend, git commit when available) are
+#: as in version 4.
+REPORT_VERSION = 5
 
 #: Versions :func:`validate_run_report` accepts.
-_ACCEPTED_VERSIONS = (4,)
+_ACCEPTED_VERSIONS = (5,)
 
 
 def _sum_operations(agent_operations) -> Dict[str, int]:
@@ -59,43 +59,22 @@ def _sum_operations(agent_operations) -> Dict[str, int]:
 
 def run_report(outcome: Any,
                agents: Optional[Any] = None,
-               trace: Optional[Any] = None,
-               recorder: Optional[SpanRecorder] = None,
+               recorder: Optional[Recorder] = None,
                registry: Optional[MetricsRegistry] = None,
                parameters: Optional[Any] = None,
-               audit_report: Optional[Any] = None,
-               flight: Optional[FlightRecorder] = None,
-               profiler: Optional[Any] = None) -> Dict[str, Any]:
+               audit_report: Optional[Any] = None) -> Dict[str, Any]:
     """Build the JSON run-report document for one finished execution.
 
     Only ``outcome`` is required; every other source enriches the report
     when available.  When ``registry`` is omitted one is built via
-    :func:`~repro.obs.metrics.registry_for_run` from the same inputs;
-    when ``profiler`` is omitted the recorder's installed
-    :class:`~repro.obs.profile.PhaseProfiler` (if any) is used.
+    :func:`~repro.obs.metrics.registry_for_run` from the same inputs.
     """
     if registry is None:
-        registry = registry_for_run(outcome, agents=agents, trace=trace,
+        registry = registry_for_run(outcome, agents=agents,
                                     recorder=recorder,
                                     audit_report=audit_report)
-    operations_total = _sum_operations(outcome.agent_operations)
-
-    phases: List[Dict[str, Any]] = []
-    spans: List[Dict[str, Any]] = []
-    events: List[Dict[str, Any]] = []
-    if recorder is not None:
-        spans = [span.to_dict() for span in recorder]
-        events = [event.to_dict() for event in recorder.events]
-        for span in recorder.phase_spans():
-            phases.append({
-                "name": span.name,
-                "task": span.task,
-                "duration_s": span.duration,
-                "operations": dict(span.operations),
-                "network": dict(span.network),
-            })
-
-    document: Dict[str, Any] = {
+    profiler = recorder.profiler if recorder is not None else None
+    return {
         "type": "dmw_run_report",
         "version": REPORT_VERSION,
         "params": _params_summary(parameters, outcome),
@@ -112,7 +91,7 @@ def run_report(outcome: Any,
         "payments": (list(outcome.payments)
                      if outcome.payments is not None else None),
         "totals": {
-            "operations": operations_total,
+            "operations": _sum_operations(outcome.agent_operations),
             "operations_per_agent": [dict(snapshot) for snapshot
                                      in outcome.agent_operations],
             "network": outcome.network_metrics.as_dict(),
@@ -120,21 +99,17 @@ def run_report(outcome: Any,
         "cache": dict(getattr(outcome, "cache_stats", None) or {}),
         "resilience": resilience_summary(outcome),
         "parallelism": dict(getattr(outcome, "parallelism", None) or {}),
-        "phases": phases,
-        "spans": spans,
-        "events": events,
+        "spans": ([span.to_dict() for span in recorder.spans]
+                  if recorder is not None else []),
+        "events": ([event.to_dict() for event in recorder.events]
+                   if recorder is not None else []),
         "metrics": registry.as_dict(),
-        "trace": ([event.to_dict() for event in trace]
-                  if trace is not None and len(trace) else None),
+        "flight_summary": (recorder.message_summary()
+                           if recorder is not None
+                           and recorder.records_messages else {}),
+        "profile": profiler.report() if profiler is not None else {},
+        "provenance": provenance_summary(),
     }
-    if profiler is None and recorder is not None:
-        profiler = getattr(recorder, "profiler", None)
-    document["flight_summary"] = (flight.summary()
-                                  if flight is not None and flight.enabled
-                                  else {})
-    document["profile"] = profiler.report() if profiler is not None else {}
-    document["provenance"] = provenance_summary()
-    return document
 
 
 _GIT_COMMIT_CACHE: List[Optional[str]] = []
@@ -259,14 +234,15 @@ _NETWORK_KEYS = ("point_to_point_messages", "broadcast_events",
                  "field_elements", "rounds")
 _SPAN_KEYS = ("span_id", "parent_id", "name", "kind", "task", "start_s",
               "end_s", "duration_s", "attributes", "operations", "network")
+_EVENT_KEYS = ("seq", "kind", "task", "span_id", "timestamp_s", "detail")
 
 
 def validate_run_report(document: Any) -> None:
     """Validate a run-report document; raises :class:`ReportSchemaError`.
 
-    Checks structural shape *and* the accounting invariant: the per-phase
-    operation and message deltas must sum exactly to the run's grand
-    totals whenever phase spans are present.
+    Checks structural shape *and* the accounting invariant: the deltas of
+    the phase-kind spans must sum exactly to the run's grand totals
+    whenever phase spans are present.
     """
     _require(isinstance(document, dict), "report must be a JSON object")
     _require(document.get("type") == "dmw_run_report",
@@ -274,7 +250,7 @@ def validate_run_report(document: Any) -> None:
     _require(document.get("version") in _ACCEPTED_VERSIONS,
              "unsupported report version %r" % document.get("version"))
     for key in ("params", "completed", "totals", "cache", "resilience",
-                "phases", "spans", "events", "metrics"):
+                "spans", "events", "metrics"):
         _require(key in document, "missing key %r" % key)
     for key in ("parallelism", "flight_summary", "profile", "provenance"):
         _require(key in document, "missing key %r" % key)
@@ -339,29 +315,30 @@ def validate_run_report(document: Any) -> None:
                  "per-agent %s sum %d != total %d"
                  % (key, summed, totals["operations"][key]))
 
-    _require(isinstance(document["phases"], list), "phases must be a list")
-    for phase in document["phases"]:
-        for key in ("name", "task", "duration_s", "operations", "network"):
-            _require(key in phase, "phase entry missing %r" % key)
-
     _require(isinstance(document["spans"], list), "spans must be a list")
     for span in document["spans"]:
         for key in _SPAN_KEYS:
             _require(key in span, "span entry missing %r" % key)
         _require(span["end_s"] >= span["start_s"],
                  "span %r ends before it starts" % span.get("name"))
+    _require(isinstance(document["events"], list), "events must be a list")
+    for event in document["events"]:
+        for key in _EVENT_KEYS:
+            _require(key in event, "event entry missing %r" % key)
 
-    # Accounting invariant: phases partition the run exactly.
-    if document["phases"]:
+    # Accounting invariant: the phase spans partition the run exactly.
+    phases = [span for span in document["spans"]
+              if span["kind"] == KIND_PHASE]
+    if phases:
         for key in _COUNTER_KEYS:
             attributed = sum(phase["operations"].get(key, 0)
-                             for phase in document["phases"])
+                             for phase in phases)
             _require(attributed == totals["operations"][key],
                      "phase %s sum %d != grand total %d"
                      % (key, attributed, totals["operations"][key]))
         for key in _NETWORK_KEYS:
             attributed = sum(phase["network"].get(key, 0)
-                             for phase in document["phases"])
+                             for phase in phases)
             _require(attributed == totals["network"][key],
                      "phase network %s sum %d != grand total %d"
                      % (key, attributed, totals["network"][key]))
@@ -372,13 +349,6 @@ def validate_run_report(document: Any) -> None:
         _require(isinstance(body, dict) and "type" in body
                  and "samples" in body,
                  "metric %r must carry type and samples" % name)
-
-    trace = document.get("trace")
-    if trace is not None:
-        _require(isinstance(trace, list), "trace must be a list or null")
-        for event in trace:
-            for key in ("sequence", "kind", "detail"):
-                _require(key in event, "trace event missing %r" % key)
 
 
 # ---------------------------------------------------------------------------
@@ -512,3 +482,83 @@ def _parse_sample(line: str, line_number: int
 def to_prometheus(registry: MetricsRegistry) -> str:
     """Convenience alias for :meth:`MetricsRegistry.to_prometheus`."""
     return registry.to_prometheus()
+
+
+# ---------------------------------------------------------------------------
+# Chrome Trace Event (Perfetto) exporter
+# ---------------------------------------------------------------------------
+
+#: Chrome-trace track (tid) of the spans and protocol events; agent
+#: ``i``'s message track is ``i + _AGENT_TRACK_BASE``.
+_PROTOCOL_TRACK = 0
+_AGENT_TRACK_BASE = 1
+
+
+def to_chrome_trace(recorder: Recorder, label: str = "dmw"
+                    ) -> Dict[str, Any]:
+    """Build a Chrome Trace Event document from one recorder.
+
+    Spans become complete (``ph: "X"``) events and protocol events
+    instant (``ph: "i"``, ``cat: "event"``) events on the protocol track,
+    one instant per entry of the run report's ``events``.  Message events
+    become instants on the *sender's* track: ``cat: "message"`` for the
+    types in :data:`~repro.obs.recorder.MESSAGE_EVENT_TYPES` — exactly one
+    per point-to-point message counted by
+    :class:`~repro.network.metrics.NetworkMetrics` — and
+    ``cat: "delivery"`` for the rest.  Timestamps are microseconds from
+    the recorder epoch.
+    """
+    events: List[Dict[str, Any]] = [
+        {"ph": "M", "pid": 0, "tid": _PROTOCOL_TRACK,
+         "name": "process_name", "args": {"name": label}},
+        {"ph": "M", "pid": 0, "tid": _PROTOCOL_TRACK,
+         "name": "thread_name", "args": {"name": "protocol"}},
+    ]
+    for span in recorder.spans:
+        events.append({
+            "ph": "X", "pid": 0, "tid": _PROTOCOL_TRACK,
+            "name": span.name, "cat": "span,%s" % span.kind,
+            "ts": span.start * 1e6,
+            "dur": max((span.end - span.start) * 1e6, 0.0),
+            "args": {"span_id": span.span_id, "task": span.task,
+                     "operations": dict(span.operations),
+                     "network": dict(span.network)},
+        })
+    for event in recorder.events:
+        events.append({
+            "ph": "i", "pid": 0, "tid": _PROTOCOL_TRACK,
+            "name": event.kind, "cat": "event", "s": "t",
+            "ts": event.timestamp * 1e6,
+            "args": dict(event.detail, seq=event.seq, task=event.task),
+        })
+    named_tracks = set()
+    for message in recorder.messages:
+        track = message.sender + _AGENT_TRACK_BASE
+        if track not in named_tracks:
+            named_tracks.add(track)
+            events.append({
+                "ph": "M", "pid": 0, "tid": track, "name": "thread_name",
+                "args": {"name": "agent %d" % message.sender},
+            })
+        args = message.to_dict()
+        del args["timestamp_s"], args["detail"]
+        events.append({
+            "ph": "i", "pid": 0, "tid": track,
+            "name": "%s %s" % (message.type, message.kind),
+            "cat": ("message" if message.type in MESSAGE_EVENT_TYPES
+                    else "delivery"),
+            "s": "t", "ts": message.timestamp * 1e6, "args": args,
+        })
+    return {
+        "traceEvents": events,
+        "displayTimeUnit": "ms",
+        "otherData": {"source": "repro.obs"},
+    }
+
+
+def write_chrome_trace(path: str, recorder: Recorder,
+                       label: str = "dmw") -> None:
+    """Serialize :func:`to_chrome_trace` to ``path``."""
+    with open(path, "w") as handle:
+        json.dump(to_chrome_trace(recorder, label=label), handle)
+        handle.write("\n")

@@ -10,11 +10,11 @@ labeled samples — in three instrument flavours:
 :func:`registry_for_run` populates the canonical DMW metric set from one
 finished execution: per-agent :class:`~repro.crypto.modular.OperationCounter`
 snapshots, :class:`~repro.network.metrics.NetworkMetrics` totals and
-per-kind counts, complaint/abort events from the
-:class:`~repro.core.trace.ProtocolTrace`, verification check counts from
+per-kind counts, verification check counts from
 :class:`~repro.core.verification.CheckStats`, fastexp
 :class:`~repro.crypto.fastexp.PublicValueCache` hit/miss/size statistics,
-and span durations from a :class:`~repro.obs.spans.SpanRecorder`.  The
+and complaint events and span durations from a
+:class:`~repro.obs.recorder.Recorder`.  The
 full metric name/label reference lives in ``docs/OBSERVABILITY.md``.
 
 Everything here *reads* counters that already exist — building a registry
@@ -282,7 +282,6 @@ def _render_labels(labels: Dict[str, str]) -> str:
 
 def registry_for_run(outcome: Any,
                      agents: Optional[Sequence[Any]] = None,
-                     trace: Optional[Any] = None,
                      recorder: Optional[Any] = None,
                      audit_report: Optional[Any] = None,
                      namespace: str = "dmw") -> MetricsRegistry:
@@ -297,12 +296,9 @@ def registry_for_run(outcome: Any,
     agents:
         The protocol's agents; supplies per-agent verification-check
         counts (:attr:`~repro.core.agent.DMWAgent.check_stats`).
-    trace:
-        A :class:`~repro.core.trace.ProtocolTrace`; supplies complaint
-        and deviant-detection counts.
     recorder:
-        A :class:`~repro.obs.spans.SpanRecorder`; supplies span-duration
-        histograms per phase.
+        A :class:`~repro.obs.recorder.Recorder`; supplies complaint and
+        deviant-detection counts and span-duration histograms per phase.
     audit_report:
         An :class:`~repro.core.audit.AuditReport`; supplies audit finding
         counts.
@@ -412,8 +408,8 @@ def registry_for_run(outcome: Any,
                 checks.inc(count, agent=agent.index, equation=equation,
                            result="pass" if passed else "fail")
 
-    # -- trace-derived counts --------------------------------------------------
-    if trace is not None:
+    # -- complaint events ------------------------------------------------------
+    if recorder is not None:
         complaints = registry.counter(
             "complaints_total", "Complaint-round accusations by stage",
             ["stage"])
@@ -421,7 +417,7 @@ def registry_for_run(outcome: Any,
             "deviants_detected_total",
             "Distinct accused agents across all complaint rounds")
         accused_agents = set()
-        for event in trace.events(kind="complaints"):
+        for event in recorder.find_events(kind="complaints"):
             stage = event.detail.get("stage", "unknown")
             accused = event.detail.get("accused", [])
             complaints.inc(len(accused), stage=stage)
@@ -445,7 +441,7 @@ def registry_for_run(outcome: Any,
         durations = registry.histogram(
             "span_duration_seconds", "Wall-clock per span name",
             ["name", "kind"])
-        for span in recorder:
+        for span in recorder.spans:
             durations.observe(span.duration, name=span.name, kind=span.kind)
         phase_work = registry.counter(
             "phase_multiplication_work_total",

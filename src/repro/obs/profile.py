@@ -3,7 +3,7 @@
 Theorem 12 bounds the mechanism's *computation* (O(mn^2 log p) per
 phase-critical path), but the span timeline only attributes wall-clock.
 The phase profiler closes that gap: when a :class:`PhaseProfiler` is
-installed on a :class:`~repro.obs.spans.SpanRecorder` (``recorder.profiler
+installed on a :class:`~repro.obs.recorder.Recorder` (``recorder.profiler
 = PhaseProfiler()``), every phase-kind span (the four DMW auction phases
 plus the run-level payments phase) runs under a :mod:`cProfile` capture,
 and the per-function statistics are aggregated *per phase name* across
@@ -40,7 +40,7 @@ DEFAULT_TOP_N = 10
 class PhaseProfiler:
     """Aggregates cProfile captures per phase name.
 
-    The span recorder drives :meth:`start`/:meth:`stop` around each
+    The recorder drives :meth:`start`/:meth:`stop` around each
     phase-kind span; phases never nest (auction phases sit under task
     spans, payments under the run span), so a single active capture
     suffices — a nested start while a capture is live is ignored rather

@@ -28,11 +28,11 @@ Determinism contract (``docs/PERFORMANCE.md``)
   themselves, and no cache entry crosses it at all, so a unit stays the
   same few hundred bytes however warm the parent's caches are; shard
   *results* carry only public data (the transcript, accounting totals,
-  trace/span exports).
+  the shard's recording).
 * **Dispatch is batched and the merge is ordered**: tasks are submitted
   in deterministic batches of ``workers`` and merged strictly in task
   order, so the frontier only ever grows as a prefix of the remaining
-  tasks, the merged trace replays in the sequential driver's order, and
+  tasks, the merged events keep the sequential driver's order, and
   a strict-mode abort voids the run with exactly the accounting the
   sequential driver would have accumulated (completed tasks before the
   aborting one, plus the aborting auction's partial work — shards after
@@ -54,10 +54,19 @@ shard and in task order:
 * the public transcript, including the winner/price fields the payments
   phase reads from each parent agent's task state;
 * cache statistics (per-task sums — see the note below);
-* trace events (replayed through the parent trace) and observability
-  spans (grafted under the open ``run`` span with renumbered ids and
-  rebased timestamps, so the phase-partition invariant of
-  ``validate_run_report`` holds exactly on the merged report).
+* the shard's recording: when the parent has a
+  :class:`~repro.obs.recorder.Recorder`, each shard records into a fresh
+  one of the same message capacity and exports it as one document, and
+  the parent ingests it with one id shift and one time offset
+  (:meth:`~repro.obs.recorder.Recorder.ingest`).  Spans, protocol events
+  and message events share one id space, so the shift keeps every id
+  unique and every reference intact; the shard's roots attach to the
+  open ``run`` span; the offset moves the whole shard so it ends at the
+  merge instant, keeping its own durations and gaps (each event lies
+  inside the span it names).  The span deltas are untouched, so the
+  phase partition of ``validate_run_report`` holds exactly on the
+  merged report.  Round numbers in a shard's records count the shard's
+  own barriers.
 
 The one documented accounting difference vs. the sequential driver is
 ``cache_stats``: the sequential driver shares one cache across all ``m``
@@ -98,13 +107,11 @@ from .core.agent import DMWAgent
 from .core.exceptions import ParameterError, ProtocolAbort
 from .crypto import backend as crypto_backend
 from .core.outcome import AuctionTranscript
-from .core.trace import NullTrace, ProtocolTrace
 from .crypto.fastexp import PublicValueCache, merge_cache_stats
 from .crypto.modular import OperationCounter
 from .network.simulator import SynchronousNetwork
-from .obs.flight import DEFAULT_CAPACITY, FlightRecorder
 from .obs.profile import PhaseProfiler
-from .obs.spans import Span, SpanEvent, SpanRecorder
+from .obs.recorder import Recorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .core.protocol import DMWProtocol
@@ -130,12 +137,10 @@ class PoolSpec:
     parameters: Any
     true_values: Tuple[Tuple[int, ...], ...]
     rng_roots: Tuple[int, ...]
-    observe: bool
-    trace_enabled: bool
-    #: Flight recording: when on, each shard captures its auction's
-    #: message events and ships them back for the parent to ingest.
-    flight: bool = False
-    flight_capacity: int = DEFAULT_CAPACITY
+    #: Recording: ``None`` when the parent records nothing, else the
+    #: parent recorder's message capacity, which each shard's own
+    #: recorder gets too (``0`` records spans and protocol events only).
+    message_capacity: Optional[int] = None
     #: Phase profiling: when on, each shard profiles its phase spans and
     #: ships the per-phase aggregate for additive merging.
     profile: bool = False
@@ -160,12 +165,9 @@ class ShardResult:
     network_totals: Dict[str, int] = field(default_factory=dict)
     round_index: int = 0
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    trace_events: List[Dict[str, Any]] = field(default_factory=list)
-    spans: List[Dict[str, Any]] = field(default_factory=list)
-    span_events: List[Dict[str, Any]] = field(default_factory=list)
-    flight_events: List[Dict[str, Any]] = field(default_factory=list)
-    flight_summary: Dict[str, Any] = field(default_factory=dict)
-    profile: Dict[str, Any] = field(default_factory=dict)
+    #: The shard recorder's :meth:`~repro.obs.recorder.Recorder.export`
+    #: (``None`` when the parent records nothing).
+    recording: Optional[Dict[str, Any]] = None
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +216,9 @@ def _run_shard(task: int) -> ShardResult:
     with the parent's substream roots, an obedient synchronous network,
     a per-task public-value cache — and runs the barrier driver on the
     one-task batch through ``DMWProtocol._run_auction``, exactly as the
-    sequential schedule does, so the shard's counters, messages, rounds,
-    spans, and trace are what the sequential schedule would have
-    recorded for this task.  The shard runs strict: an abort comes back
+    sequential schedule does, so the shard's counters, messages, rounds
+    and recording are what the sequential schedule would have recorded
+    for this task.  The shard runs strict: an abort comes back
     in the result for the parent to void or quarantine (a shard that
     quarantined on its own would have no transcript to return, and the
     parent would record the quarantine twice).
@@ -237,14 +239,12 @@ def _run_shard(task: int) -> ShardResult:
         # exact coefficients the parent's agent would have drawn.
         agent.rng_root = spec.rng_roots[index]
         agents.append(agent)
-    trace = ProtocolTrace() if spec.trace_enabled else None
-    recorder = SpanRecorder() if spec.observe else None
-    if recorder is not None and spec.profile:
-        recorder.profiler = PhaseProfiler()
-    flight = (FlightRecorder(capacity=spec.flight_capacity)
-              if spec.flight else None)
-    protocol = DMWProtocol(spec.parameters, agents, trace=trace,
-                           observer=recorder, flight=flight)
+    recorder = None
+    if spec.message_capacity is not None:
+        recorder = Recorder(message_capacity=spec.message_capacity)
+        if spec.profile:
+            recorder.profiler = PhaseProfiler()
+    protocol = DMWProtocol(spec.parameters, agents, recorder=recorder)
     cache = PublicValueCache()
     for agent in agents:
         agent.adopt_cache(cache)
@@ -267,16 +267,7 @@ def _run_shard(task: int) -> ShardResult:
         network_totals=protocol.network.metrics.as_dict(),
         round_index=protocol.network.round_index,
         cache_stats=cache.stats(),
-        trace_events=(trace.to_list() if trace is not None else []),
-        spans=([span.to_dict() for span in recorder.spans]
-               if recorder is not None else []),
-        span_events=([event.to_dict() for event in recorder.events]
-                     if recorder is not None else []),
-        flight_events=(flight.to_list() if flight is not None else []),
-        flight_summary=(flight.summary() if flight is not None else {}),
-        profile=(recorder.profiler.export()
-                 if recorder is not None and recorder.profiler is not None
-                 else {}),
+        recording=recorder.export() if recorder is not None else None,
     )
 
 
@@ -326,60 +317,16 @@ def _metrics_from_totals_dict(totals: Dict[str, int]) -> Any:
     return _metrics_from_totals(totals)
 
 
-def _graft_spans(recorder: SpanRecorder, result: ShardResult
-                 ) -> Optional[Tuple[int, float]]:
-    """Splice a shard's spans/events under the parent's open run span.
-
-    Ids are renumbered into the parent's id space, shard roots are
-    re-parented under the currently open span, and timestamps are
-    rebased so every grafted span ends at (or before) the merge instant
-    — preserving both id uniqueness and the ``end >= start`` schema rule
-    while keeping the per-span operation/network deltas untouched, which
-    is all the phase-partition invariant reads.
-
-    Returns the ``(id_base, time_offset)`` applied, so the flight-event
-    ingest can remap its owning span ids and timestamps by exactly the
-    same shift; ``None`` when nothing was grafted.
-    """
-    if not recorder.enabled or not result.spans:
-        return None
-    base = recorder._next_id
-    parent_id = recorder._stack[-1] if recorder._stack else None
-    now = recorder.clock() - recorder.epoch
-    max_end = max(span["end_s"] for span in result.spans)
-    offset = now - max_end
-    highest = 0
-    for document in result.spans:
-        span = Span.from_dict(document)
-        highest = max(highest, span.span_id)
-        span.span_id = base + span.span_id
-        span.parent_id = (base + span.parent_id
-                          if span.parent_id is not None else parent_id)
-        span.start += offset
-        span.end += offset
-        recorder.spans.append(span)
-    for document in result.span_events:
-        recorder.events.append(SpanEvent(
-            timestamp=document["timestamp_s"] + offset,
-            span_id=(base + document["span_id"]
-                     if document["span_id"] is not None else parent_id),
-            name=document["name"],
-            attributes=dict(document.get("attributes") or {}),
-        ))
-    recorder._next_id = base + highest + 1
-    return base, offset
-
-
 def _merge_shard(protocol: "DMWProtocol", result: ShardResult) -> None:
     """Fold one shard's accounting into the parent protocol (additive).
 
     Mirrors :meth:`~repro.core.checkpoint.ProtocolCheckpoint.apply`:
     counters and network totals continue from the parent's state, the
     transcript's public results are installed into every parent agent's
-    task state (what the payments phase reads), and trace/span exports
-    are replayed/grafted.  Merging is additive and per-task, so the
-    final state after merging all shards in task order equals the
-    sequential driver's state exactly.
+    task state (what the payments phase reads), and the shard's recording
+    is ingested into the parent recorder.  Merging is additive and
+    per-task, so the final state after merging all shards in task order
+    equals the sequential driver's state exactly.
     """
     for agent, operations, tallies in zip(protocol.agents,
                                           result.agent_operations,
@@ -401,46 +348,8 @@ def _merge_shard(protocol: "DMWProtocol", result: ShardResult) -> None:
         protocol._transcripts.append(transcript)
     if protocol._cache_stats_override is not None:
         merge_cache_stats(protocol._cache_stats_override, result.cache_stats)
-    for event in result.trace_events:
-        protocol.trace.record(event["kind"], task=event["task"],
-                              **event["detail"])
-    graft = _graft_spans(protocol.observer, result)
-    _merge_flight(protocol, result, graft)
-    if result.profile:
-        profiler = getattr(protocol.observer, "profiler", None)
-        if profiler is not None:
-            profiler.merge(result.profile)
-
-
-def _merge_flight(protocol: "DMWProtocol", result: ShardResult,
-                  graft: Optional[Tuple[int, float]]) -> None:
-    """Ingest a shard's flight events with the shard's span-graft shift.
-
-    Span ids and timestamps are remapped by exactly the ``(base,
-    offset)`` the span graft applied, so a flight event keeps pointing at
-    the same (now renumbered) owning span; without grafted spans the
-    events are re-parented under the parent's open span and rebased to
-    end at the merge instant.
-    """
-    flight = protocol.flight
-    if not flight.enabled or not result.flight_events:
-        return
-    observer = protocol.observer
-    parent_span = (observer._stack[-1]
-                   if observer.enabled and observer._stack else None)
-    if graft is not None:
-        base, offset = graft
-    else:
-        base = None
-        if observer.enabled:
-            now = observer.clock() - observer.epoch
-        else:
-            now = flight.clock() - flight.epoch
-        offset = now - max(document["timestamp_s"]
-                           for document in result.flight_events)
-    flight.ingest(result.flight_events, span_base=base,
-                  span_parent=parent_span, time_offset=offset,
-                  source_summary=result.flight_summary or None)
+    if result.recording is not None:
+        protocol.recorder.ingest(result.recording)
 
 
 def _batches(items: List[int], size: int) -> List[List[int]]:
@@ -472,18 +381,15 @@ def run_pool_auctions(protocol: "DMWProtocol", num_tasks: int, workers: int,
     done = {t.task for t in protocol._transcripts}
     done.update(protocol._task_aborts)
     remaining = [task for task in range(num_tasks) if task not in done]
+    recorder = protocol.recorder
     spec = PoolSpec(
         parameters=protocol.parameters,
         true_values=tuple(tuple(agent.true_values)
                           for agent in protocol.agents),
         rng_roots=tuple(agent.rng_root for agent in protocol.agents),
-        observe=protocol.observer.enabled,
-        trace_enabled=not isinstance(protocol.trace, NullTrace),
-        flight=protocol.flight.enabled,
-        flight_capacity=protocol.flight.capacity,
-        profile=(protocol.observer.enabled
-                 and getattr(protocol.observer, "profiler", None)
-                 is not None),
+        message_capacity=(recorder.message_capacity if recorder.enabled
+                          else None),
+        profile=recorder.profiler is not None,
         backend=crypto_backend.ACTIVE.name,
     )
     if not remaining:

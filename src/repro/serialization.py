@@ -20,9 +20,9 @@ from typing import Any, Dict, List, Optional
 
 from .core.checkpoint import ProtocolCheckpoint
 from .core.outcome import AuctionTranscript, DMWOutcome
-from .core.trace import ProtocolTrace
 from .crypto.secret import secret_json_default
 from .network.metrics import NetworkMetrics
+from .obs.recorder import Event, Recorder
 from .scheduling.problem import SchedulingProblem, Task
 from .scheduling.schedule import PartialSchedule, Schedule
 
@@ -130,14 +130,14 @@ def _transcript_from_dict(document: Dict[str, Any]) -> AuctionTranscript:
 
 
 def outcome_to_dict(outcome: DMWOutcome,
-                    trace: Optional[ProtocolTrace] = None) -> Dict[str, Any]:
+                    recorder: Optional[Recorder] = None) -> Dict[str, Any]:
     """Encode an outcome: result, transcripts, and cost metrics.
 
     Abort details are flattened to strings (exception objects do not
     round-trip); metrics keep their full per-kind breakdown.  When a
-    :class:`~repro.core.trace.ProtocolTrace` is supplied, its structured
-    event log is embedded (``trace`` key) and survives the round trip —
-    recover it with :func:`trace_from_dict`.
+    :class:`~repro.obs.recorder.Recorder` is supplied, its protocol
+    events are embedded (``trace`` key) and survive the round trip —
+    recover them with :func:`trace_from_dict`.
     """
     return {
         "type": "dmw_outcome",
@@ -158,7 +158,8 @@ def outcome_to_dict(outcome: DMWOutcome,
                         for task, abort in sorted(
                             outcome.task_aborts.items())},
         "parallelism": dict(outcome.parallelism),
-        "trace": trace.to_list() if trace is not None else None,
+        "trace": ([event.to_dict() for event in recorder.events]
+                  if recorder is not None else None),
     }
 
 
@@ -228,16 +229,16 @@ def metrics_from_dict(raw_metrics: Dict[str, Any]) -> NetworkMetrics:
     return metrics
 
 
-def trace_from_dict(document: Dict[str, Any]) -> Optional[ProtocolTrace]:
-    """Recover the embedded event trace from an outcome document.
+def trace_from_dict(document: Dict[str, Any]) -> Optional[List[Event]]:
+    """Recover the embedded protocol events from an outcome document.
 
-    Returns ``None`` when the document was written without a trace.
+    Returns ``None`` when the document was written without them.
     """
     _check(document, "dmw_outcome")
     events = document["trace"]
     if events is None:
         return None
-    return ProtocolTrace.from_list(events)
+    return [Event.from_dict(event) for event in events]
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -337,19 +338,19 @@ _DECODERS = {
 }
 
 
-def dumps(artifact, trace: Optional[ProtocolTrace] = None) -> str:
+def dumps(artifact, recorder: Optional[Recorder] = None) -> str:
     """Serialize any supported artifact to a JSON string.
 
-    ``trace`` embeds an event log into outcome documents; passing it with
-    any other artifact type is an error.
+    ``recorder`` embeds its protocol events into outcome documents;
+    passing it with any other artifact type is an error.
     """
-    if trace is not None and not isinstance(artifact, DMWOutcome):
+    if recorder is not None and not isinstance(artifact, DMWOutcome):
         raise SerializationError(
             "trace embedding is only supported for DMWOutcome artifacts")
     for kind, encoder in _ENCODERS.items():
         if isinstance(artifact, kind):
             if isinstance(artifact, DMWOutcome):
-                document = outcome_to_dict(artifact, trace=trace)
+                document = outcome_to_dict(artifact, recorder=recorder)
             else:
                 document = encoder(artifact)
             # default=secret_json_default turns an accidental Secret in a
@@ -372,10 +373,10 @@ def loads(text: str):
 
 
 def save(artifact, path: str,
-         trace: Optional[ProtocolTrace] = None) -> None:
-    """Serialize ``artifact`` to a file (``trace`` as for :func:`dumps`)."""
+         recorder: Optional[Recorder] = None) -> None:
+    """Serialize ``artifact`` to a file (``recorder`` as for :func:`dumps`)."""
     with open(path, "w") as handle:
-        handle.write(dumps(artifact, trace=trace) + "\n")
+        handle.write(dumps(artifact, recorder=recorder) + "\n")
 
 
 def load(path: str):
@@ -384,8 +385,8 @@ def load(path: str):
         return loads(handle.read())
 
 
-def load_trace(path: str) -> Optional[ProtocolTrace]:
-    """Load the embedded trace of a saved outcome (``None`` when absent)."""
+def load_trace(path: str) -> Optional[List[Event]]:
+    """Load the embedded events of a saved outcome (``None`` if absent)."""
     with open(path) as handle:
         document = json.loads(handle.read())
     return trace_from_dict(document)

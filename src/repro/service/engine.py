@@ -38,12 +38,11 @@ from typing import Any, Dict, List, Optional
 from ..core.agent import DMWAgent
 from ..core.parameters import DMWParameters
 from ..core.protocol import DMWProtocol
-from ..core.trace import ProtocolTrace
 from ..crypto import backend as crypto_backend
 from ..obs.export import run_report, validate_run_report
 from ..obs.metrics import (MetricsRegistry, bind_fastexp_metrics,
                            registry_for_run)
-from ..obs.spans import SpanRecorder
+from ..obs.recorder import Recorder
 from .jobs import JobRequest, parse_job, seeded_instance
 from .warmcache import WarmCacheStore
 
@@ -227,10 +226,8 @@ class AuctionService:
                          rng=random.Random(master.getrandbits(64)))
                 for index in range(parameters.num_agents)
             ]
-            trace = ProtocolTrace()
-            recorder = SpanRecorder()
-            protocol = DMWProtocol(parameters, agents, trace=trace,
-                                   observer=recorder)
+            recorder = Recorder()
+            protocol = DMWProtocol(parameters, agents, recorder=recorder)
             # Pool shards start cold: cache entries never cross processes.
             pooled = request.mode == "pool"
             record.warm = not pooled and self.store.warm(parameters)
@@ -244,11 +241,10 @@ class AuctionService:
                 pool=self._resident_pool() if pooled else None)
             if cache is not None:
                 self.store.absorb(parameters, cache)
-            registry = registry_for_run(outcome, agents=agents, trace=trace,
+            registry = registry_for_run(outcome, agents=agents,
                                         recorder=recorder)
-            document = run_report(outcome, agents=agents, trace=trace,
-                                  recorder=recorder, registry=registry,
-                                  parameters=parameters)
+            document = run_report(outcome, agents=agents, recorder=recorder,
+                                  registry=registry, parameters=parameters)
         validate_run_report(document)
         record.outcome = outcome
         record.report = document

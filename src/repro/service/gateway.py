@@ -18,6 +18,10 @@ Endpoints (``docs/SERVICE.md``)
 * ``GET /metrics`` — Prometheus text: persistent service series plus
   the latest finished job's canonical ``dmw_*`` series.
 * ``GET /healthz`` — liveness.
+
+A request line or header line longer than the stream limit (64 KiB) gets
+a ``400``; a client that has not sent its whole request within
+:data:`REQUEST_TIMEOUT_S` is disconnected unanswered.
 """
 
 from __future__ import annotations
@@ -31,6 +35,9 @@ from .jobs import JobValidationError
 
 #: Submission documents are small; anything larger is a client error.
 MAX_BODY_BYTES = 1 << 20
+#: Seconds a client has to send its whole request; a connection still
+#: sending when they run out is closed unanswered.
+REQUEST_TIMEOUT_S = 10.0
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
@@ -62,11 +69,12 @@ def _error(status: int, code: str, detail: Any = None) -> bytes:
 
 async def _read_request(reader: asyncio.StreamReader
                         ) -> Optional[Tuple[str, str, bytes]]:
-    """Parse one request; returns (method, path, body) or None."""
-    try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
-        return None
+    """Parse one request; returns (method, path, body) or None.
+
+    ``readline`` raises ``ValueError`` for a request or header line over
+    the stream limit; the caller answers it.
+    """
+    request_line = await reader.readline()
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3:
         return None
@@ -93,6 +101,12 @@ async def _read_request(reader: asyncio.StreamReader
     return method, path, body
 
 
+async def _discard(reader: asyncio.StreamReader) -> None:
+    """Read and drop whatever the client still sends, until it closes."""
+    while await reader.read(1 << 16):
+        pass
+
+
 class ServiceGateway:
     """The asyncio HTTP server wrapping one :class:`AuctionService`."""
 
@@ -117,11 +131,30 @@ class ServiceGateway:
     # -- request handling -----------------------------------------------------
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
+        # The read deadline closes the connection, which ends a pending
+        # read at end-of-file (``_read_request`` then returns None).  A
+        # timer, not ``asyncio.wait_for``: that would run the read in a
+        # task of its own, two more event-loop passes per request, each
+        # one handing the interpreter lock to a running job's thread.
+        deadline = asyncio.get_running_loop().call_later(
+            REQUEST_TIMEOUT_S, writer.close)
         try:
-            request = await _read_request(reader)
+            try:
+                request = await _read_request(reader)
+            except ValueError:
+                writer.write(_error(400, "line_too_long",
+                                    "request and header lines are limited "
+                                    "to 64 KiB"))
+                await writer.drain()
+                # Closing with the rest of the request unread would reset
+                # the connection and could destroy the reply before the
+                # client reads it: read the rest (until the client closes
+                # or the deadline does) and discard it first.
+                writer.write_eof()
+                await _discard(reader)
+                return
+            deadline.cancel()
             if request is None:
-                writer.close()
-                await writer.wait_closed()
                 return
             method, path, body = request
             if body == b"\x00overflow":
@@ -133,6 +166,7 @@ class ServiceGateway:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            deadline.cancel()
             writer.close()
             try:
                 await writer.wait_closed()

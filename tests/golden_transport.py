@@ -4,7 +4,8 @@
 point and reduces it to the observables the transport refactor promises
 to preserve bit-for-bit: outcome (completion, schedule, payments),
 transcripts, per-agent Table 1 / Theorem 12 counters, network metric
-totals, flight summary, and cache statistics.
+totals, the message-event summary (stored as ``flight_summary``), and
+cache statistics.
 
 ``tests/fixtures/transport_golden.json`` was generated by running
 ``python tests/golden_transport.py`` at the pre-refactor HEAD (the commit
@@ -25,7 +26,7 @@ import random
 from typing import Any, Dict
 
 from repro.core.parameters import DMWParameters
-from repro.obs.flight import FlightRecorder
+from repro.obs.recorder import Recorder
 from repro.scheduling import workloads
 
 #: (num_agents, num_tasks, seed) shapes pinned by the golden fixture.
@@ -49,7 +50,7 @@ def capture_run(num_agents: int, num_tasks: int, seed: int,
     problem = workloads.random_discrete(num_agents, num_tasks,
                                         parameters.bid_values,
                                         random.Random(seed))
-    flight = FlightRecorder()
+    recorder = Recorder(message_capacity=65536)
     kwargs: Dict[str, Any] = {}
     if driver == "phase_barrier":
         kwargs["parallel"] = True
@@ -63,7 +64,8 @@ def capture_run(num_agents: int, num_tasks: int, seed: int,
         # pre-refactor capture never passes this.
         kwargs["transport"] = transport
     outcome = run_dmw(problem, parameters=parameters,
-                      rng=random.Random(seed + 1), flight=flight, **kwargs)
+                      rng=random.Random(seed + 1), recorder=recorder,
+                      **kwargs)
     assert outcome.completed, "golden shapes must complete"
     assert outcome.schedule is not None and outcome.payments is not None
     return {
@@ -85,14 +87,14 @@ def capture_run(num_agents: int, num_tasks: int, seed: int,
         "agent_operations": [dict(snapshot)
                              for snapshot in outcome.agent_operations],
         "network": dict(outcome.network_metrics.as_dict()),
-        "flight_summary": _stable_flight_summary(flight),
+        "flight_summary": _stable_flight_summary(recorder),
         "cache_stats": dict(outcome.cache_stats),
     }
 
 
-def _stable_flight_summary(flight: FlightRecorder) -> Dict[str, Any]:
-    """The flight summary minus fields that are capacity bookkeeping."""
-    summary = dict(flight.summary())
+def _stable_flight_summary(recorder: Recorder) -> Dict[str, Any]:
+    """The message summary minus fields that are capacity bookkeeping."""
+    summary = dict(recorder.message_summary())
     summary.pop("capacity", None)
     return summary
 

@@ -164,7 +164,6 @@ class TestScalarOperations:
 
 def _minimal_spec(backend_name):
     return PoolSpec(parameters=None, true_values=(), rng_roots=(),
-                    observe=False, trace_enabled=False,
                     backend=backend_name)
 
 

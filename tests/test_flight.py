@@ -1,15 +1,16 @@
-"""Flight recorder: message-level events, dumps, and the Chrome trace.
+"""Message events on the one recorder: dumps, the pool merge, the
+Chrome trace.
 
-Four contracts (docs/OBSERVABILITY.md, "Flight recorder"):
+Four contracts (docs/OBSERVABILITY.md, "Message events"):
 
 1. **Message accounting** — ``send`` + ``retransmit`` events equal
    ``NetworkMetrics.point_to_point_messages`` exactly, run for run, and
    the Chrome-trace exporter emits exactly one ``cat: "message"``
    instant per counted message.
-2. **Zero perturbation** — attaching a recorder changes no schedule,
+2. **Zero perturbation** — recording messages changes no schedule,
    payment, counter, or network total.
 3. **Driver equivalence** — the process-pool driver merges its workers'
-   flight logs into summaries identical to the sequential driver's.
+   message logs into summaries identical to the sequential driver's.
 4. **Post-mortem completeness** — a degraded run's dump-on-abort
    document contains the quarantined auction's final message events,
    and retry-path events link back to the original send.
@@ -27,23 +28,27 @@ from repro.network.faults import FaultPlan
 from repro.network.latency import LatencyModel
 from repro.network.simulator import SynchronousNetwork
 from repro.obs import (
-    NULL_FLIGHT,
-    FlightEvent,
-    FlightRecorder,
-    SpanRecorder,
+    NULL_RECORDER,
+    MessageEvent,
+    Recorder,
     run_report,
     to_chrome_trace,
     validate_run_report,
     write_chrome_trace,
 )
-from repro.obs.flight import (
+from repro.obs.recorder import (
     EVENT_DELIVER,
     EVENT_DROP,
     EVENT_RECOVERY,
     EVENT_RETRANSMIT,
     EVENT_SEND,
+    KIND_RUN,
+    KIND_TASK,
     MESSAGE_EVENT_TYPES,
 )
+
+#: The CLI's default ``--flight-buffer``.
+CAPACITY = 65536
 
 
 def make_agents(params, problem, seed=0):
@@ -58,14 +63,22 @@ def make_agents(params, problem, seed=0):
 
 
 def flight_run(params, problem, seed=0, parallel=False, workers=None,
-               observer=None, network=None, degraded=False):
-    flight = FlightRecorder()
+               network=None, degraded=False):
+    recorder = Recorder(message_capacity=CAPACITY)
     protocol = DMWProtocol(params, make_agents(params, problem, seed),
-                           observer=observer, network=network,
-                           flight=flight)
+                           network=network, recorder=recorder)
     outcome = protocol.execute(problem.num_tasks, parallel=parallel,
                                workers=workers, degraded=degraded)
-    return outcome, protocol, flight
+    return outcome, protocol, recorder
+
+
+def sends(recorder):
+    return [event for event in recorder.messages
+            if event.type in MESSAGE_EVENT_TYPES]
+
+
+def of_type(recorder, event_type):
+    return [event for event in recorder.messages if event.type == event_type]
 
 
 # ---------------------------------------------------------------------------
@@ -74,65 +87,82 @@ def flight_run(params, problem, seed=0, parallel=False, workers=None,
 
 class TestRecorder:
     def test_record_and_round_trip(self):
-        flight = FlightRecorder(clock=lambda: 1.0)
-        event = flight.record(EVENT_SEND, round_index=3, kind="bid",
-                              sender=0, receiver=2, field_elements=4)
-        assert event.seq == 0 and event.task is None
-        again = FlightEvent.from_dict(event.to_dict())
-        assert again == event
+        recorder = Recorder(message_capacity=8, clock=lambda: 1.0)
+        seq = recorder.message(EVENT_SEND, round_index=3, kind="bid",
+                               sender=0, receiver=2, field_elements=4)
+        event = recorder.messages[-1]
+        assert seq == event.seq == 0 and event.task is None
+        assert MessageEvent.from_dict(event.to_dict()) == event
 
-    def test_rejects_non_positive_capacity(self):
+    def test_rejects_negative_capacity(self):
         with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+            Recorder(message_capacity=-1)
+        # Capacity 0 (the default) records spans and events only.
+        assert Recorder().records_messages is False
+        assert Recorder(message_capacity=1).records_messages is True
 
     def test_ring_eviction_keeps_tallies_exact(self):
-        flight = FlightRecorder(capacity=3, clock=lambda: 0.0)
+        recorder = Recorder(message_capacity=3, clock=lambda: 0.0)
         for index in range(10):
-            flight.record(EVENT_SEND, round_index=index, kind="bid",
-                          sender=0, receiver=1)
-        assert len(flight) == 3
-        assert [event.seq for event in flight] == [7, 8, 9]
-        summary = flight.summary()
+            recorder.message(EVENT_SEND, round_index=index, kind="bid",
+                             sender=0, receiver=1)
+        assert len(recorder.messages) == 3
+        assert [event.seq for event in recorder.messages] == [7, 8, 9]
+        summary = recorder.message_summary()
         assert summary["events_recorded"] == 10
         assert summary["events_retained"] == 3
         assert summary["by_type"] == {EVENT_SEND: 10}
         assert summary["messages"] == 10
 
     def test_task_attribution_and_find(self):
-        flight = FlightRecorder(clock=lambda: 0.0)
-        flight.current_task = 4
-        flight.record(EVENT_SEND, round_index=0, kind="bid",
-                      sender=1, receiver=2)
-        flight.current_task = None
-        flight.record(EVENT_SEND, round_index=1, kind="payment_claim",
-                      sender=1, receiver=None)
-        assert [e.task for e in flight] == [4, None]
-        assert len(flight.find(task=4)) == 1
-        assert len(flight.find(kind="payment_claim")) == 1
+        recorder = Recorder(message_capacity=8, clock=lambda: 0.0)
+        with recorder.span("task", kind=KIND_TASK, task=4) as span:
+            recorder.message(EVENT_SEND, round_index=0, kind="bid",
+                             sender=1, receiver=2)
+        recorder.message(EVENT_SEND, round_index=1, kind="payment_claim",
+                         sender=1, receiver=None)
+        assert [e.task for e in recorder.messages] == [4, None]
+        assert [e.span_id for e in recorder.messages] == [span.span_id, None]
+        assert [e.kind for e in recorder.messages] == ["bid", "payment_claim"]
 
-    def test_null_flight_records_nothing(self):
-        before = len(NULL_FLIGHT)
-        assert NULL_FLIGHT.record(EVENT_SEND, round_index=0, kind="bid",
-                                  sender=0, receiver=1) is None
-        assert not NULL_FLIGHT.enabled
-        assert len(NULL_FLIGHT) == before == 0
+    def test_null_flight_records_nothing(self, params5, problem53):
+        assert not NULL_RECORDER.enabled
+        assert not NULL_RECORDER.records_messages
+        assert NULL_RECORDER.message(EVENT_SEND, round_index=0, kind="bid",
+                                     sender=0, receiver=1) is None
+        DMWProtocol(params5, make_agents(params5, problem53)).execute(
+            problem53.num_tasks)
+        assert len(NULL_RECORDER.messages) == 0
+        assert NULL_RECORDER.message_summary()["events_recorded"] == 0
 
     def test_ingest_remaps_seq_link_and_span(self):
-        parent = FlightRecorder(clock=lambda: 0.0)
-        parent.record(EVENT_SEND, round_index=0, kind="bid",
-                      sender=0, receiver=1)
-        worker = FlightRecorder(clock=lambda: 0.0)
-        sent = worker.record(EVENT_SEND, round_index=1, kind="bid",
-                             sender=1, receiver=2)
-        worker.record(EVENT_RETRANSMIT, round_index=1, kind="bid",
-                      sender=1, receiver=2, attempt=1, link=sent.seq)
-        parent.ingest(worker.to_list(), span_parent=17,
-                      source_summary=worker.summary())
-        events = parent.events
-        assert [event.seq for event in events] == [0, 1, 2]
+        ticks = iter([0.0, 5.0, 6.0, 7.0, 8.0])
+        parent = Recorder(message_capacity=16, clock=lambda: next(ticks))
+        parent.message(EVENT_SEND, round_index=0, kind="bid",
+                       sender=0, receiver=1)                  # seq 0 @ 5
+        worker = Recorder(message_capacity=16, clock=lambda: 0.5)
+        with worker.span("task", kind=KIND_TASK, task=2):
+            worker.event("auction_start", task=2)
+            sent = worker.message(EVENT_SEND, round_index=1, kind="bid",
+                                  sender=1, receiver=2)
+            worker.message(EVENT_RETRANSMIT, round_index=1, kind="bid",
+                           sender=1, receiver=2, attempt=1, link=sent)
+        document = worker.export()
+        with parent.span("run", kind=KIND_RUN) as run:      # id 1, @ 6
+            parent.ingest(document)                         # now = 7
+        # One id shift (the parent's next id, 2) for every record.
+        task_span = parent.find_spans(kind=KIND_TASK)[0]
+        assert task_span.span_id == 2 and task_span.parent_id == run.span_id
+        assert parent.events[0].seq == 3
+        assert parent.events[0].span_id == task_span.span_id
+        events = list(parent.messages)
+        assert [event.seq for event in events] == [0, 4, 5]
         assert events[2].link == events[1].seq
-        assert events[1].span_id == 17
-        assert parent.summary()["messages"] == 3
+        assert events[1].span_id == task_span.span_id
+        # One time offset: the export instant lands on the merge instant.
+        assert task_span.end == parent.events[0].timestamp == 7.0
+        assert parent.message_summary()["messages"] == 3
+        assert parent._next_id == 2 + document["next_id"]
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +172,19 @@ class TestRecorder:
 class TestSequentialRun:
     def test_message_events_match_network_metrics(self, params5,
                                                   problem53):
-        outcome, protocol, flight = flight_run(params5, problem53)
+        outcome, protocol, recorder = flight_run(params5, problem53)
         assert outcome.completed
         counted = outcome.network_metrics.point_to_point_messages
-        summary = flight.summary()
+        summary = recorder.message_summary()
         assert summary["messages"] == counted
-        assert len(flight.message_events()) == counted
+        assert len(sends(recorder)) == counted
         assert summary["by_type"][EVENT_SEND] == counted
         # Fault-free synchronous run: every send is delivered.
         assert summary["by_type"][EVENT_DELIVER] == counted
         # by_kind tallies events (send + deliver); the *send* events per
         # kind reproduce NetworkMetrics' per-kind message counts.
         sends_by_kind = {}
-        for event in flight.find(EVENT_SEND):
+        for event in of_type(recorder, EVENT_SEND):
             sends_by_kind[event.kind] = sends_by_kind.get(event.kind,
                                                           0) + 1
         assert sends_by_kind == dict(outcome.network_metrics.by_kind)
@@ -171,25 +201,20 @@ class TestSequentialRun:
 
     def test_events_carry_task_and_span_attribution(self, params5,
                                                     problem53):
-        recorder = SpanRecorder()
-        outcome, protocol, flight = flight_run(params5, problem53,
-                                               observer=recorder)
-        tasks = {event.task for event in flight}
+        outcome, protocol, recorder = flight_run(params5, problem53)
+        tasks = {event.task for event in recorder.messages}
         assert set(range(problem53.num_tasks)) <= tasks
         assert None in tasks  # run-level payment claims
-        span_ids = {span.span_id for span in recorder}
-        assert all(event.span_id in span_ids for event in flight)
+        span_ids = {span.span_id for span in recorder.spans}
+        assert all(event.span_id in span_ids for event in recorder.messages)
 
-    def test_report_v4_flight_summary(self, params5, problem53):
-        recorder = SpanRecorder()
-        outcome, protocol, flight = flight_run(params5, problem53,
-                                               observer=recorder)
+    def test_report_v5_flight_summary(self, params5, problem53):
+        outcome, protocol, recorder = flight_run(params5, problem53)
         document = run_report(outcome, agents=protocol.agents,
-                              recorder=recorder, parameters=params5,
-                              flight=flight)
+                              recorder=recorder, parameters=params5)
         validate_run_report(document)
-        assert document["version"] == 4
-        assert document["flight_summary"] == flight.summary()
+        assert document["version"] == 5
+        assert document["flight_summary"] == recorder.message_summary()
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +224,31 @@ class TestSequentialRun:
 class TestPoolEquivalence:
     def test_pool_flight_summary_matches_sequential(self, params5,
                                                     problem53):
-        sequential = flight_run(params5, problem53,
-                                observer=SpanRecorder())
-        pooled = flight_run(params5, problem53, observer=SpanRecorder(),
-                            parallel=True, workers=2)
-        seq_outcome, _, seq_flight = sequential
-        pool_outcome, _, pool_flight = pooled
+        seq_outcome, _, seq_recorder = flight_run(params5, problem53)
+        pool_outcome, _, pool_recorder = flight_run(
+            params5, problem53, parallel=True, workers=2)
         assert list(seq_outcome.schedule.assignment) \
             == list(pool_outcome.schedule.assignment)
         assert list(seq_outcome.payments) == list(pool_outcome.payments)
-        assert seq_flight.summary() == pool_flight.summary()
+        assert seq_recorder.message_summary() \
+            == pool_recorder.message_summary()
 
     def test_pool_merge_keeps_seqs_unique_and_links_resolvable(
             self, params5, problem53):
-        _, _, flight = flight_run(params5, problem53,
-                                  observer=SpanRecorder(),
-                                  parallel=True, workers=2)
-        seqs = [event.seq for event in flight]
+        _, _, recorder = flight_run(params5, problem53, parallel=True,
+                                    workers=2)
+        seqs = [event.seq for event in recorder.messages]
         assert len(seqs) == len(set(seqs))
         known = set(seqs)
-        assert all(event.link in known for event in flight
+        assert all(event.link in known for event in recorder.messages
                    if event.link is not None)
 
     def test_pool_flight_spans_reference_grafted_spans(self, params5,
                                                        problem53):
-        recorder = SpanRecorder()
-        _, _, flight = flight_run(params5, problem53, observer=recorder,
-                                  parallel=True, workers=2)
-        span_ids = {span.span_id for span in recorder}
-        dangling = [event for event in flight
+        _, _, recorder = flight_run(params5, problem53, parallel=True,
+                                    workers=2)
+        span_ids = {span.span_id for span in recorder.spans}
+        dangling = [event for event in recorder.messages
                     if event.span_id is not None
                     and event.span_id not in span_ids]
         assert dangling == []
@@ -256,14 +277,14 @@ class TestDegradedDump:
         dump_path = tmp_path / "crash.json"
         network = SynchronousNetwork(5, fault_plan=task1_fault_plan(),
                                      extra_participants=1)
-        flight = FlightRecorder()
-        flight.dump_on_abort = str(dump_path)
+        recorder = Recorder(message_capacity=CAPACITY)
+        recorder.dump_on_abort = str(dump_path)
         protocol = DMWProtocol(params5,
                                make_agents(params5, problem53),
-                               network=network, flight=flight)
+                               network=network, recorder=recorder)
         outcome = protocol.execute(problem53.num_tasks, degraded=True)
         assert outcome.quarantined_tasks == (1,)
-        assert flight.abort_dumps == [str(dump_path)]
+        assert recorder.abort_dumps == [str(dump_path)]
         dump = json.loads(dump_path.read_text())
         assert dump["type"] == "dmw_flight_dump"
         assert "task_quarantined" in dump["reason"]
@@ -282,15 +303,15 @@ class TestDegradedDump:
     def test_fault_free_run_writes_no_dump(self, params5, problem53,
                                            tmp_path):
         dump_path = tmp_path / "never.json"
-        flight = FlightRecorder()
-        flight.dump_on_abort = str(dump_path)
+        recorder = Recorder(message_capacity=CAPACITY)
+        recorder.dump_on_abort = str(dump_path)
         protocol = DMWProtocol(params5,
                                make_agents(params5, problem53),
-                               flight=flight)
+                               recorder=recorder)
         outcome = protocol.execute(problem53.num_tasks)
         assert outcome.completed
         assert not dump_path.exists()
-        assert flight.abort_dumps == []
+        assert recorder.abort_dumps == []
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +329,19 @@ class TestRetryLinks:
 
     def test_retransmission_chain_is_linked(self):
         network = self._slow_link_network()
-        flight = FlightRecorder()
-        network.flight = flight
+        recorder = Recorder(message_capacity=CAPACITY)
+        network.recorder = recorder
         network.send(0, 1, "x", None)
         assert network.deliver() == 1
-        sends = flight.find(EVENT_SEND)
-        retransmits = flight.find(EVENT_RETRANSMIT)
-        recoveries = flight.find(EVENT_RECOVERY)
-        assert len(sends) == len(retransmits) == len(recoveries) == 1
-        assert retransmits[0].link == sends[0].seq
+        sent = of_type(recorder, EVENT_SEND)
+        retransmits = of_type(recorder, EVENT_RETRANSMIT)
+        recoveries = of_type(recorder, EVENT_RECOVERY)
+        assert len(sent) == len(retransmits) == len(recoveries) == 1
+        assert retransmits[0].link == sent[0].seq
         assert retransmits[0].attempt == 1
-        assert recoveries[0].link == sends[0].seq
+        assert recoveries[0].link == sent[0].seq
         # send + retransmit both charge the metrics (full price).
-        assert flight.summary()["messages"] \
+        assert recorder.message_summary()["messages"] \
             == network.metrics.point_to_point_messages == 2
         assert network.metrics.retransmissions == 1
 
@@ -329,16 +350,16 @@ class TestRetryLinks:
                              per_link_scale={(0, 1): 100000.0})
         network = TimeoutNetwork(3, model, round_timeout=0.1,
                                  retry_policy=RetryPolicy(max_attempts=2))
-        flight = FlightRecorder()
-        network.flight = flight
+        recorder = Recorder(message_capacity=CAPACITY)
+        network.recorder = recorder
         network.send(0, 1, "x", None)
         assert network.deliver() == 0
-        sends = flight.find(EVENT_SEND)
-        drops = flight.find(EVENT_DROP)
-        assert len(sends) == 1 and len(drops) == 1
-        assert drops[0].link == sends[0].seq
+        sent = of_type(recorder, EVENT_SEND)
+        drops = of_type(recorder, EVENT_DROP)
+        assert len(sent) == 1 and len(drops) == 1
+        assert drops[0].link == sent[0].seq
         assert drops[0].detail == "late"
-        assert flight.find(EVENT_RECOVERY) == []
+        assert of_type(recorder, EVENT_RECOVERY) == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,10 +369,8 @@ class TestRetryLinks:
 class TestChromeTrace:
     def test_one_message_instant_per_counted_message(self, params5,
                                                      problem53):
-        recorder = SpanRecorder()
-        outcome, protocol, flight = flight_run(params5, problem53,
-                                               observer=recorder)
-        trace = to_chrome_trace(recorder=recorder, flight=flight)
+        outcome, protocol, recorder = flight_run(params5, problem53)
+        trace = to_chrome_trace(recorder)
         events = trace["traceEvents"]
         assert isinstance(events, list) and events
         messages = [e for e in events if e.get("cat") == "message"]
@@ -359,14 +378,17 @@ class TestChromeTrace:
             == outcome.network_metrics.point_to_point_messages
         assert all(e["args"]["type"] in MESSAGE_EVENT_TYPES
                    for e in messages)
+        # One protocol-event instant per entry of the report's events.
+        instants = [e for e in events if e.get("cat") == "event"]
+        assert [e["args"]["seq"] for e in instants] \
+            == [event.seq for event in recorder.events]
 
     def test_spans_render_on_the_protocol_track(self, params5,
                                                 problem53):
-        recorder = SpanRecorder()
-        _, _, flight = flight_run(params5, problem53, observer=recorder)
-        trace = to_chrome_trace(recorder=recorder, flight=flight)
+        _, _, recorder = flight_run(params5, problem53)
+        trace = to_chrome_trace(recorder)
         complete = [e for e in trace["traceEvents"] if e["ph"] == "X"]
-        assert len(complete) == len(list(recorder))
+        assert len(complete) == len(recorder.spans)
         assert all(e["tid"] == 0 for e in complete)
         assert all(e["dur"] >= 0 for e in complete)
         # Message instants ride the sender's per-agent track.
@@ -376,10 +398,9 @@ class TestChromeTrace:
 
     def test_written_file_is_valid_trace_event_json(self, params5,
                                                     problem53, tmp_path):
-        recorder = SpanRecorder()
-        _, _, flight = flight_run(params5, problem53, observer=recorder)
+        _, _, recorder = flight_run(params5, problem53)
         path = tmp_path / "trace.json"
-        write_chrome_trace(str(path), recorder=recorder, flight=flight)
+        write_chrome_trace(str(path), recorder)
         document = json.loads(path.read_text())
         assert isinstance(document["traceEvents"], list)
         names = {e["name"] for e in document["traceEvents"]

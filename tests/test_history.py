@@ -20,7 +20,7 @@ from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol
 from repro.obs import (
     HistoryStore,
-    SpanRecorder,
+    Recorder,
     config_fingerprint,
     diff_entries,
     entry_from_report,
@@ -40,8 +40,8 @@ def report_for(params, problem, seed=0, parallel=False, workers=None):
                  rng=random.Random(master.getrandbits(64)))
         for index in range(params.num_agents)
     ]
-    recorder = SpanRecorder()
-    protocol = DMWProtocol(params, agents, observer=recorder)
+    recorder = Recorder()
+    protocol = DMWProtocol(params, agents, recorder=recorder)
     outcome = protocol.execute(problem.num_tasks, parallel=parallel,
                                workers=workers)
     return run_report(outcome, agents=agents, recorder=recorder,

@@ -26,7 +26,7 @@ def test_module_imports_cleanly(name):
 
 @pytest.mark.parametrize("name", [
     "repro", "repro.core", "repro.crypto", "repro.mechanisms",
-    "repro.network", "repro.scheduling", "repro.analysis", "repro.auctions",
+    "repro.network", "repro.scheduling", "repro.analysis",
 ])
 def test_all_exports_resolve(name):
     module = importlib.import_module(name)
@@ -36,7 +36,6 @@ def test_all_exports_resolve(name):
 
 def test_subpackages_reachable_from_top_level():
     import repro.analysis
-    import repro.auctions
     import repro.core
     import repro.crypto
     import repro.mechanisms

@@ -15,10 +15,10 @@ from repro.core.agent import DMWAgent
 from repro.core.audit import audit_protocol_run
 from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol
-from repro.core.trace import ProtocolTrace
 from repro.mechanisms.base import truthful_bids
 from repro.mechanisms.minwork import MinWork
 from repro.network.latency import LatencyModel, estimate_protocol_latency
+from repro.obs.recorder import Recorder
 from repro.scheduling import workloads
 
 
@@ -36,11 +36,11 @@ def big_run(group_small):
                  rng=random.Random(master.getrandbits(64)))
         for index in range(14)
     ]
-    trace = ProtocolTrace()
+    recorder = Recorder()
     protocol = DMWProtocol(parameters, agents, record_deliveries=True,
-                           trace=trace)
+                           recorder=recorder)
     outcome = protocol.execute(5)
-    return parameters, problem, protocol, outcome, trace
+    return parameters, problem, protocol, outcome, recorder
 
 
 class TestBigRun:
@@ -59,9 +59,9 @@ class TestBigRun:
             outcome.schedule.assignment
 
     def test_trace_covers_all_tasks(self, big_run):
-        _, _, _, outcome, trace = big_run
-        assert len(trace.events(kind="auction_resolved")) == 5
-        assert trace.events(kind="abort") == []
+        _, _, _, outcome, recorder = big_run
+        assert len(recorder.find_events(kind="auction_resolved")) == 5
+        assert recorder.find_events(kind="abort") == []
 
     def test_latency_timeline(self, big_run):
         _, _, protocol, outcome, _ = big_run

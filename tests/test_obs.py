@@ -1,4 +1,4 @@
-"""Tests for repro.obs: spans, metrics registry, and exporters.
+"""Tests for repro.obs: the recorder, metrics registry, and exporters.
 
 The central contract (docs/OBSERVABILITY.md) has three clauses, each
 pinned here:
@@ -7,7 +7,7 @@ pinned here:
    message of an execution happens inside exactly one phase span, so the
    per-phase deltas sum *exactly* to the run's grand totals, in both the
    sequential and the phase-parallel driver.
-2. **Zero perturbation** — running with a ``SpanRecorder`` attached
+2. **Zero perturbation** — running with a ``Recorder`` attached
    changes nothing observable: schedules, payments, per-agent counted
    operation snapshots, network totals, and cache statistics are
    bit-identical to an unobserved run with the same seeds.
@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol, run_dmw
-from repro.core.trace import ProtocolTrace
 from repro.core.verification import CheckStats
 from repro.obs import (
     NULL_RECORDER,
@@ -34,15 +33,15 @@ from repro.obs import (
     PHASES,
     MetricsRegistry,
     PrometheusParseError,
+    Recorder,
     ReportSchemaError,
-    SpanRecorder,
     parse_prometheus,
     registry_for_run,
     run_report,
     validate_run_report,
     write_run_report,
 )
-from repro.obs.spans import KIND_PHASE, KIND_RUN, KIND_TASK
+from repro.obs.recorder import KIND_PHASE, KIND_RUN, KIND_TASK
 
 OP_KEYS = ("additions", "multiplications", "inversions",
            "exponentiations", "multiplication_work")
@@ -58,7 +57,7 @@ def _summed(snapshots):
     return totals
 
 
-def _build_protocol(params, problem, trace=None, observer=None, seed=0):
+def _build_protocol(params, problem, recorder=None, seed=0):
     master = random.Random(seed)
     agents = [
         DMWAgent(index, params,
@@ -67,45 +66,50 @@ def _build_protocol(params, problem, trace=None, observer=None, seed=0):
                  rng=random.Random(master.getrandbits(64)))
         for index in range(params.num_agents)
     ]
-    return DMWProtocol(params, agents, trace=trace, observer=observer)
+    return DMWProtocol(params, agents, recorder=recorder)
 
 
 def _observed_run(params, problem, parallel=False, seed=0):
-    trace = ProtocolTrace()
-    recorder = SpanRecorder()
-    protocol = _build_protocol(params, problem, trace=trace,
-                               observer=recorder, seed=seed)
+    recorder = Recorder()
+    protocol = _build_protocol(params, problem, recorder=recorder,
+                               seed=seed)
     outcome = protocol.execute(problem.num_tasks, parallel=parallel)
-    return outcome, protocol, trace, recorder
+    return outcome, protocol, recorder
+
+
+def _phase_spans(document):
+    return [span for span in document["spans"] if span["kind"] == KIND_PHASE]
 
 
 # ---------------------------------------------------------------------------
-# SpanRecorder unit behaviour
+# Recorder unit behaviour: spans and events
 # ---------------------------------------------------------------------------
 
 class TestSpanRecorderUnit:
     def test_nesting_and_queries(self):
         clock = iter(range(100))
-        recorder = SpanRecorder(clock=lambda: float(next(clock)))
+        recorder = Recorder(clock=lambda: float(next(clock)))
         with recorder.span("run", kind=KIND_RUN):
             with recorder.span("task", kind=KIND_TASK, task=0):
                 with recorder.span("bidding", task=0):
                     pass
-        assert len(recorder) == 3
+        assert len(recorder.spans) == 3
         # Completion order: innermost first.
-        assert [span.name for span in recorder] == ["run", "task", "bidding"][::-1]
-        roots = recorder.root_spans()
+        assert [span.name for span in recorder.spans] == \
+            ["run", "task", "bidding"][::-1]
+        roots = [span for span in recorder.spans if span.parent_id is None]
         assert len(roots) == 1 and roots[0].name == "run"
-        task_spans = recorder.find(kind=KIND_TASK)
+        task_spans = recorder.find_spans(kind=KIND_TASK)
         assert len(task_spans) == 1
-        assert recorder.children(roots[0]) == task_spans
-        assert recorder.phase_spans() == recorder.find(name="bidding")
-        assert recorder.find(task=0, name="bidding")
+        assert [span for span in recorder.spans
+                if span.parent_id == roots[0].span_id] == task_spans
+        assert recorder.phase_spans() == recorder.find_spans(name="bidding")
+        assert recorder.find_spans(task=0, name="bidding")
 
     def test_delta_capture_from_bound_sources(self):
         ops = {"multiplications": 0}
         net = {"point_to_point_messages": 0}
-        recorder = SpanRecorder(clock=lambda: 0.0)
+        recorder = Recorder(clock=lambda: 0.0)
         recorder.bind(lambda: dict(ops), lambda: dict(net))
         with recorder.span("bidding"):
             ops["multiplications"] += 7
@@ -120,7 +124,7 @@ class TestSpanRecorderUnit:
 
     def test_durations_from_injected_clock(self):
         ticks = iter([0.0, 1.0, 1.5, 4.0, 9.0])
-        recorder = SpanRecorder(clock=lambda: next(ticks))  # epoch = 0.0
+        recorder = Recorder(clock=lambda: next(ticks))  # epoch = 0.0
         with recorder.span("outer"):
             with recorder.span("inner"):
                 pass
@@ -130,26 +134,29 @@ class TestSpanRecorderUnit:
         assert outer.start < inner.start < inner.end < outer.end
 
     def test_event_attaches_to_open_span(self):
-        recorder = SpanRecorder(clock=lambda: 0.0)
+        recorder = Recorder(clock=lambda: 0.0)
         recorder.event("before")
         with recorder.span("run", kind=KIND_RUN):
-            recorder.event("inside", detail=1)
+            recorder.event("inside", note=1)
         recorder.event("after")
         before, inside, after = recorder.events
         assert before.span_id is None and after.span_id is None
         assert inside.span_id == recorder.spans[0].span_id
-        assert inside.attributes == {"detail": 1}
+        assert inside.detail == {"note": 1}
+        # Spans and events draw their ids from one counter.
+        assert [before.seq, recorder.spans[0].span_id, inside.seq,
+                after.seq] == [0, 1, 2, 3]
 
     def test_exception_is_annotated_and_propagates(self):
-        recorder = SpanRecorder(clock=lambda: 0.0)
+        recorder = Recorder(clock=lambda: 0.0)
         with pytest.raises(RuntimeError):
             with recorder.span("bidding"):
                 raise RuntimeError("boom")
-        assert len(recorder) == 1
+        assert len(recorder.spans) == 1
         assert recorder.spans[0].attributes["error"] == "RuntimeError"
 
     def test_span_to_dict_keys(self):
-        recorder = SpanRecorder(clock=lambda: 0.0)
+        recorder = Recorder(clock=lambda: 0.0)
         with recorder.span("bidding", task=2, note="x"):
             pass
         encoded = recorder.spans[0].to_dict()
@@ -162,7 +169,7 @@ class TestSpanRecorderUnit:
             assert key in encoded
 
     def test_render_timeline_nests(self):
-        recorder = SpanRecorder(clock=lambda: 0.0)
+        recorder = Recorder(clock=lambda: 0.0)
         with recorder.span("run", kind=KIND_RUN):
             with recorder.span("bidding", task=0):
                 pass
@@ -179,15 +186,16 @@ class TestNullRecorder:
         with NULL_RECORDER.span("bidding") as span:
             assert span is None
         NULL_RECORDER.event("anything", x=1)
-        assert len(NULL_RECORDER) == 0
+        assert NULL_RECORDER.spans == []
         assert NULL_RECORDER.events == []
+        assert NULL_RECORDER.records_messages is False
 
     def test_span_context_is_shared(self):
         # No per-call allocation: every span() returns the same object.
         assert NULL_RECORDER.span("a") is NULL_RECORDER.span("b")
 
     def test_real_recorder_is_enabled(self):
-        assert SpanRecorder().enabled is True
+        assert Recorder().enabled is True
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +205,7 @@ class TestNullRecorder:
 @pytest.mark.parametrize("parallel", [False, True],
                          ids=["sequential", "parallel"])
 def test_phase_deltas_partition_grand_totals(params5, problem53, parallel):
-    outcome, _, _, recorder = _observed_run(params5, problem53,
+    outcome, _, recorder = _observed_run(params5, problem53,
                                             parallel=parallel)
     assert outcome.completed
     op_totals = _summed(outcome.agent_operations)
@@ -213,42 +221,42 @@ def test_phase_deltas_partition_grand_totals(params5, problem53, parallel):
 
 
 def test_sequential_span_structure(params5, problem53):
-    outcome, _, _, recorder = _observed_run(params5, problem53)
+    outcome, _, recorder = _observed_run(params5, problem53)
     m = problem53.num_tasks
-    runs = recorder.find(kind=KIND_RUN)
+    runs = recorder.find_spans(kind=KIND_RUN)
     assert len(runs) == 1
     assert runs[0].attributes["parallel"] is False
-    tasks = recorder.find(kind=KIND_TASK)
+    tasks = recorder.find_spans(kind=KIND_TASK)
     assert [span.task for span in tasks] == list(range(m))
     # Four phases nested under each task span, in protocol order.
     for task_span in tasks:
-        children = recorder.children(task_span)
+        children = [span for span in recorder.spans
+                    if span.parent_id == task_span.span_id]
         assert [span.name for span in children] == list(PHASES)
         assert all(span.task == task_span.task for span in children)
-    payments = recorder.find(name=PAYMENTS_PHASE)
+    payments = recorder.find_spans(name=PAYMENTS_PHASE)
     assert len(payments) == 1
     assert payments[0].parent_id == runs[0].span_id
     assert len(recorder.phase_spans()) == 4 * m + 1
 
 
 def test_parallel_span_structure(params5, problem53):
-    outcome, _, _, recorder = _observed_run(params5, problem53,
+    outcome, _, recorder = _observed_run(params5, problem53,
                                             parallel=True)
-    runs = recorder.find(kind=KIND_RUN)
+    runs = recorder.find_spans(kind=KIND_RUN)
     assert len(runs) == 1 and runs[0].attributes["parallel"] is True
     # Phase-barrier execution: no task spans, one span per global phase.
-    assert recorder.find(kind=KIND_TASK) == []
+    assert recorder.find_spans(kind=KIND_TASK) == []
     phases = recorder.phase_spans()
     assert [span.name for span in phases] == list(PHASES) + [PAYMENTS_PHASE]
     assert all(span.task is None for span in phases)
 
 
 def test_network_round_events_match_round_counter(params5, problem53):
-    outcome, _, _, recorder = _observed_run(params5, problem53)
-    rounds = [event for event in recorder.events
-              if event.name == "network_round"]
+    outcome, _, recorder = _observed_run(params5, problem53)
+    rounds = recorder.find_events(kind="network_round")
     assert len(rounds) == outcome.network_metrics.rounds
-    delivered = sum(event.attributes["delivered"] for event in rounds)
+    delivered = sum(event.detail["delivered"] for event in rounds)
     assert delivered == outcome.network_metrics.point_to_point_messages
 
 
@@ -262,8 +270,7 @@ def test_observed_run_is_bit_identical(params5, problem53, parallel):
     plain = run_dmw(problem53, parameters=params5, rng=random.Random(9),
                     parallel=parallel)
     observed = run_dmw(problem53, parameters=params5, rng=random.Random(9),
-                       parallel=parallel, trace=ProtocolTrace(),
-                       observer=SpanRecorder())
+                       parallel=parallel, recorder=Recorder())
     assert plain.completed and observed.completed
     assert observed.schedule.assignment == plain.schedule.assignment
     assert observed.payments == plain.payments
@@ -275,10 +282,10 @@ def test_observed_run_is_bit_identical(params5, problem53, parallel):
 
 def test_protocol_defaults_to_null_recorder(params5, problem53):
     protocol = _build_protocol(params5, problem53)
-    assert protocol.observer is NULL_RECORDER
-    assert protocol.network.observer is NULL_RECORDER
+    assert protocol.recorder is NULL_RECORDER
+    assert protocol.network.recorder is NULL_RECORDER
     protocol.execute(problem53.num_tasks)
-    assert len(NULL_RECORDER) == 0
+    assert NULL_RECORDER.spans == [] and NULL_RECORDER.events == []
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +366,9 @@ class TestRegistryInstruments:
 class TestRegistryForRun:
     @pytest.fixture()
     def observed(self, params5, problem53):
-        outcome, protocol, trace, recorder = _observed_run(params5,
-                                                           problem53)
+        outcome, protocol, recorder = _observed_run(params5, problem53)
         registry = registry_for_run(outcome, agents=protocol.agents,
-                                    trace=trace, recorder=recorder)
+                                    recorder=recorder)
         return outcome, protocol, recorder, registry
 
     def test_network_metrics_mirrored(self, observed):
@@ -426,11 +432,11 @@ class TestRegistryForRun:
         durations = registry.get("dmw_span_duration_seconds")
         total = sum(durations.snapshot(name=name, kind=kind)["count"]
                     for name, kind in durations.series())
-        assert total == len(recorder)
+        assert total == len(recorder.spans)
         phase_work = registry.get("dmw_phase_multiplication_work_total")
         for name in list(PHASES) + [PAYMENTS_PHASE]:
             expected = sum(span.operations.get("multiplication_work", 0)
-                           for span in recorder.find(name=name))
+                           for span in recorder.find_spans(name=name))
             assert phase_work.value(phase=name) == expected
 
     def test_honest_run_has_no_aborts_or_complaints(self, observed):
@@ -446,10 +452,9 @@ class TestRegistryForRun:
 
 class TestPrometheus:
     def test_real_run_round_trips(self, params5, problem53):
-        outcome, protocol, trace, recorder = _observed_run(params5,
-                                                           problem53)
+        outcome, protocol, recorder = _observed_run(params5, problem53)
         registry = registry_for_run(outcome, agents=protocol.agents,
-                                    trace=trace, recorder=recorder)
+                                    recorder=recorder)
         samples = parse_prometheus(registry.to_prometheus())
         assert samples
         metrics = outcome.network_metrics
@@ -506,19 +511,18 @@ class TestPrometheus:
 class TestRunReport:
     @pytest.fixture()
     def document(self, params5, problem53):
-        outcome, protocol, trace, recorder = _observed_run(params5,
-                                                           problem53)
-        return run_report(outcome, agents=protocol.agents, trace=trace,
+        outcome, protocol, recorder = _observed_run(params5, problem53)
+        return run_report(outcome, agents=protocol.agents,
                           recorder=recorder, parameters=params5)
 
     def test_real_report_validates(self, document):
         validate_run_report(document)  # must not raise
 
     def test_parallel_report_validates(self, params5, problem53):
-        outcome, protocol, trace, recorder = _observed_run(
+        outcome, protocol, recorder = _observed_run(
             params5, problem53, parallel=True)
         validate_run_report(run_report(outcome, agents=protocol.agents,
-                                       trace=trace, recorder=recorder,
+                                       recorder=recorder,
                                        parameters=params5))
 
     def test_report_summarises_outcome(self, document, params5, problem53):
@@ -528,8 +532,13 @@ class TestRunReport:
         assert document["params"]["sigma"] == params5.sigma
         assert len(document["schedule"]) == problem53.num_tasks
         assert len(document["payments"]) == params5.num_agents
-        assert len(document["phases"]) == 4 * problem53.num_tasks + 1
-        assert document["trace"]  # tracing was on
+        assert len(_phase_spans(document)) == 4 * problem53.num_tasks + 1
+        # Version 5 stores each record once: one events list, no copies.
+        assert "trace" not in document and "phases" not in document
+        kinds = [event["kind"] for event in document["events"]]
+        assert kinds.count("network_round") == \
+            document["totals"]["network"]["rounds"]
+        assert kinds.count("auction_start") == problem53.num_tasks
         assert document["cache"]["hits"] > 0
 
     def test_report_is_json_serialisable(self, document, tmp_path):
@@ -546,7 +555,7 @@ class TestRunReport:
             validate_run_report(document)
 
     def test_tampered_phase_attribution_is_rejected(self, document):
-        document["phases"][0]["network"]["point_to_point_messages"] += 1
+        _phase_spans(document)[0]["network"]["point_to_point_messages"] += 1
         with pytest.raises(ReportSchemaError):
             validate_run_report(document)
 
@@ -557,7 +566,7 @@ class TestRunReport:
         lambda d: d.update(type="something_else"),
         lambda d: d["spans"][0].pop("duration_s"),
         lambda d: d["spans"][0].update(end_s=-1.0),
-        lambda d: d["trace"][0].pop("kind"),
+        lambda d: d["events"][0].pop("kind"),
     ])
     def test_structural_violations_are_rejected(self, document, mutate):
         mutate(document)
@@ -569,9 +578,8 @@ class TestRunReport:
                           rng=random.Random(1))
         document = run_report(outcome)
         validate_run_report(document)
-        assert document["phases"] == []
         assert document["spans"] == []
-        assert document["trace"] is None
+        assert document["events"] == []
 
 
 # ---------------------------------------------------------------------------
@@ -615,33 +623,40 @@ class TestLabelEscapingProperty:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: only schema version 4 validates
+# Satellite: only schema version 5 validates
 # ---------------------------------------------------------------------------
 
 class TestVersionCompatibility:
     @pytest.fixture()
-    def v4_document(self, params5, problem53):
-        outcome, protocol, trace, recorder = _observed_run(params5,
-                                                           problem53)
-        return run_report(outcome, agents=protocol.agents, trace=trace,
+    def v5_document(self, params5, problem53):
+        outcome, protocol, recorder = _observed_run(params5, problem53)
+        return run_report(outcome, agents=protocol.agents,
                           recorder=recorder, parameters=params5)
 
-    def test_v4_is_current(self, v4_document):
-        assert v4_document["version"] == 4
+    def test_v5_is_current(self, v5_document):
+        assert v5_document["version"] == 5
         for key in ("flight_summary", "profile", "provenance"):
-            assert key in v4_document
-        validate_run_report(v4_document)
+            assert key in v5_document
+        validate_run_report(v5_document)
 
-    def test_v3_documents_are_rejected(self, v4_document):
-        document = json.loads(json.dumps(v4_document))
+    def test_v4_documents_are_rejected(self, v5_document):
+        document = json.loads(json.dumps(v5_document))
+        document["version"] = 4
+        document["phases"] = []
+        document["trace"] = None
+        with pytest.raises(ReportSchemaError, match="version 4"):
+            validate_run_report(document)
+
+    def test_v3_documents_are_rejected(self, v5_document):
+        document = json.loads(json.dumps(v5_document))
         document["version"] = 3
         for key in ("flight_summary", "profile", "provenance"):
             document.pop(key)
         with pytest.raises(ReportSchemaError, match="version 3"):
             validate_run_report(document)
 
-    def test_v2_documents_are_rejected(self, v4_document):
-        document = json.loads(json.dumps(v4_document))
+    def test_v2_documents_are_rejected(self, v5_document):
+        document = json.loads(json.dumps(v5_document))
         document["version"] = 2
         for key in ("flight_summary", "profile", "provenance",
                     "parallelism"):
@@ -649,8 +664,8 @@ class TestVersionCompatibility:
         with pytest.raises(ReportSchemaError, match="version 2"):
             validate_run_report(document)
 
-    def test_provenance_identifies_the_build(self, v4_document):
-        provenance = v4_document["provenance"]
+    def test_provenance_identifies_the_build(self, v5_document):
+        provenance = v5_document["provenance"]
         assert provenance["package_version"]
         assert provenance["arithmetic_backend"] in ("python", "gmpy2")
         assert provenance["python_version"].count(".") == 2
@@ -664,8 +679,8 @@ class TestVersionCompatibility:
         lambda d: d.update(profile={"phases": {"bidding": {}},
                                     "top_n": 10}),
     ])
-    def test_v4_specific_violations_are_rejected(self, v4_document,
+    def test_v4_specific_violations_are_rejected(self, v5_document,
                                                  mutate):
-        mutate(v4_document)
+        mutate(v5_document)
         with pytest.raises(ReportSchemaError):
-            validate_run_report(v4_document)
+            validate_run_report(v5_document)

@@ -13,7 +13,7 @@ The tentpole acceptance criteria (ISSUE 5):
   outcome identical to the uninterrupted parallel run, ``cache_stats``
   included;
 * the merged observability export passes ``validate_run_report`` —
-  the grafted worker spans still partition the run totals exactly;
+  the ingested worker spans still partition the run totals exactly;
 * the CLI reaches the pool driver (``--parallel --workers`` and the
   formerly rejected ``--parallel --checkpoint`` combination).
 """
@@ -30,9 +30,8 @@ from repro.core.agent import DMWAgent
 from repro.core.exceptions import ParameterError
 from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol
-from repro.core.trace import ProtocolTrace
 from repro.crypto.groups import fixture_group
-from repro.obs import SpanRecorder, run_report
+from repro.obs import Recorder, run_report
 from repro.obs.export import validate_run_report
 from repro.scheduling.problem import SchedulingProblem
 
@@ -58,7 +57,7 @@ def make_problem(params, num_tasks, seed=31):
     ])
 
 
-def build_protocol(params, problem, seed=7, trace=None, observer=None):
+def build_protocol(params, problem, seed=7, recorder=None):
     master = random.Random(seed)
     agents = [
         DMWAgent(index, params,
@@ -67,7 +66,7 @@ def build_protocol(params, problem, seed=7, trace=None, observer=None):
                  rng=random.Random(master.getrandbits(64)))
         for index in range(params.num_agents)
     ]
-    return DMWProtocol(params, agents, trace=trace, observer=observer)
+    return DMWProtocol(params, agents, recorder=recorder)
 
 
 def outcome_signature(outcome):
@@ -108,20 +107,26 @@ class TestDifferentialEquivalence:
     def test_merged_trace_replays_the_sequential_event_log(self):
         params = params_for(5)
         problem = make_problem(params, 3)
-        seq_trace = ProtocolTrace()
-        build_protocol(params, problem, trace=seq_trace).execute(3)
-        pool_trace = ProtocolTrace()
-        build_protocol(params, problem, trace=pool_trace).execute(
+        seq_recorder = Recorder()
+        build_protocol(params, problem, recorder=seq_recorder).execute(3)
+        pool_recorder = Recorder()
+        build_protocol(params, problem, recorder=pool_recorder).execute(
             3, parallel=True, workers=2)
 
-        def structural(events):
-            # Wall-clock timestamps differ run to run; everything else —
-            # sequence numbers, order, kinds, tasks, details — must match.
-            return [{key: value for key, value in event.items()
-                     if key != "timestamp_s"} for event in events]
+        def structural(recorder):
+            # Wall-clock timestamps differ run to run, and a shard numbers
+            # its barriers from 0; everything else — ids, order, kinds,
+            # tasks, owning spans, details — must match.
+            events = []
+            for event in recorder.events:
+                document = event.to_dict()
+                del document["timestamp_s"]
+                if event.kind == "network_round":
+                    del document["detail"]["round"]
+                events.append(document)
+            return events
 
-        assert structural(pool_trace.to_list()) == \
-            structural(seq_trace.to_list())
+        assert structural(pool_recorder) == structural(seq_recorder)
 
     def test_round_index_sums_back_to_the_sequential_total(self):
         params = params_for(5)
@@ -183,20 +188,18 @@ class TestKillAndResume:
 
 class TestMergedObservability:
     def test_merged_run_report_validates(self):
-        """The grafted worker spans must keep the phase-partition
+        """The ingested worker spans must keep the phase-partition
         invariant: per-phase deltas sum exactly to the run totals."""
         params = params_for(5)
         problem = make_problem(params, 3)
-        trace = ProtocolTrace()
-        recorder = SpanRecorder()
-        protocol = build_protocol(params, problem, trace=trace,
-                                  observer=recorder)
+        recorder = Recorder()
+        protocol = build_protocol(params, problem, recorder=recorder)
         outcome = protocol.execute(3, parallel=True, workers=2)
-        document = run_report(outcome, agents=protocol.agents, trace=trace,
+        document = run_report(outcome, agents=protocol.agents,
                               recorder=recorder, parameters=params)
         validate_run_report(document)
         assert document["parallelism"]["workers"] == 2
-        # One grafted task span (with its four phases) per auction, plus
+        # One ingested task span (with its four phases) per auction, plus
         # the parent's run + payments spans.
         task_spans = [s for s in document["spans"] if s["kind"] == "task"]
         assert sorted(s["task"] for s in task_spans) == [0, 1, 2]
@@ -208,8 +211,8 @@ class TestMergedObservability:
     def test_span_ids_are_unique_after_grafting(self):
         params = params_for(5)
         problem = make_problem(params, 3)
-        recorder = SpanRecorder()
-        build_protocol(params, problem, observer=recorder).execute(
+        recorder = Recorder()
+        build_protocol(params, problem, recorder=recorder).execute(
             3, parallel=True, workers=2)
         ids = [span.span_id for span in recorder.spans]
         assert len(ids) == len(set(ids))

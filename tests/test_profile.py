@@ -18,11 +18,11 @@ from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol
 from repro.obs import (
     PhaseProfiler,
-    SpanRecorder,
+    Recorder,
     run_report,
     validate_run_report,
 )
-from repro.obs.spans import PHASES
+from repro.obs.recorder import PHASES
 
 
 def _busy(n):
@@ -42,9 +42,9 @@ def profiled_run(params, problem, seed=0, parallel=False, workers=None,
                  rng=random.Random(master.getrandbits(64)))
         for index in range(params.num_agents)
     ]
-    recorder = SpanRecorder()
+    recorder = Recorder()
     recorder.profiler = PhaseProfiler(top_n=top_n)
-    protocol = DMWProtocol(params, agents, observer=recorder)
+    protocol = DMWProtocol(params, agents, recorder=recorder)
     outcome = protocol.execute(problem.num_tasks, parallel=parallel,
                                workers=workers)
     return outcome, protocol, recorder
@@ -176,8 +176,8 @@ class TestProfiledRuns:
                      rng=random.Random(master.getrandbits(64)))
             for index in range(params5.num_agents)
         ]
-        recorder = SpanRecorder()
-        protocol = DMWProtocol(params5, agents, observer=recorder)
+        recorder = Recorder()
+        protocol = DMWProtocol(params5, agents, recorder=recorder)
         outcome = protocol.execute(problem53.num_tasks)
         document = run_report(outcome, agents=agents, recorder=recorder,
                               parameters=params5)

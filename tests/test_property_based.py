@@ -182,42 +182,6 @@ class TestDMWEquivalenceProperty:
         assert list(outcome.payments) == list(result.payments)
 
 
-class TestAuctionProperties:
-    @given(st.lists(st.integers(1, 4), min_size=6, max_size=6),
-           st.integers(1, 3), st.integers(0, 2 ** 32))
-    @settings(max_examples=25, deadline=None)
-    def test_distributed_auction_matches_centralized(self, valuations, m,
-                                                     seed):
-        """The Kikuchi substrate: distributed == centralized (M+1)st."""
-        from repro.auctions import (AuctionParameters,
-                                    mplus1_price_auction,
-                                    run_distributed_auction)
-        params = AuctionParameters.generate(6, collusion_bound=1)
-        result, _ = run_distributed_auction(valuations, m,
-                                            parameters=params,
-                                            rng=random.Random(seed))
-        expected = mplus1_price_auction(valuations, m)
-        assert result.winners == expected.winners
-        assert result.price == expected.price
-
-    @given(st.lists(st.integers(1, 9), min_size=3, max_size=7),
-           st.integers(1, 9), st.integers(0, 100))
-    @settings(max_examples=60, deadline=None)
-    def test_mplus1_truthfulness_property(self, valuations, deviation,
-                                          bidder_seed):
-        """No unilateral misreport beats truth in the (M+1)st auction."""
-        from repro.auctions import mplus1_price_auction
-        num_items = 1 + bidder_seed % (len(valuations) - 1)
-        bidder = bidder_seed % len(valuations)
-        truthful = mplus1_price_auction(valuations, num_items)
-        bids = list(valuations)
-        bids[bidder] = deviation
-        deviated = mplus1_price_auction(bids, num_items)
-        valuation = valuations[bidder]
-        assert deviated.utility(bidder, valuation) <= \
-            truthful.utility(bidder, valuation) + 1e-9
-
-
 class TestSerializationProperties:
     @given(bid_matrices)
     @settings(max_examples=30, deadline=None)

@@ -130,22 +130,21 @@ class TestCacheStatsRoundTrip:
 class TestTraceEmbedding:
     @pytest.fixture()
     def traced(self, params5, problem53):
-        from repro.core.trace import ProtocolTrace
-        trace = ProtocolTrace()
+        from repro.obs import Recorder
+        recorder = Recorder()
         outcome = run_dmw(problem53, parameters=params5,
-                          rng=random.Random(0), trace=trace)
-        return outcome, trace
+                          rng=random.Random(0), recorder=recorder)
+        return outcome, recorder
 
     def test_save_and_load_trace(self, tmp_path, traced):
-        outcome, trace = traced
+        outcome, recorder = traced
         path = tmp_path / "outcome.json"
-        serialization.save(outcome, str(path), trace=trace)
+        serialization.save(outcome, str(path), recorder=recorder)
         restored = serialization.load(str(path))
         assert restored.completed
         restored_trace = serialization.load_trace(str(path))
         assert restored_trace is not None
-        assert list(restored_trace) == list(trace)
-        assert restored_trace.kinds() == trace.kinds()
+        assert restored_trace == recorder.events
 
     def test_outcome_without_trace_loads_none(self, tmp_path, traced):
         outcome, _ = traced
@@ -154,9 +153,9 @@ class TestTraceEmbedding:
         assert serialization.load_trace(str(path)) is None
 
     def test_trace_requires_outcome_artifact(self, problem53, traced):
-        _, trace = traced
+        _, recorder = traced
         with pytest.raises(serialization.SerializationError):
-            serialization.dumps(problem53, trace=trace)
+            serialization.dumps(problem53, recorder=recorder)
 
     def test_load_trace_rejects_non_outcome(self, tmp_path, problem53):
         path = tmp_path / "problem.json"

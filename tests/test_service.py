@@ -10,7 +10,9 @@ Pins the daemon's contracts (``docs/SERVICE.md``):
    only divergence is ``cache_stats`` (warm jobs hit more), which is
    the documented by-design exception.
 3. **Reject path** — malformed submissions get a structured 400 with
-   field-level errors and the queue is untouched.
+   field-level errors and the queue is untouched; an over-long request
+   line or header line gets a 400, and a stalled request is closed after
+   the gateway's read deadline, with no exception escaping the handler.
 4. **Per-job backends** — two queued jobs requesting different
    arithmetic backends both get what they asked for, even though
    ``DMW_BACKEND`` is only read at import (the daemon routes selection
@@ -27,8 +29,10 @@ Pins the daemon's contracts (``docs/SERVICE.md``):
 
 import json
 import os
+import socket
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -50,8 +54,23 @@ from repro.service.engine import JobRecord  # noqa: F401 - re-export check
 # ---------------------------------------------------------------------------
 
 class _Client:
-    def __init__(self, port):
+    def __init__(self, port, loop_errors):
+        self.port = port
         self.base = "http://127.0.0.1:%d" % port
+        #: Contexts passed to the gateway loop's exception handler.
+        self.loop_errors = loop_errors
+
+    def raw(self, data, timeout=5.0):
+        """Send raw bytes; return everything read until the server closes."""
+        with socket.create_connection(("127.0.0.1", self.port),
+                                      timeout=timeout) as sock:
+            sock.sendall(data)
+            chunks = []
+            while True:
+                chunk = sock.recv(1 << 16)
+                if not chunk:
+                    return b"".join(chunks)
+                chunks.append(chunk)
 
     def get(self, path):
         try:
@@ -88,6 +107,13 @@ def client(service):
 
     gateway = ServiceGateway(service)
     loop = asyncio.new_event_loop()
+    loop_errors = []
+
+    def record_error(loop, context):
+        loop_errors.append(context)
+        loop.default_exception_handler(context)
+
+    loop.set_exception_handler(record_error)
     started = threading.Event()
 
     def run():
@@ -101,7 +127,7 @@ def client(service):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     assert started.wait(10)
-    yield _Client(gateway.port)
+    yield _Client(gateway.port, loop_errors)
     loop.call_soon_threadsafe(loop.stop)
     thread.join(10)
     assert loop.is_closed()
@@ -141,7 +167,7 @@ class TestGatewayLifecycle:
         status, report = client.get("/jobs/%s/report" % job_id)
         assert status == 200
         validate_run_report(report)
-        assert report["version"] == 4
+        assert report["version"] == 5
 
     def test_unknown_routes_and_methods(self, service, client):
         assert client.get("/jobs/nope")[0] == 404
@@ -285,6 +311,65 @@ class TestRejectPath:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=30)
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("request_bytes", [
+        b"GET /healthz HTTP/1.1\r\nX-Padding: " + b"a" * 70000
+        + b"\r\n\r\n",
+        b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n",
+    ], ids=["long_header", "long_path"])
+    def test_over_long_line_gets_400(self, service, client, request_bytes):
+        reply = client.raw(request_bytes)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        body = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert body["error"] == "line_too_long"
+        assert client.loop_errors == []
+        assert client.get("/healthz")[0] == 200
+
+    def test_stalled_request_is_closed(self, service, client, monkeypatch):
+        monkeypatch.setattr("repro.service.gateway.REQUEST_TIMEOUT_S", 0.2)
+        started = time.monotonic()
+        reply = client.raw(b"POST /jobs HTTP/1.1\r\n"
+                           b"Content-Length: 100\r\n\r\n{")
+        assert reply == b""
+        assert time.monotonic() - started < 2.0
+        assert service.jobs() == []
+        assert client.loop_errors == []
+        assert client.get("/healthz")[0] == 200
+
+    def test_read_deadline_costs_no_task_per_request(self, service):
+        # The deadline is a timer on the connection: the read runs in the
+        # handler's own task, not in one more task (whose start and end
+        # would each cost an event-loop pass).
+        import asyncio
+
+        from repro.service import gateway as gateway_module
+
+        loop = asyncio.new_event_loop()
+        created = []
+
+        def factory(loop, coro, **kwargs):
+            # The loop's own accept tasks are not the gateway's.
+            if coro.cr_code.co_filename == gateway_module.__file__:
+                created.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        gateway = ServiceGateway(service)
+        loop.run_until_complete(gateway.start())
+        loop.set_task_factory(factory)
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        try:
+            client = _Client(gateway.port, [])
+            for _ in range(3):
+                assert client.get("/healthz")[0] == 200
+        finally:
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join(10)
+            loop.set_task_factory(None)
+            loop.run_until_complete(gateway.stop())
+            loop.run_until_complete(loop.shutdown_asyncgens())
+            loop.close()
+        assert created == ["ServiceGateway._handle"] * 3
 
     def test_parse_job_errors_carry_every_field(self):
         with pytest.raises(JobValidationError) as excinfo:

@@ -1,4 +1,4 @@
-"""Tests for repro.core.trace (structured protocol traces)."""
+"""Protocol events on the one recorder (repro.obs.recorder)."""
 
 import random
 
@@ -9,7 +9,7 @@ from repro.core.agent import DMWAgent
 from repro.core.deviant import WrongAggregatesAgent
 from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol
-from repro.core.trace import NULL_TRACE, ProtocolTrace, TraceEvent
+from repro.obs.recorder import NULL_RECORDER, Event, Recorder
 from repro.scheduling.problem import SchedulingProblem
 
 
@@ -25,10 +25,10 @@ def run_traced(params, problem, deviant_index=None, seed=0):
                                                rng=rng))
         else:
             agents.append(DMWAgent(index, params, values, rng=rng))
-    trace = ProtocolTrace()
-    protocol = DMWProtocol(params, agents, trace=trace)
+    recorder = Recorder()
+    protocol = DMWProtocol(params, agents, recorder=recorder)
     outcome = protocol.execute(problem.num_tasks)
-    return outcome, trace
+    return outcome, recorder
 
 
 @pytest.fixture()
@@ -44,111 +44,110 @@ def problem():
 
 class TestTraceObject:
     def test_record_and_query(self):
-        trace = ProtocolTrace()
-        trace.record("phase", task=0, name="bidding")
-        trace.record("phase", task=1, name="bidding")
-        trace.record("abort", reason="x")
-        assert len(trace) == 3
-        assert len(trace.events(kind="phase")) == 2
-        assert len(trace.events(task=1)) == 1
-        assert trace.kinds() == ["phase", "phase", "abort"]
+        recorder = Recorder()
+        recorder.event("phase", task=0, name="bidding")
+        recorder.event("phase", task=1, name="bidding")
+        recorder.event("abort", reason="x")
+        assert len(recorder.events) == 3
+        assert len(recorder.find_events(kind="phase")) == 2
+        assert len(recorder.find_events(task=1)) == 1
+        assert [event.kind for event in recorder.events] == \
+            ["phase", "phase", "abort"]
 
     def test_render(self):
-        trace = ProtocolTrace()
-        trace.record("winner", task=2, agent=4)
-        text = trace.render()
+        recorder = Recorder()
+        recorder.event("winner", task=2, agent=4)
+        text = recorder.render_events()
         assert "task 2" in text
         assert "winner" in text
         assert "agent=4" in text
 
     def test_null_trace_discards(self):
-        NULL_TRACE.record("anything", task=0)
-        assert len(NULL_TRACE) == 0
+        NULL_RECORDER.event("anything", task=0)
+        assert NULL_RECORDER.events == []
 
     def test_event_sequence_monotone(self):
-        trace = ProtocolTrace()
-        for index in range(5):
-            trace.record("e")
-        sequences = [event.sequence for event in trace]
-        assert sequences == list(range(5))
+        recorder = Recorder()
+        for _ in range(5):
+            recorder.event("e")
+        assert [event.seq for event in recorder.events] == list(range(5))
 
 
 class TestEventEncoding:
     def test_to_dict_from_dict_round_trip(self):
-        event = TraceEvent(sequence=7, task=2, kind="winner",
-                           detail={"agent": 4, "price": 3},
-                           timestamp=1.25)
+        event = Event(seq=7, kind="winner", task=2, span_id=3,
+                      timestamp=1.25, detail={"agent": 4, "price": 3})
         encoded = event.to_dict()
         assert encoded == {
-            "sequence": 7,
-            "task": 2,
+            "seq": 7,
             "kind": "winner",
-            "detail": {"agent": 4, "price": 3},
+            "task": 2,
+            "span_id": 3,
             "timestamp_s": 1.25,
+            "detail": {"agent": 4, "price": 3},
         }
-        assert TraceEvent.from_dict(encoded) == event
-
-    def test_from_dict_defaults_missing_timestamp(self):
-        # Hand-built / legacy documents may omit timestamp_s.
-        event = TraceEvent.from_dict(
-            {"sequence": 0, "task": None, "kind": "e", "detail": {}})
-        assert event.timestamp == 0.0
+        assert Event.from_dict(encoded) == event
 
     def test_trace_list_round_trip(self):
-        trace = ProtocolTrace()
-        trace.record("phase", task=0, name="bidding")
-        trace.record("abort", reason="x")
-        restored = ProtocolTrace.from_list(trace.to_list())
-        assert list(restored) == list(trace)
+        recorder = Recorder()
+        recorder.event("phase", task=0, name="bidding")
+        recorder.event("abort", reason="x")
+        restored = [Event.from_dict(event.to_dict())
+                    for event in recorder.events]
+        assert restored == recorder.events
 
     def test_recorded_timestamps_are_monotone(self):
-        trace = ProtocolTrace()
+        recorder = Recorder()
         for _ in range(4):
-            trace.record("e")
-        stamps = [event.timestamp for event in trace]
+            recorder.event("e")
+        stamps = [event.timestamp for event in recorder.events]
         assert stamps == sorted(stamps)
         assert all(stamp >= 0.0 for stamp in stamps)
 
 
+def _bare(seq):
+    return Event(seq=seq, kind="e", task=None, span_id=None, timestamp=0.0,
+                 detail={})
+
+
 class TestRenderWidth:
     def test_default_width_is_three(self):
-        assert TraceEvent(0, None, "e", {}).render().startswith("[000]")
+        assert _bare(0).render().startswith("[000]")
 
     def test_render_honours_explicit_width(self):
-        line = TraceEvent(1234, None, "e", {}).render(sequence_width=5)
-        assert line.startswith("[01234]")
+        assert _bare(1234).render(seq_width=5).startswith("[01234]")
 
     def test_long_trace_widens_sequence_column(self):
-        trace = ProtocolTrace()
-        for _ in range(1001):  # sequences 0..1000: four digits
-            trace.record("e")
-        lines = trace.render().splitlines()
+        recorder = Recorder()
+        for _ in range(1001):  # ids 0..1000: four digits
+            recorder.event("e")
+        lines = recorder.render_events().splitlines()
         assert lines[0].startswith("[0000]")
         assert lines[-1].startswith("[1000]")
         # Every line keeps the same column width, so the timeline aligns.
         assert len({line.index("]") for line in lines}) == 1
 
     def test_empty_trace_renders_empty(self):
-        assert ProtocolTrace().render() == ""
+        assert Recorder().render_events() == ""
 
 
 class TestProtocolIntegration:
     def test_honest_run_event_structure(self, params5, problem):
-        outcome, trace = run_traced(params5, problem)
+        outcome, recorder = run_traced(params5, problem)
         assert outcome.completed
         # One start + one resolution per task, one payments event, no
         # complaints or aborts.
-        assert len(trace.events(kind="auction_start")) == 2
-        assert len(trace.events(kind="auction_resolved")) == 2
-        assert len(trace.events(kind="payments_dispensed")) == 1
-        assert trace.events(kind="complaints") == []
-        assert trace.events(kind="abort") == []
+        assert len(recorder.find_events(kind="auction_start")) == 2
+        assert len(recorder.find_events(kind="auction_resolved")) == 2
+        assert len(recorder.find_events(kind="payments_dispensed")) == 1
+        assert recorder.find_events(kind="complaints") == []
+        assert recorder.find_events(kind="abort") == []
 
     def test_resolution_details_match_outcome(self, params5, problem):
-        outcome, trace = run_traced(params5, problem)
+        outcome, recorder = run_traced(params5, problem)
         for transcript in outcome.transcripts:
-            events = trace.events(kind="auction_resolved",
-                                  task=transcript.task)
+            events = recorder.find_events(kind="auction_resolved",
+                                          task=transcript.task)
             assert len(events) == 1
             detail = events[0].detail
             assert detail["first_price"] == transcript.first_price
@@ -158,27 +157,27 @@ class TestProtocolIntegration:
     def test_deviant_run_records_complaints(self, params5, problem):
         # Min bid 2 leaves resolution slack, so the run completes after
         # complaints exclude the corrupted aggregates.
-        outcome, trace = run_traced(params5, problem, deviant_index=4)
+        outcome, recorder = run_traced(params5, problem, deviant_index=4)
         assert outcome.completed
-        complaint_events = trace.events(kind="complaints")
+        complaint_events = recorder.find_events(kind="complaints")
         assert complaint_events
         assert all(4 in event.detail["accused"]
                    for event in complaint_events)
 
     def test_aborted_run_records_abort(self, params5):
         problem = SchedulingProblem([[1], [2], [3], [2], [3]])
-        outcome, trace = run_traced(params5, problem, deviant_index=2)
+        outcome, recorder = run_traced(params5, problem, deviant_index=2)
         assert not outcome.completed
-        aborts = trace.events(kind="abort")
+        aborts = recorder.find_events(kind="abort")
         assert len(aborts) == 1
         assert aborts[0].detail["phase"] == "allocating"
         # No payments event after an abort.
-        assert trace.events(kind="payments_dispensed") == []
+        assert recorder.find_events(kind="payments_dispensed") == []
 
     def test_complaints_precede_resolution(self, params5, problem):
-        _, trace = run_traced(params5, problem, deviant_index=4)
+        _, recorder = run_traced(params5, problem, deviant_index=4)
         for task in range(2):
-            kinds = [event.kind for event in trace.events(task=task)]
+            kinds = [event.kind for event in recorder.find_events(task=task)]
             if "complaints" in kinds and "auction_resolved" in kinds:
                 assert kinds.index("complaints") < \
                     kinds.index("auction_resolved")
@@ -191,4 +190,5 @@ class TestProtocolIntegration:
                   for i in range(5)]
         protocol = DMWProtocol(params5, agents)
         protocol.execute(2)
-        assert len(protocol.trace) == 0  # the shared NULL_TRACE
+        assert protocol.recorder is NULL_RECORDER
+        assert NULL_RECORDER.events == []

@@ -15,7 +15,7 @@ its lifecycle, three guarantees are pinned here:
 3. **Timeout/synchronous differential** — a ``TimeoutNetwork`` with
    :data:`~repro.network.asynchronous.NO_RETRY` and a zero-latency model
    is bit-identical to a bare ``SynchronousNetwork``: outcomes,
-   ``NetworkMetrics``, and the full flight-event sequence, under fault
+   ``NetworkMetrics``, and the full message-event sequence, under fault
    plans with dropped links and crashes.
 """
 
@@ -46,7 +46,7 @@ from repro.network.latency import LatencyModel
 from repro.network.simulator import SynchronousNetwork
 from repro.network.transport import (InProcessTransport, TransportError,
                                      create_transport)
-from repro.obs.flight import FlightRecorder
+from repro.obs.recorder import Recorder
 from repro.scheduling import workloads
 
 
@@ -368,11 +368,12 @@ def _outcome_signature(outcome):
     }
 
 
-def _flight_signature(flight):
-    """The full event sequence minus wall-clock (and span) identity."""
+def _flight_signature(recorder):
+    """The full message-event sequence minus wall-clock (and span)
+    identity."""
     return [(e.seq, e.type, e.round, e.kind, e.sender, e.receiver,
              e.field_elements, e.task, e.attempt, e.link, e.detail)
-            for e in flight.events]
+            for e in recorder.messages]
 
 
 FAULT_PLANS = {
@@ -401,7 +402,7 @@ class TestAsyncioSocketParity:
     @pytest.mark.parametrize("plan_name", sorted(FAULT_PLANS))
     def test_timeout_and_retry_parity_with_timeout_network(self, plan_name):
         """Same latency seed, timeout, retry policy, and fault plan =>
-        same totals and the same flight-event stream."""
+        same totals and the same message-event stream."""
         n, m, seed = 5, 2, 4
         parameters = DMWParameters.generate(n, fault_bound=1,
                                             group_size="small")
@@ -410,15 +411,15 @@ class TestAsyncioSocketParity:
         policy = RetryPolicy(max_attempts=2)
         timeout = 0.05
 
-        network_flight = FlightRecorder()
+        network_recorder = Recorder(message_capacity=65536)
         network = TimeoutNetwork(
             n, LatencyModel(random.Random(99)), round_timeout=timeout,
             fault_plan=FAULT_PLANS[plan_name](), extra_participants=1,
             retry_policy=policy)
         reference = _run_protocol(parameters, problem, seed, network=network,
-                                  flight=network_flight)
+                                  recorder=network_recorder)
 
-        socket_flight = FlightRecorder()
+        socket_recorder = Recorder(message_capacity=65536)
         transport = create_transport(
             "asyncio", n, fault_plan=FAULT_PLANS[plan_name](),
             latency_model=LatencyModel(random.Random(99)),
@@ -426,13 +427,13 @@ class TestAsyncioSocketParity:
         try:
             socketed = _run_protocol(parameters, problem, seed,
                                      transport=transport,
-                                     flight=socket_flight)
+                                     recorder=socket_recorder)
         finally:
             transport.close()
 
         assert _outcome_signature(socketed) == _outcome_signature(reference)
-        assert _flight_signature(socket_flight) == \
-            _flight_signature(network_flight)
+        assert _flight_signature(socket_recorder) == \
+            _flight_signature(network_recorder)
         view = transport
         assert view.clock == pytest.approx(network.clock)
         assert view.late_messages == network.late_messages
@@ -453,10 +454,10 @@ def _agents_for(parameters, problem, seed):
 
 
 def _run_protocol(parameters, problem, seed, network=None, transport=None,
-                  flight=None, degraded=False):
+                  recorder=None, degraded=False):
     agents = _agents_for(parameters, problem, seed)
     protocol = DMWProtocol(parameters, agents, network=network,
-                           transport=transport, flight=flight)
+                           transport=transport, recorder=recorder)
     return protocol.execute(problem.num_tasks, degraded=degraded)
 
 
@@ -473,7 +474,7 @@ class TestTimeoutMatchesSynchronousDifferential:
 
     The timeout barrier only changes behaviour when a copy is *late*;
     with a zero-latency model nothing ever is, so outcomes, metrics, and
-    the complete flight-event stream (link fields included) must be
+    the complete message-event stream (link fields included) must be
     bit-identical under any fault plan.
     """
 
@@ -486,21 +487,21 @@ class TestTimeoutMatchesSynchronousDifferential:
         problem = workloads.random_discrete(n, m, parameters.bid_values,
                                             random.Random(seed))
 
-        sync_flight = FlightRecorder()
+        sync_recorder = Recorder(message_capacity=65536)
         sync_network = SynchronousNetwork(
             n, fault_plan=FAULT_PLANS[plan_name](), extra_participants=1)
         sync_outcome = _run_protocol(parameters, problem, seed,
                                      network=sync_network,
-                                     flight=sync_flight, degraded=degraded)
+                                     recorder=sync_recorder, degraded=degraded)
 
-        timeout_flight = FlightRecorder()
+        timeout_recorder = Recorder(message_capacity=65536)
         timeout_network = TimeoutNetwork(
             n, _zero_latency(), round_timeout=1.0,
             fault_plan=FAULT_PLANS[plan_name](), extra_participants=1,
             retry_policy=NO_RETRY)
         timeout_outcome = _run_protocol(parameters, problem, seed,
                                         network=timeout_network,
-                                        flight=timeout_flight,
+                                        recorder=timeout_recorder,
                                         degraded=degraded)
 
         assert _outcome_signature(timeout_outcome) == \
@@ -510,9 +511,10 @@ class TestTimeoutMatchesSynchronousDifferential:
             assert timeout_outcome.abort.phase == sync_outcome.abort.phase
         assert sorted(timeout_outcome.task_aborts) == \
             sorted(sync_outcome.task_aborts)
-        assert _flight_signature(timeout_flight) == \
-            _flight_signature(sync_flight)
-        assert timeout_flight.summary() == sync_flight.summary()
+        assert _flight_signature(timeout_recorder) == \
+            _flight_signature(sync_recorder)
+        assert timeout_recorder.message_summary() == \
+            sync_recorder.message_summary()
         # Nothing was ever late, so the timeout bookkeeping must be inert.
         assert timeout_network.late_messages == 0
         assert timeout_network.retries == 0
