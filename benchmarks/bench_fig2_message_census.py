@@ -2,9 +2,12 @@
 
 Fig. 2 shows the sequence of messages one DMW auction exchanges: private
 share bundles, published commitments, published (Lambda, Psi), disclosed
-f-share rows, published second-price values, and payment claims.  This
-bench runs an honest 5-agent, 2-task execution and reports the per-kind
-message counts next to the counts the protocol specification predicts.
+f-share rows, winner claims, published second-price values, and payment
+claims.  This bench runs an honest 5-agent, 2-task execution and reports
+the per-kind message counts next to the exact counts of
+:func:`repro.core.rounds.theorem11_totals`, whose only per-task inputs
+are read off the instance: the disclosure width ``d_t`` of the first
+price and the number ``k_t`` of agents tied on it.
 """
 
 import random
@@ -14,6 +17,7 @@ from _report import run_once, write_report
 from repro.analysis import render_table
 from repro.core import DMWParameters
 from repro.core.protocol import run_dmw
+from repro.core.rounds import ROUNDS, theorem11_totals
 from repro.scheduling import workloads
 
 N, M, C = 5, 2, 1
@@ -28,54 +32,39 @@ def run_protocol():
     return parameters, problem, outcome
 
 
-def predicted_counts(parameters, outcome):
-    """The specification's expected per-kind counts for an honest run."""
-    n, m = N, M
-    fan_out = n  # n - 1 agents + the payment-infrastructure endpoint
-    disclosure_fan_out = sum(
-        parameters.disclosure_width(t.first_price)
-        for t in outcome.transcripts
-    )
-    # winner_claim counts vary with how many agents tie on the first
-    # price, so they are reported but not predicted exactly.
-    return {
-        "share_bundle": m * n * (n - 1),
-        "commitments": m * n * fan_out,
-        "lambda_psi": m * n * fan_out,
-        "f_disclosure": disclosure_fan_out * fan_out,
-        "second_price": m * n * fan_out,
-        "payment_claim": n,
-    }
+def predicted_totals(parameters, problem):
+    """The exact honest-run totals, from the instance alone."""
+    disclosures = []
+    for task in range(problem.num_tasks):
+        bids = [int(problem.time(agent, task)) for agent in range(N)]
+        first_price = min(bids)
+        disclosures.append((parameters.disclosure_width(first_price),
+                            bids.count(first_price)))
+    return theorem11_totals(N, parameters.sigma, disclosures)
 
 
 def test_fig2_message_census(benchmark):
     parameters, problem, outcome = run_once(benchmark, run_protocol)
-    measured = dict(outcome.network_metrics.by_kind)
-    predicted = predicted_counts(parameters, outcome)
+    metrics = outcome.network_metrics
+    measured = dict(metrics.by_kind)
+    predicted = predicted_totals(parameters, problem)
 
     rows = []
-    order = ["share_bundle", "commitments", "lambda_psi", "f_disclosure",
-             "winner_claim", "second_price", "payment_claim"]
-    for kind in order:
-        expected = predicted.get(kind)
-        rows.append([kind, measured.get(kind, 0),
-                     expected if expected is not None else "(varies)",
-                     expected is None or measured.get(kind, 0) == expected])
-        if expected is not None:
-            assert measured.get(kind, 0) == expected, kind
-
-    # Winner claims: between 1 (the winner) and n claimants per task, each
-    # claim expanding to n unicasts.
-    claims = measured.get("winner_claim", 0)
-    assert M * N <= claims <= M * N * N
+    for kind in [kind.name for round_ in ROUNDS for kind in round_.kinds]:
+        expected = predicted.by_kind[kind]
+        rows.append([kind, measured.get(kind, 0), expected,
+                     measured.get(kind, 0) == expected])
+    assert measured == predicted.by_kind
+    assert metrics.point_to_point_messages == predicted.messages
+    assert metrics.field_elements == predicted.field_elements
 
     report = ("Fig. 2 message census (n=%d, m=%d, c=%d, honest run)\n"
               % (N, M, C))
     report += render_table(
         ["message kind (Fig. 2 order)", "measured", "predicted", "ok"], rows)
-    report += ("\n\ntotals: %d point-to-point messages, %d field elements, "
-               "%d synchronous rounds"
-               % (outcome.network_metrics.point_to_point_messages,
-                  outcome.network_metrics.field_elements,
-                  outcome.network_metrics.rounds))
+    report += ("\n\ntotals: %d point-to-point messages (predicted %d), "
+               "%d field elements (predicted %d), %d synchronous rounds"
+               % (metrics.point_to_point_messages, predicted.messages,
+                  metrics.field_elements, predicted.field_elements,
+                  metrics.rounds))
     write_report("fig2_message_census", report)

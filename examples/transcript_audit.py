@@ -25,6 +25,7 @@ from repro.core import DMWParameters
 from repro.core.agent import DMWAgent
 from repro.core.audit import audit_protocol_run
 from repro.core.protocol import DMWProtocol
+from repro.core.rounds import LAMBDA_PSI
 from repro.network.message import Message
 from repro.scheduling import workloads
 
@@ -67,7 +68,7 @@ def main():
     protocol, outcome = build_and_run(parameters, problem)
     board = protocol.network.bulletin_board
     for index, message in enumerate(board):
-        if message.kind == "lambda_psi":
+        if message.kind == LAMBDA_PSI.name:
             task, (lam, psi) = message.payload
             forged = parameters.group.mul(lam, parameters.z1)
             board[index] = Message(sender=message.sender, recipient=None,

@@ -12,7 +12,7 @@ Two kinds of rules run over one shared parse per file: per-file rules
 (:class:`ProjectRule`) see a :class:`ProjectContext` carrying a module
 resolver, call graph, and interprocedural taint summaries — which is
 how DMW004 follows a secret through a cross-module helper chain and how
-DMW009–DMW011 check protocol flow, async safety, and pool-shared state.
+DMW010 and DMW011 check async safety and pool-shared state.
 
 Entry points
 ------------

@@ -1,10 +1,10 @@
 """Module resolution and call graph for whole-program dmwlint rules.
 
 The per-file rules see one AST at a time; the whole-program rules
-(interprocedural DMW004, protocol-flow DMW009, async-safety DMW010,
-pool-shared-state DMW011) need to know *who calls whom* across module
-boundaries.  This module builds that picture from nothing but the parsed
-ASTs the engine already holds:
+(interprocedural DMW004, async-safety DMW010, pool-shared-state DMW011)
+need to know *who calls whom* across module boundaries.  This module
+builds that picture from nothing but the parsed ASTs the engine already
+holds:
 
 * :func:`module_name_for_path` maps a file path to its dotted module
   name (``src/repro/core/machine.py`` -> ``repro.core.machine``);

@@ -11,7 +11,7 @@ Two passes share one parse per file:
 * the **project pass** hands all contexts at once to each
   :class:`~repro.analysis.static.base.ProjectRule` via a
   :class:`~repro.analysis.static.project.ProjectContext`, which is how
-  interprocedural rules (DMW004's cross-module taint, DMW009–DMW011)
+  interprocedural rules (DMW004's cross-module taint, DMW010, DMW011)
   see the whole program.
 
 Suppressions apply uniformly: a ``# dmwlint: disable=...`` comment
@@ -227,9 +227,9 @@ def run_paths(paths: Iterable[str],
               jobs: int = 1) -> LintReport:
     """Lint every ``.py`` file under ``paths`` with ``rules``.
 
-    ``rules`` defaults to ``DEFAULT_RULES`` — the eleven default-enabled
-    domain rules (DMW001–DMW011; the opt-in DMW000 annotation gate is
-    excluded).  ``jobs > 1`` fans the per-file pass out over worker
+    ``rules`` defaults to ``DEFAULT_RULES`` — the ten default-enabled
+    domain rules (DMW001–DMW011 without DMW009; the opt-in DMW000
+    annotation gate is excluded).  ``jobs > 1`` fans the per-file pass out over worker
     processes; the whole-program pass always runs in the parent.
     """
     if rules is None:

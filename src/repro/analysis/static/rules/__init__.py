@@ -23,7 +23,6 @@ from .dmw005_post_send_mutation import PostSendMutationRule
 from .dmw006_float_in_crypto import FloatInCryptoRule
 from .dmw007_backend_bypass import BackendBypassRule
 from .dmw008_agent_network_access import AgentNetworkAccessRule
-from .dmw009_protocol_flow import ProtocolFlowRule
 from .dmw010_async_blocking import AsyncBlockingRule
 from .dmw011_pool_globals import PoolSharedStateRule
 
@@ -37,7 +36,6 @@ RULE_CLASSES: List[Type[Rule]] = [
     FloatInCryptoRule,
     BackendBypassRule,
     AgentNetworkAccessRule,
-    ProtocolFlowRule,
     AsyncBlockingRule,
     PoolSharedStateRule,
 ]

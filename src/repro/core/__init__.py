@@ -30,7 +30,7 @@ from .deviant import (
     WrongSecondPriceAgent,
     standard_deviations,
 )
-from .exceptions import DMWError, ParameterError, ProtocolAbort
+from .exceptions import DMWError, ParameterError, ProtocolAbort, ScheduleError
 from .naive import NaiveAgent, NaiveDistributedMinWork, run_naive
 from .outcome import AuctionTranscript, DMWOutcome
 from .parameters import DMWParameters
@@ -80,6 +80,7 @@ __all__ = [
     "ProtocolAbort",
     "ProtocolCheckpoint",
     "ResolutionError",
+    "ScheduleError",
     "ShareBundle",
     "WithholdAggregatesAgent",
     "WithholdCommitmentsAgent",

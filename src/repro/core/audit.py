@@ -50,6 +50,8 @@ from .resolution import (
     resolve_first_price,
     resolve_second_price,
 )
+from .rounds import (COMMITMENTS, F_DISCLOSURE, LAMBDA_PSI, SECOND_PRICE,
+                     WINNER_CLAIM)
 from .verification import CheckStats, verify_f_disclosure, verify_lambda_psi
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -113,17 +115,6 @@ class TranscriptAuditor:
         self._findings.append(AuditFinding(task=task, check=check,
                                            detail=detail))
 
-    def _published_by_task(self, messages: Iterable["Message"],
-                           kind: str) -> Dict[int, Dict[int, object]]:
-        """Group one published kind as ``task -> {sender -> payload}``."""
-        grouped: Dict[int, Dict[int, object]] = {}
-        for message in messages:
-            if message.kind != kind:
-                continue
-            task, payload = message.payload
-            grouped.setdefault(task, {})[message.sender] = payload
-        return grouped
-
     # -- the audit -------------------------------------------------------------
     def audit(self, messages: Iterable["Message"], num_tasks: int,
               outcome: Optional[DMWOutcome] = None) -> AuditReport:
@@ -140,16 +131,15 @@ class TranscriptAuditor:
             reconstruction is compared against it.
         """
         n = self.parameters.num_agents
-        boards = {
-            "commitments": self._published_by_task(messages, "commitments"),
-            "lambda_psi": self._published_by_task(messages, "lambda_psi"),
-            "f_disclosure": self._published_by_task(messages,
-                                                    "f_disclosure"),
-            "winner_claim": self._published_by_task(messages,
-                                                    "winner_claim"),
-            "second_price": self._published_by_task(messages,
-                                                    "second_price"),
-        }
+        # kind -> task -> {sender -> payload}, for every published kind.
+        boards: Dict[str, Dict[int, Dict[int, object]]] = {
+            kind.name: {} for kind in (COMMITMENTS, LAMBDA_PSI, F_DISCLOSURE,
+                                       WINNER_CLAIM, SECOND_PRICE)}
+        for message in messages:
+            if message.kind in boards:
+                task, payload = message.payload
+                board = boards[message.kind].setdefault(task, {})
+                board[message.sender] = payload
         quarantined = set()
         if outcome is not None:
             quarantined = set(getattr(outcome, "task_aborts", {}) or {})
@@ -223,9 +213,9 @@ class TranscriptAuditor:
         """
         parameters = self.parameters
         n = parameters.num_agents
-        commitments = boards["commitments"].get(task, {})
+        commitments = boards[COMMITMENTS.name].get(task, {})
         if set(commitments) != set(range(n)):
-            flag(task, "commitments",
+            flag(task, COMMITMENTS.name,
                  "missing commitments from agents %s"
                  % sorted(set(range(n)) - set(commitments)))
             return None
@@ -233,8 +223,8 @@ class TranscriptAuditor:
 
         # eq. (11): which aggregates are valid.
         valid_lambdas: Dict[int, int] = {}
-        for publisher, (lam, psi) in boards["lambda_psi"].get(task,
-                                                              {}).items():
+        for publisher, (lam, psi) in boards[LAMBDA_PSI.name].get(
+                task, {}).items():
             if verify_lambda_psi(parameters, ordered,
                                  parameters.pseudonyms[publisher],
                                  lam, psi, counter=self.counter,
@@ -242,7 +232,7 @@ class TranscriptAuditor:
                                  stats=self.check_stats):
                 valid_lambdas[publisher] = lam
             else:
-                flag(task, "lambda_psi",
+                flag(task, LAMBDA_PSI.name,
                      "agent %d published inconsistent aggregates"
                      % publisher)
 
@@ -255,17 +245,18 @@ class TranscriptAuditor:
 
         # eq. (13): which disclosure rows are valid.
         valid_rows: Dict[int, Dict[int, tuple]] = {}
-        for discloser, row in boards["f_disclosure"].get(task, {}).items():
+        for discloser, row in boards[F_DISCLOSURE.name].get(task,
+                                                            {}).items():
             if verify_f_disclosure(parameters, ordered,
                                    parameters.pseudonyms[discloser],
                                    row, self.counter, self.cache,
                                    stats=self.check_stats):
                 valid_rows[discloser] = row
             else:
-                flag(task, "f_disclosure",
+                flag(task, F_DISCLOSURE.name,
                      "agent %d disclosed an inconsistent row" % discloser)
 
-        claimants = sorted(boards["winner_claim"].get(task, {}),
+        claimants = sorted(boards[WINNER_CLAIM.name].get(task, {}),
                            key=lambda i: parameters.pseudonyms[i])
         try:
             winner = identify_winner(parameters, first_price, valid_rows,
@@ -277,8 +268,8 @@ class TranscriptAuditor:
             return None
 
         valid_excluded: Dict[int, int] = {}
-        for publisher, (lam, psi) in boards["second_price"].get(task,
-                                                                {}).items():
+        for publisher, (lam, psi) in boards[SECOND_PRICE.name].get(
+                task, {}).items():
             if verify_lambda_psi(parameters, ordered,
                                  parameters.pseudonyms[publisher],
                                  lam, psi, exclude=winner,
@@ -287,7 +278,7 @@ class TranscriptAuditor:
                                  stats=self.check_stats):
                 valid_excluded[publisher] = lam
             else:
-                flag(task, "second_price",
+                flag(task, SECOND_PRICE.name,
                      "agent %d published inconsistent excluded "
                      "aggregates" % publisher)
         try:
@@ -295,7 +286,7 @@ class TranscriptAuditor:
                                                    valid_excluded,
                                                    self.counter, self.cache)
         except ResolutionError as error:
-            flag(task, "second_price", str(error))
+            flag(task, SECOND_PRICE.name, str(error))
             return None
 
         return winner, second_price

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
 
 class DMWError(Exception):
@@ -54,3 +54,29 @@ class ProtocolAbort(DMWError):
         processes; the default exception reduction would drop ``phase``)."""
         return (ProtocolAbort, (self.reason, self.phase, self.task,
                                 self.detected_by, self.offender))
+
+
+class ScheduleError(DMWError):
+    """A round barrier charged a message kind its round does not declare.
+
+    The schedule is :mod:`repro.core.rounds`.  Not a
+    :class:`ProtocolAbort`: agents choose message contents, never kinds,
+    so no deviant can cause it and degraded mode never quarantines it.
+    ``round``, ``kind`` and ``senders`` (agent indices, ascending) name
+    the defect in the driver, a machine or a transport.
+    """
+
+    def __init__(self, round_name: str, kind: str,
+                 senders: Sequence[int]) -> None:
+        super().__init__(
+            "the %s round charged message kind %r, which it does not "
+            "declare (sent by agent(s) %s)"
+            % (round_name, kind,
+               ", ".join(str(s) for s in senders) or "none"))
+        self.round = round_name
+        self.kind = kind
+        self.senders = tuple(senders)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        """Pickle support: a pool shard's error reaches the parent intact."""
+        return (ScheduleError, (self.round, self.kind, self.senders))

@@ -38,6 +38,8 @@ from ..network.message import Message
 from ..network.transport import Transport
 from .agent import DMWAgent
 from .exceptions import ProtocolAbort
+from .rounds import (COMMITMENTS, F_DISCLOSURE, LAMBDA_PSI, PAYMENT_CLAIM,
+                     SECOND_PRICE, SHARE_BUNDLE, WINNER_CLAIM, MessageKind)
 
 #: ``boards[task][sender] -> published value`` (the merged bulletin view).
 Boards = Dict[int, Dict[int, Any]]
@@ -49,48 +51,54 @@ class AgentMachine:
     def __init__(self, agent: DMWAgent) -> None:
         self.agent = agent
         self.index = agent.index
+        self._size = (agent.parameters.num_agents, agent.parameters.sigma)
 
     # -- send steps -----------------------------------------------------------
+    def _transmit(self, transport: Transport, kind: MessageKind,
+                  payload: Any, recipient: Optional[int] = None) -> None:
+        """Queue one ``kind`` message the way the schedule declares it
+        (:mod:`repro.core.rounds`): published or unicast, and its size."""
+        elements = kind.field_elements(*self._size)
+        if kind.published:
+            transport.publish(self.index, kind.name, payload,
+                              field_elements=elements)
+        else:
+            assert recipient is not None, "%s is unicast" % kind.name
+            transport.send(self.index, recipient, kind.name, payload,
+                           field_elements=elements)
+
     def send_bidding(self, task: int, transport: Transport) -> None:
         """Phase II: publish commitments, unicast the private shares."""
         commitments, bundles = self.agent.begin_task(task)
         if commitments is not None:
-            transport.publish(self.index, "commitments", (task, commitments),
-                              field_elements=commitments.field_elements)
+            self._transmit(transport, COMMITMENTS, (task, commitments))
         for recipient, bundle in bundles.items():
-            if bundle is None:
-                continue
-            transport.send(self.index, recipient, "share_bundle",
-                           (task, bundle),
-                           field_elements=bundle.FIELD_ELEMENTS)
+            if bundle is not None:
+                self._transmit(transport, SHARE_BUNDLE, (task, bundle),
+                               recipient)
 
     def send_aggregates(self, task: int, transport: Transport) -> None:
         """Step III.2: publish ``(Lambda_i, Psi_i)``."""
         published = self.agent.publish_aggregates(task)
         if published is not None:
-            transport.publish(self.index, "lambda_psi", (task, published),
-                              field_elements=2)
+            self._transmit(transport, LAMBDA_PSI, (task, published))
 
-    def send_disclosure(self, task: int, transport: Transport,
-                        num_agents: int) -> None:
+    def send_disclosure(self, task: int, transport: Transport) -> None:
         """Step III.3: publish the ``(f, h)`` row and any winner claim."""
         row = self.agent.disclose_f_shares(task)
         if row is not None:
-            transport.publish(self.index, "f_disclosure", (task, row),
-                              field_elements=2 * num_agents)
+            self._transmit(transport, F_DISCLOSURE, (task, row))
         if self.agent.claim_winnership(task):
-            transport.publish(self.index, "winner_claim", (task, True),
-                              field_elements=1)
+            self._transmit(transport, WINNER_CLAIM, (task, True))
 
     def send_second_price(self, task: int, transport: Transport) -> None:
         """Step III.4: publish the winner-excluded aggregates."""
         published = self.agent.publish_excluded_aggregates(task)
         if published is not None:
-            transport.publish(self.index, "second_price", (task, published),
-                              field_elements=2)
+            self._transmit(transport, SECOND_PRICE, (task, published))
 
     def send_payment_claim(self, transport: Transport,
-                           infrastructure_id: int, num_agents: int,
+                           infrastructure_id: int,
                            completed_tasks: Optional[List[int]] = None
                            ) -> None:
         """Phase IV: unicast the payment vector to the escrow endpoint.
@@ -101,31 +109,30 @@ class AgentMachine:
         """
         claim = self.agent.payment_claim(completed_tasks)
         if claim is not None:
-            transport.send(self.index, infrastructure_id, "payment_claim",
-                           claim, field_elements=num_agents)
+            self._transmit(transport, PAYMENT_CLAIM, claim, infrastructure_id)
 
     # -- receive steps --------------------------------------------------------
     def recv_bidding(self, transport: Transport) -> None:
         """Absorb the bidding round: commitments, then private bundles."""
-        for message in transport.receive(self.index, "commitments"):
+        for message in transport.receive(self.index, COMMITMENTS.name):
             message_task, commitments = message.payload
             self.agent.receive_commitments(message_task, message.sender,
                                            commitments)
-        for message in transport.receive(self.index, "share_bundle"):
+        for message in transport.receive(self.index, SHARE_BUNDLE.name):
             message_task, bundle = message.payload
             self.agent.receive_bundle(message_task, message.sender, bundle)
 
-    def collect_published(self, kind: str, transport: Transport,
+    def collect_published(self, kind: MessageKind, transport: Transport,
                           boards: Boards) -> None:
         """Drain one published kind into the merged bulletin-board view."""
-        for message in transport.receive(self.index, kind):
+        for message in transport.receive(self.index, kind.name):
             message_task, value = message.payload
             boards.setdefault(message_task, {})[message.sender] = value
 
     def collect_claims(self, transport: Transport,
                        claims_by_task: Dict[int, List[int]]) -> None:
         """Drain winner claims into the per-task claimant lists."""
-        for message in transport.receive(self.index, "winner_claim"):
+        for message in transport.receive(self.index, WINNER_CLAIM.name):
             message_task, _ = message.payload
             claims_by_task.setdefault(message_task, []).append(message.sender)
 

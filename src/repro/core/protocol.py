@@ -10,22 +10,11 @@ transport runs the same state machines over localhost TCP (see
 ``docs/TRANSPORTS.md``).  The orchestrator is a stand-in for lockstep
 execution: it contains no mechanism logic of its own — every decision is
 made inside an agent method — and merely sequences the rounds that the
-paper's implicit synchronization barriers (step II.4) impose.
-
-Message kinds (matching Fig. 2 top to bottom):
-
-========================  =========================================  ============
-kind                      content                                    field elems
-========================  =========================================  ============
-``share_bundle``          private ``(e, f, g, h)`` shares             4
-``commitments``           published ``(O, Q, R)`` vectors             ``3 sigma``
-``lambda_psi``            published ``(Lambda_i, Psi_i)``             2
-``f_disclosure``          published ``(f, h)`` share row              ``2n``
-``winner_claim``          published candidacy announcement            1
-``second_price``          published ``(Lambda'_i, Psi'_i)``           2
-``payment_claim``         vector sent to the payment escrow           ``n``
-``*_complaint``           accusations (only under attack)             #accused
-========================  =========================================  ============
+paper's implicit synchronization barriers (step II.4) impose.  The rounds,
+their message kinds and their costs are declared once, in
+:mod:`repro.core.rounds`, and every barrier is checked against that table:
+a kind a round does not declare raises
+:class:`~repro.core.exceptions.ScheduleError`.
 
 Strong communication compatibility (Theorem 3) is vacuous in this model:
 the network is obedient and no agent forwards another's messages — every
@@ -63,16 +52,19 @@ from ..network.faults import FaultPlan
 from ..network.simulator import SynchronousNetwork
 from ..network.transport import (InProcessTransport, Transport,
                                  create_transport)
-from ..obs.recorder import KIND_RUN, KIND_TASK, PAYMENTS_PHASE, Recorder
+from ..obs.recorder import KIND_RUN, KIND_TASK, Recorder
 from ..scheduling.problem import SchedulingProblem
 from ..scheduling.schedule import PartialSchedule, Schedule
 from .agent import DMWAgent
-from .exceptions import ParameterError, ProtocolAbort
+from .exceptions import ParameterError, ProtocolAbort, ScheduleError
 from .machine import AgentMachine, Boards
 from .outcome import AuctionTranscript, DMWOutcome
 from .parameters import DMWParameters
 from .payments import PaymentInfrastructure
 from .resolution import ResolutionError
+from .rounds import (AGGREGATION, BIDDING, DISCLOSURE, F_DISCLOSURE,
+                     LAMBDA_PSI, PAYMENT_CLAIM, PAYMENTS, RESOLUTION,
+                     SECOND_PRICE, Round)
 
 
 class DMWProtocol:
@@ -261,6 +253,33 @@ class DMWProtocol:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
+    def _network_totals(self) -> Dict[str, int]:
+        """The span network source, read at call time (a checkpoint
+        restore replaces ``self.network.metrics``)."""
+        return self.network.metrics.as_dict()
+
+    def _barrier(self, round_: Round) -> None:
+        """Step one round barrier; raise :class:`ScheduleError` when it
+        charged a kind ``round_`` does not declare."""
+        network = self.network
+        charged = network.metrics.by_kind
+        before = dict(charged)
+        round_index = network.round_index
+        declared = {kind.name for kind in round_.kinds} | {round_.complaint}
+        self.transport.step()
+        for kind, count in charged.items():
+            if count != before.get(kind, 0) and kind not in declared:
+                # Published copies are on the bulletin board; unicasts
+                # are still in the (undrained) inboxes.
+                senders = {message.sender
+                           for message in network.published(kind)
+                           if message.round_sent == round_index}
+                for participant in range(network.num_participants):
+                    senders.update(message.sender
+                                   for message in network.peek(participant)
+                                   if message.kind == kind)
+                raise ScheduleError(round_.name, kind, sorted(senders))
+
     # -- the barrier driver ---------------------------------------------------
     # One driver runs a *batch* of auctions.  Each phase is one pass of the
     # receive/act/send state machines over every task in the batch: every
@@ -289,22 +308,14 @@ class DMWProtocol:
         active = list(tasks)
         # Phase spans name their task only when the batch is one auction.
         span_task = tasks[0] if len(tasks) == 1 else None
-        with recorder.span("bidding", task=span_task):
-            abort = self._run_bidding(active)
-        if abort is not None or not active:
-            return abort
-        with recorder.span("aggregation", task=span_task):
-            abort = self._run_aggregation(active)
-        if abort is not None or not active:
-            return abort
-        with recorder.span("disclosure", task=span_task):
-            abort = self._run_disclosure(active)
-        if abort is not None or not active:
-            return abort
-        with recorder.span("resolution", task=span_task):
-            abort = self._run_resolution(active)
-        if abort is not None:
-            return abort
+        for round_, run_round in ((BIDDING, self._run_bidding),
+                                  (AGGREGATION, self._run_aggregation),
+                                  (DISCLOSURE, self._run_disclosure),
+                                  (RESOLUTION, self._run_resolution)):
+            with recorder.span(round_.name, task=span_task):
+                abort = run_round(active)
+            if abort is not None or not active:
+                return abort
         reference = self._reference_agent()
         for task in active:
             state = reference.task_state(task)
@@ -329,7 +340,7 @@ class DMWProtocol:
         for task in tasks:
             for machine in self.machines:
                 machine.send_bidding(task, self.transport)
-        self.transport.step()
+        self._barrier(BIDDING)
         for machine in self.machines:
             machine.recv_bidding(self.transport)
         return self._act_each(tasks, AgentMachine.act_check_shares)
@@ -340,15 +351,15 @@ class DMWProtocol:
         for task in tasks:
             for machine in self.machines:
                 machine.send_aggregates(task, self.transport)
-        self.transport.step()
+        self._barrier(AGGREGATION)
         boards: Boards = {}
         for machine in self.machines:
-            machine.collect_published("lambda_psi", self.transport, boards)
+            machine.collect_published(LAMBDA_PSI, self.transport, boards)
         for task in tasks:
             self.recorder.event("aggregates_published", task=task,
                                 publishers=sorted(boards.get(task, {})))
-        self._run_complaints("aggregate_complaint", "aggregates", tasks,
-                             boards, AgentMachine.act_validate_aggregates,
+        self._run_complaints(AGGREGATION, tasks, boards,
+                             AgentMachine.act_validate_aggregates,
                              AgentMachine.act_arbitrate_aggregates)
         return self._act_each(tasks, AgentMachine.act_resolve_first)
 
@@ -357,13 +368,12 @@ class DMWProtocol:
         the lowest bidders announce winner claims; then find the winner."""
         for task in tasks:
             for machine in self.machines:
-                machine.send_disclosure(task, self.transport,
-                                        self.parameters.num_agents)
-        self.transport.step()
+                machine.send_disclosure(task, self.transport)
+        self._barrier(DISCLOSURE)
         rows: Boards = {}
         claims: Dict[int, List[int]] = {}
         for machine in self.machines:
-            machine.collect_published("f_disclosure", self.transport, rows)
+            machine.collect_published(F_DISCLOSURE, self.transport, rows)
             machine.collect_claims(self.transport, claims)
         # Claimants in pseudonym order.
         claimants = {task: sorted(set(claims.get(task, [])),
@@ -373,8 +383,8 @@ class DMWProtocol:
             self.recorder.event("disclosures_published", task=task,
                                 disclosers=sorted(rows.get(task, {})),
                                 claimants=claimants[task])
-        self._run_complaints("disclosure_complaint", "disclosures", tasks,
-                             rows, AgentMachine.act_validate_disclosures,
+        self._run_complaints(DISCLOSURE, tasks, rows,
+                             AgentMachine.act_validate_disclosures,
                              AgentMachine.act_arbitrate_disclosures)
         return self._act_each(
             tasks, lambda machine, task:
@@ -386,16 +396,16 @@ class DMWProtocol:
         for task in tasks:
             for machine in self.machines:
                 machine.send_second_price(task, self.transport)
-        self.transport.step()
+        self._barrier(RESOLUTION)
         boards: Boards = {}
         for machine in self.machines:
-            machine.collect_published("second_price", self.transport, boards)
-        self._run_complaints("second_price_complaint", "second_price", tasks,
-                             boards, AgentMachine.act_validate_excluded,
+            machine.collect_published(SECOND_PRICE, self.transport, boards)
+        self._run_complaints(RESOLUTION, tasks, boards,
+                             AgentMachine.act_validate_excluded,
                              AgentMachine.act_arbitrate_excluded)
         return self._act_each(tasks, AgentMachine.act_resolve_second)
 
-    def _run_complaints(self, kind: str, stage: str, tasks: List[int],
+    def _run_complaints(self, round_: Round, tasks: List[int],
                         boards: Boards,
                         validate: Callable[[AgentMachine, int, Dict[int, Any]],
                                            List[int]],
@@ -404,7 +414,8 @@ class DMWProtocol:
                                             None]) -> None:
         """Cross-validate every task's board; settle the accusations.
 
-        All of the batch's accusations share one complaint barrier, and
+        All of the batch's accusations share one complaint barrier, which
+        carries ``round_``'s complaint kind and records its stage label;
         ``arbitrate`` applies the verdict per machine once each task's
         union is known.  Skipped entirely (no extra round, no messages)
         when nobody complains — the honest-path common case, which keeps
@@ -419,17 +430,19 @@ class DMWProtocol:
                         (task, accused))
         if not complaints_by_agent:
             return
+        kind = round_.complaint
+        assert kind is not None
         for agent_index, complaints in complaints_by_agent.items():
             self.transport.publish(agent_index, kind, complaints,
                                    field_elements=len(complaints))
-        self.transport.step()
+        self._barrier(round_)
         union: Dict[int, Set[int]] = {}
         for machine in self.machines:
             for message in machine.drain(kind, self.transport):
                 for task, accused in message.payload:
                     union.setdefault(task, set()).add(accused)
         for task, accused in union.items():
-            self.recorder.event("complaints", task=task, stage=stage,
+            self.recorder.event("complaints", task=task, stage=round_.stage,
                                 accused=sorted(accused))
             for machine in self.machines:
                 arbitrate(machine, task, boards.get(task, {}),
@@ -471,13 +484,12 @@ class DMWProtocol:
             try:
                 machine.send_payment_claim(self.transport,
                                            self._infrastructure_id,
-                                           self.parameters.num_agents,
                                            completed_tasks)
             except ProtocolAbort as abort:
                 return abort
-        self.transport.step()
+        self._barrier(PAYMENTS)
         for message in self.transport.receive(self._infrastructure_id,
-                                              "payment_claim"):
+                                              PAYMENT_CLAIM.name):
             self.infrastructure.submit_claim(message.sender, message.payload)
         decision = self.infrastructure.decide()
         if not decision.dispensed:
@@ -611,12 +623,19 @@ class DMWProtocol:
             agent.adopt_cache(shared_cache)
         self._shared_cache = shared_cache
         self._degraded = degraded
+        recorder = self.recorder
+        if recorder.enabled:
+            # Delta sources for the span attribution: summed counted work
+            # across agents and the network's running metric totals.
+            recorder.bind(self._summed_operations, self._network_totals)
         skip: Set[int] = set()
         if resume is not None:
-            # Restore happens before the recorder binds its delta sources,
-            # so the run span measures only post-resume work and the
-            # phase-partition invariant is preserved.
-            resume.apply(self)
+            # The restore brings back the checkpoint's counters and network
+            # totals.  One phase span records them, so the phase spans
+            # still partition the grand totals; the run span that follows
+            # measures only the post-resume work.
+            with recorder.span("restored"):
+                resume.apply(self)
             skip = resume.completed_set()
             self.recorder.event("resumed", next_task=resume.next_task,
                                 completed=len(self._transcripts),
@@ -634,12 +653,6 @@ class DMWProtocol:
             self._cache_stats_override = override
             self._parallelism = {"workers": workers,
                                  "tasks_pooled": num_tasks - len(skip)}
-        recorder = self.recorder
-        if recorder.enabled:
-            # Delta sources for the span attribution: summed counted work
-            # across agents and the network's running metric totals.
-            recorder.bind(self._summed_operations,
-                          self.network.metrics.as_dict)
         with recorder.span("run", kind=KIND_RUN, num_tasks=num_tasks,
                            num_agents=self.parameters.num_agents,
                            parallel=parallel, workers=workers):
@@ -670,7 +683,7 @@ class DMWProtocol:
             # of task order; payments and the outcome expect task order.
             self._transcripts.sort(key=lambda t: t.task)
             completed_tasks = sorted(t.task for t in self._transcripts)
-            with recorder.span(PAYMENTS_PHASE):
+            with recorder.span(PAYMENTS.name):
                 abort = self._run_payments(
                     completed_tasks if degraded else None)
             if abort is not None:

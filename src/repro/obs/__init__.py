@@ -46,7 +46,6 @@ from .history import (
     config_fingerprint,
     diff_entries,
     entry_from_report,
-    theorem11_message_bounds,
     trend_rows,
 )
 from .metrics import (
@@ -60,8 +59,6 @@ from .metrics import (
 from .profile import PhaseProfiler
 from .recorder import (
     NULL_RECORDER,
-    PAYMENTS_PHASE,
-    PHASES,
     Event,
     MessageEvent,
     Recorder,
@@ -77,8 +74,6 @@ __all__ = [
     "MessageEvent",
     "MetricsRegistry",
     "NULL_RECORDER",
-    "PAYMENTS_PHASE",
-    "PHASES",
     "PhaseProfiler",
     "PrometheusParseError",
     "Recorder",
@@ -92,7 +87,6 @@ __all__ = [
     "bind_fastexp_metrics",
     "registry_for_run",
     "run_report",
-    "theorem11_message_bounds",
     "to_chrome_trace",
     "to_prometheus",
     "trend_rows",

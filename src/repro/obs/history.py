@@ -20,7 +20,15 @@ Entry schema (one JSON object per line)::
      "network": {...NetworkMetrics.as_dict()...} | null,
      "outcome": {"completed", "schedule", "payments", "degraded",
                  "quarantined_tasks"} | null,
+     "theorem11": {"sigma": int,
+                   "disclosures": [[d_t, k_t], ...]} | null,
      "provenance": {...run-report provenance...} | null}
+
+``theorem11`` holds what the exact message totals need beyond ``n``:
+``sigma`` and each task's discloser and claimant counts, read from the
+report's ``disclosures_published`` events.  It is ``null`` unless the run
+completed with one such event per task (a resumed run has none for its
+restored tasks); entries from older writers lack it.
 
 Two analytics run over the store (surfaced by ``dmw history``):
 
@@ -31,11 +39,12 @@ Two analytics run over the store (surfaced by ``dmw history``):
   configuration must diff *clean*; wall-clock and provenance differences
   are reported informationally, never as divergence.
 * **trend** — per-fingerprint trajectory of wall-clock and counters,
-  with anomaly flags: message totals outside the Theorem 11 closed-form
-  band for ``(n, m)`` (see :func:`theorem11_message_bounds`), rounds
-  different from the drivers' known round counts, and counter drift
-  *within* a fingerprint (same config must reproduce identical counted
-  work — Theorem 12's schedule is deterministic).
+  with anomaly flags: message totals, overall or per kind, that differ
+  from the exact Theorem 11 totals
+  (:func:`~repro.core.rounds.theorem11_totals`), round counts outside the
+  schedule's limits, and counter drift *within* a fingerprint (same
+  config must reproduce identical counted work — Theorem 12's schedule
+  is deterministic).
 
 See ``docs/OBSERVABILITY.md`` ("Run history").
 """
@@ -53,6 +62,8 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
     fcntl = None  # type: ignore[assignment]
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..core.rounds import round_bounds, theorem11_totals
+
 #: Entry schema version.
 ENTRY_VERSION = 1
 
@@ -62,27 +73,6 @@ def config_fingerprint(config: Dict[str, Any]) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"),
                            default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
-def theorem11_message_bounds(num_agents: int, num_tasks: int
-                             ) -> Tuple[int, int]:
-    """Closed-form message band for one honest DMW run (Theorem 11).
-
-    Fixed traffic per run: ``m * n * (n - 1)`` share bundles (private
-    unicasts), three published rounds per auction (commitments,
-    lambda_psi, second_price) at ``n`` expanded copies per broadcast
-    (``n - 1`` agents plus the payment-infrastructure endpoint), and
-    ``n`` payment claims.  Variable traffic: the disclosure round
-    publishes one ``f_disclosure`` row per discloser and one
-    ``winner_claim`` per claimant — at least one of each per auction,
-    at most ``n`` of each, hence the band.  Both in-process drivers and
-    the process pool land inside it; anything outside is an anomaly.
-    """
-    n, m = num_agents, num_tasks
-    fixed = m * n * (n - 1) + 3 * m * n * n + n
-    lower = fixed + 2 * m * n
-    upper = fixed + 2 * m * n * n
-    return lower, upper
 
 
 class HistoryStore:
@@ -160,6 +150,7 @@ def make_entry(config: Dict[str, Any], *,
                counters: Optional[Dict[str, int]] = None,
                network: Optional[Dict[str, int]] = None,
                outcome: Optional[Dict[str, Any]] = None,
+               theorem11: Optional[Dict[str, Any]] = None,
                provenance: Optional[Dict[str, Any]] = None,
                recorded_at: Optional[float] = None) -> Dict[str, Any]:
     """Assemble one history entry with its fingerprint stamped."""
@@ -174,6 +165,7 @@ def make_entry(config: Dict[str, Any], *,
         "counters": counters,
         "network": network,
         "outcome": outcome,
+        "theorem11": theorem11,
         "provenance": provenance,
     }
 
@@ -187,7 +179,8 @@ def entry_from_report(document: Dict[str, Any],
     ``config`` supplies identifying fields the report itself cannot know
     (the RNG seed, the driver flags); report-derivable fields fill the
     gaps.  The wall clock is the run span's duration when spans were
-    recorded.
+    recorded.  Each task's ``(d_t, k_t)`` comes from its
+    ``disclosures_published`` event.
     """
     params = document.get("params") or {}
     derived: Dict[str, Any] = {
@@ -215,11 +208,24 @@ def entry_from_report(document: Dict[str, Any],
         "degraded": resilience.get("degraded", False),
         "quarantined_tasks": resilience.get("quarantined_tasks", []),
     }
+    disclosures: Dict[int, List[int]] = {}
+    for event in document.get("events") or []:
+        if event.get("kind") == "disclosures_published":
+            detail = event["detail"]
+            disclosures[event["task"]] = [len(detail["disclosers"]),
+                                          len(detail["claimants"])]
+    theorem11 = None
+    sigma = params.get("sigma")
+    tasks = list(range(derived["num_tasks"] or 0))
+    if (document.get("completed") and isinstance(sigma, int) and tasks
+            and sorted(disclosures) == tasks):
+        theorem11 = {"sigma": sigma,
+                     "disclosures": [disclosures[task] for task in tasks]}
     return make_entry(
         derived, source="run_report", wall_clock_s=wall_clock_s,
         counters=totals.get("operations"), network=totals.get("network"),
-        outcome=outcome, provenance=document.get("provenance"),
-        recorded_at=recorded_at,
+        outcome=outcome, theorem11=theorem11,
+        provenance=document.get("provenance"), recorded_at=recorded_at,
     )
 
 
@@ -299,10 +305,12 @@ def diff_entries(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def entry_anomalies(entry: Dict[str, Any]) -> List[str]:
-    """Theorem 11/12 closed-form checks for one entry.
+    """Theorem 11 checks for one entry.
 
     Applied when the entry carries enough to check: a network section
-    plus ``num_agents``/``num_tasks`` in its config.
+    plus ``num_agents``/``num_tasks`` in its config.  With a ``theorem11``
+    section, the message totals, overall and per kind, must equal
+    :func:`~repro.core.rounds.theorem11_totals`.
     """
     anomalies: List[str] = []
     config = entry.get("config") or {}
@@ -310,25 +318,30 @@ def entry_anomalies(entry: Dict[str, Any]) -> List[str]:
     n, m = config.get("num_agents"), config.get("num_tasks")
     if not network or not isinstance(n, int) or not isinstance(m, int):
         return anomalies
-    messages = network.get("point_to_point_messages")
-    if messages is not None:
-        lower, upper = theorem11_message_bounds(n, m)
-        if not lower <= messages <= upper:
-            anomalies.append(
-                "messages %d outside Theorem 11 band [%d, %d] for "
-                "n=%d m=%d" % (messages, lower, upper, n, m))
+    theorem11 = entry.get("theorem11")
+    if theorem11:
+        expected = theorem11_totals(n, theorem11["sigma"],
+                                    theorem11["disclosures"])
+        exact = {"point_to_point_messages": expected.messages}
+        exact.update(("messages[%s]" % kind, count)
+                     for kind, count in expected.by_kind.items())
+        for key in sorted(set(exact) | {key for key in network
+                                        if key.startswith("messages[")}):
+            if network.get(key, 0) != exact.get(key, 0):
+                anomalies.append(
+                    "%s %d differs from the exact Theorem 11 total %d for "
+                    "n=%d m=%d" % (key, network.get(key, 0),
+                                   exact.get(key, 0), n, m))
     rounds = network.get("rounds")
     if rounds is not None:
-        # Sequential and pool drivers: 4 rounds per auction + payments
-        # (4m + 1); the phase-barrier driver compresses to 5.  Complaint
-        # rounds only ever add, at most 3 per auction.
-        if rounds < 5:
-            anomalies.append(
-                "rounds %d below the 5-round protocol minimum" % rounds)
-        if rounds > 7 * m + 1:
+        fewest, most = round_bounds(m)
+        if rounds < fewest:
+            anomalies.append("rounds %d below the %d-round protocol minimum"
+                             % (rounds, fewest))
+        if rounds > most:
             anomalies.append(
                 "rounds %d above the complaint-inflated ceiling %d"
-                % (rounds, 7 * m + 1))
+                % (rounds, most))
     return anomalies
 
 

@@ -4,8 +4,9 @@ A :class:`Recorder` holds three kinds of record, all drawing their ids
 from one counter:
 
 * **spans** (:class:`Span`) — named, timestamped intervals ``run -> task
-  -> phase``: the four auction phases (:data:`PHASES`) plus the run-level
-  :data:`PAYMENTS_PHASE`.  Each span carries the enter->exit deltas of
+  -> phase``, one phase span per round of
+  :data:`repro.core.rounds.ROUNDS` (and one ``restored`` phase span for a
+  resumed run's checkpoint).  Each span carries the enter->exit deltas of
   the summed per-agent :class:`~repro.crypto.modular.OperationCounter`
   totals and of :meth:`~repro.network.metrics.NetworkMetrics.as_dict`.
   Every counted operation and every message of a run happens inside one
@@ -66,11 +67,6 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 KIND_RUN = "run"
 KIND_TASK = "task"
 KIND_PHASE = "phase"
-
-#: The protocol phase names, in execution order within one auction.
-PHASES = ("bidding", "aggregation", "disclosure", "resolution")
-#: The run-level phase that follows all auctions.
-PAYMENTS_PHASE = "payments"
 
 #: Message event types, in message-lifecycle order.
 EVENT_SEND = "send"

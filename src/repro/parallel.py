@@ -250,8 +250,7 @@ def _run_shard(task: int) -> ShardResult:
         agent.adopt_cache(cache)
     protocol._shared_cache = cache
     if recorder is not None:
-        recorder.bind(protocol._summed_operations,
-                      protocol.network.metrics.as_dict)
+        recorder.bind(protocol._summed_operations, protocol._network_totals)
 
     abort = protocol._run_auction(task)
 

@@ -22,6 +22,7 @@ from repro.core import (
 )
 from repro.core.checkpoint import decode_rng_state, encode_rng_state
 from repro.core.exceptions import ParameterError
+from repro.obs import Recorder, run_report, validate_run_report
 from repro.scheduling.problem import SchedulingProblem
 
 
@@ -193,6 +194,40 @@ class TestResume:
         assert outcome.completed
         assert outcome.transcripts == baseline.transcripts
         assert outcome.cache_stats == baseline.cache_stats
+
+
+class TestResumedReport:
+    """A resumed run's report validates: one ``restored`` phase span
+    carries the checkpoint's totals, so the phase spans still sum to the
+    grand totals."""
+
+    @pytest.mark.parametrize("workers", [None, 1],
+                             ids=["sequential", "pool"])
+    def test_resumed_report_validates(self, params5, problem, tmp_path,
+                                      workers):
+        path = str(tmp_path / "cp.json")
+        checkpoint_after(params5, problem, 1, path)
+        loaded = serialization.load_checkpoint(path)
+        agents = make_agents(params5, problem)
+        recorder = Recorder()
+        outcome = DMWProtocol(params5, agents, recorder=recorder).execute(
+            problem.num_tasks, resume=loaded, parallel=workers is not None,
+            workers=workers)
+        assert outcome.completed
+        document = run_report(outcome, agents=agents, recorder=recorder,
+                              parameters=params5)
+        validate_run_report(document)
+        phases = [span for span in document["spans"]
+                  if span["kind"] == "phase"]
+        assert phases[0]["name"] == "restored"
+        assert phases[0]["network"] == loaded.network_metrics
+        totals = document["totals"]
+        for key, total in totals["network"].items():
+            assert sum(span["network"].get(key, 0)
+                       for span in phases) == total
+        for key, total in totals["operations"].items():
+            assert sum(span["operations"].get(key, 0)
+                       for span in phases) == total
 
 
 class TestResumeValidation:

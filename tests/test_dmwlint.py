@@ -36,7 +36,6 @@ SCOPE_PATHS = {
     "DMW006": "src/repro/crypto/fixture.py",
     "DMW007": "src/repro/crypto/fixture.py",
     "DMW008": "src/repro/core/agent.py",
-    "DMW009": "src/repro/core/machine.py",
     "DMW010": "src/repro/network/fixture.py",
     "DMW011": "src/repro/parallel.py",
 }

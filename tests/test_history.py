@@ -6,8 +6,9 @@ Contracts (docs/OBSERVABILITY.md, "Run history"):
 * ``diff`` treats counters/network/outcome as divergences (exit 1) and
   wall-clock/provenance/config as informational — so a sequential run
   and a process-pool run of the same seed diff *clean*;
-* ``trend`` flags Theorem 11 band violations, impossible round counts,
-  and counter drift within a fingerprint.
+* ``trend`` flags message totals that differ from the exact Theorem 11
+  totals, impossible round counts, and counter drift within a
+  fingerprint.
 """
 
 import json
@@ -17,7 +18,9 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.core.agent import DMWAgent
+from repro.core.checkpoint import ProtocolCheckpoint
 from repro.core.protocol import DMWProtocol
+from repro.core.rounds import theorem11_totals
 from repro.obs import (
     HistoryStore,
     Recorder,
@@ -25,31 +28,44 @@ from repro.obs import (
     diff_entries,
     entry_from_report,
     run_report,
-    theorem11_message_bounds,
     trend_rows,
 )
 from repro.obs.history import entry_anomalies, make_entry
 
 
-def report_for(params, problem, seed=0, parallel=False, workers=None):
+def make_agents(params, problem, seed=0):
     master = random.Random(seed)
-    agents = [
+    return [
         DMWAgent(index, params,
                  [int(problem.time(index, j))
                   for j in range(problem.num_tasks)],
                  rng=random.Random(master.getrandbits(64)))
         for index in range(params.num_agents)
     ]
+
+
+def report_for(params, problem, seed=0, parallel=False, workers=None,
+               resume=None):
+    agents = make_agents(params, problem, seed)
     recorder = Recorder()
     protocol = DMWProtocol(params, agents, recorder=recorder)
     outcome = protocol.execute(problem.num_tasks, parallel=parallel,
-                               workers=workers)
+                               workers=workers, resume=resume)
     return run_report(outcome, agents=agents, recorder=recorder,
                       parameters=params)
 
 
+#: The Fig. 2 census run (n=5, m=2, sigma=5): its auctions disclose 3
+#: and 4 share rows and draw 2 winner claims each
+#: (``benchmarks/results/fig2_message_census.txt``).
+FIG2 = {"sigma": 5, "disclosures": [[3, 2], [4, 2]]}
+FIG2_KINDS = {"commitments": 50, "share_bundle": 40, "lambda_psi": 50,
+              "f_disclosure": 35, "winner_claim": 20, "second_price": 50,
+              "payment_claim": 5}
+
+
 # ---------------------------------------------------------------------------
-# Fingerprints and the Theorem 11 band
+# Fingerprints and the exact Theorem 11 totals
 # ---------------------------------------------------------------------------
 
 class TestFingerprint:
@@ -64,18 +80,57 @@ class TestFingerprint:
             != config_fingerprint({**base, "seed": 1})
 
     def test_theorem11_band_matches_fig2(self):
-        # Paper figure 2 shape (n=5, m=2): fixed traffic 195, variable
-        # disclosure/claim traffic between 2mn=20 and 2mn^2=100.
-        lower, upper = theorem11_message_bounds(5, 2)
-        assert (lower, upper) == (215, 295)
+        totals = theorem11_totals(5, FIG2["sigma"], FIG2["disclosures"])
+        assert (totals.messages, totals.field_elements) == (250, 1505)
+        assert totals.by_kind == FIG2_KINDS
 
     def test_real_runs_land_inside_the_band(self, params5, problem53):
         document = report_for(params5, problem53)
         entry = entry_from_report(document, config={"seed": 0})
         assert entry_anomalies(entry) == []
-        messages = entry["network"]["point_to_point_messages"]
-        lower, upper = theorem11_message_bounds(5, 3)
-        assert lower <= messages <= upper
+        # The pairs come from the run's events; the instance fixes them.
+        pairs = []
+        for task in range(problem53.num_tasks):
+            bids = [int(problem53.time(agent, task)) for agent in range(5)]
+            pairs.append([params5.disclosure_width(min(bids)),
+                          bids.count(min(bids))])
+        assert entry["theorem11"] == {"sigma": params5.sigma,
+                                      "disclosures": pairs}
+        expected = theorem11_totals(5, params5.sigma, pairs)
+        assert entry["network"]["point_to_point_messages"] \
+            == expected.messages
+
+    def test_exact_total_plus_n_is_flagged(self, params5, problem53):
+        entry = entry_from_report(report_for(params5, problem53),
+                                  config={"seed": 0})
+        entry["network"]["point_to_point_messages"] += 5
+        assert any("Theorem 11" in flag for flag in entry_anomalies(entry))
+
+    def test_per_kind_drift_is_flagged(self, params5, problem53):
+        """Moving messages between kinds keeps the total but not the
+        per-kind counts."""
+        entry = entry_from_report(report_for(params5, problem53),
+                                  config={"seed": 0})
+        entry["network"]["messages[lambda_psi]"] -= 5
+        entry["network"]["messages[second_price]"] += 5
+        flags = entry_anomalies(entry)
+        assert len(flags) == 2
+        assert all("messages[" in flag for flag in flags)
+
+    def test_resumed_run_skips_the_message_check(self, params5,
+                                                  problem53):
+        """A resumed run's report has no disclosure events for the
+        restored auctions, so its entry records no pairs."""
+        protocol = DMWProtocol(params5, make_agents(params5, problem53))
+        assert protocol._run_auction(0) is None
+        checkpoint = ProtocolCheckpoint.capture(protocol,
+                                                problem53.num_tasks, 1)
+        entry = entry_from_report(
+            report_for(params5, problem53, resume=checkpoint),
+            config={"seed": 0})
+        assert entry["outcome"]["completed"]
+        assert entry["theorem11"] is None
+        assert entry_anomalies(entry) == []
 
 
 # ---------------------------------------------------------------------------
@@ -219,23 +274,30 @@ class TestDiff:
 
 class TestTrend:
     def _entry(self, messages=None, rounds=None, counters=None,
-               config=None):
+               config=None, theorem11=None):
         network = {}
         if messages is not None:
             network["point_to_point_messages"] = messages
         if rounds is not None:
             network["rounds"] = rounds
+        if theorem11 is not None:
+            network.update(("messages[%s]" % kind, count)
+                           for kind, count in FIG2_KINDS.items())
         return make_entry(config or {"num_agents": 5, "num_tasks": 2},
                           source="run_report", network=network or None,
-                          counters=counters, recorded_at=0.0)
+                          counters=counters, theorem11=theorem11,
+                          recorded_at=0.0)
 
     def test_out_of_band_messages_are_flagged(self):
-        rows = trend_rows([self._entry(messages=296, rounds=9)])
+        # One message more than the exact total (the old band reached 295).
+        rows = trend_rows([self._entry(messages=251, rounds=9,
+                                       theorem11=FIG2)])
         assert any("Theorem 11" in flag for row in rows
                    for flag in row["anomalies"])
 
     def test_in_band_run_is_clean(self):
-        rows = trend_rows([self._entry(messages=250, rounds=9)])
+        rows = trend_rows([self._entry(messages=250, rounds=9,
+                                       theorem11=FIG2)])
         assert rows[0]["anomalies"] == []
 
     def test_impossible_round_counts_are_flagged(self):

@@ -1,23 +1,15 @@
-"""Theorem 11 closed-form message accounting and NetworkMetrics units.
+"""Theorem 11 exact message accounting and NetworkMetrics units.
 
 The proof of Theorem 11 counts every published value as ``P - 1``
 point-to-point copies (no broadcast facility), where ``P = n + 1``
 participants (the ``n`` agents plus the payment infrastructure
-endpoint).  An honest execution's exact totals follow in closed form
-from Fig. 2:
-
-per task ``t``::
-
-    commitments    n broadcasts  x  3*sigma field elements
-    share_bundle   n*(n-1) unicasts  x  4
-    lambda_psi     n broadcasts  x  2
-    f_disclosure   d_t broadcasts  x  2n      d_t = disclosure_width(y*_t)
-    winner_claim   k_t broadcasts  x  1       k_t = #{i : b_i(t) = y*_t}
-    second_price   n broadcasts  x  2
-
-plus ``n`` unicast payment claims of ``n`` field elements each.  These
-tests pin the simulator's measured totals to that closed form across an
-``(n, m, c)`` grid, and unit-test ``merge``/``as_dict``.
+endpoint).  An honest execution's exact totals follow from the round
+schedule (:mod:`repro.core.rounds`) and, per task ``t``, two numbers
+read off the instance: ``d_t = disclosure_width(y*_t)`` disclosers and
+``k_t = #{i : b_i(t) = y*_t}`` claimants.  These tests pin every
+driver's and transport's measured totals to
+:func:`~repro.core.rounds.theorem11_totals` across an ``(n, m, c)``
+grid, and unit-test ``merge``/``as_dict``.
 """
 
 import random
@@ -26,6 +18,7 @@ import pytest
 
 from repro.core import DMWParameters
 from repro.core.protocol import run_dmw
+from repro.core.rounds import theorem11_totals
 from repro.network.message import BROADCAST, Message
 from repro.network.metrics import NetworkMetrics
 from repro.scheduling import workloads
@@ -95,74 +88,62 @@ class TestNetworkMetricsUnit:
 
 
 # ---------------------------------------------------------------------------
-# Theorem 11 closed form on real executions
+# Theorem 11 exact totals on real executions, on every driver
 # ---------------------------------------------------------------------------
 
-def _expected_totals(parameters, problem, outcome):
-    """The closed-form honest-run totals (module docstring)."""
+def _instance_disclosures(parameters, problem):
+    """Each task's ``(d_t, k_t)``, read off the instance (not the run)."""
     n = parameters.num_agents
-    sigma = parameters.sigma
-    copies = n  # P - 1 with P = n + 1 participants
-    messages = 0
-    elements = 0
-    broadcasts = 0
-    by_kind = {
-        "commitments": 0, "share_bundle": 0, "lambda_psi": 0,
-        "f_disclosure": 0, "winner_claim": 0, "second_price": 0,
-        "payment_claim": 0,
-    }
-    for transcript in outcome.transcripts:
-        task = transcript.task
-        first_price = transcript.first_price
-        d_t = parameters.disclosure_width(first_price)
-        k_t = sum(1 for agent in range(n)
-                  if int(problem.time(agent, task)) == first_price)
-        assert first_price == min(int(problem.time(agent, task))
-                                  for agent in range(n))
-        by_kind["commitments"] += n * copies
-        by_kind["share_bundle"] += n * (n - 1)
-        by_kind["lambda_psi"] += n * copies
-        by_kind["f_disclosure"] += d_t * copies
-        by_kind["winner_claim"] += k_t * copies
-        by_kind["second_price"] += n * copies
-        broadcasts += 3 * n + d_t + k_t
-        elements += (n * copies * 3 * sigma      # commitments
-                     + n * (n - 1) * 4           # share bundles
-                     + n * copies * 2            # lambda_psi
-                     + d_t * copies * 2 * n      # f_disclosure rows
-                     + k_t * copies * 1          # winner claims
-                     + n * copies * 2)           # second_price
-    by_kind["payment_claim"] = n
-    elements += n * n                            # payment claim vectors
-    messages = sum(by_kind.values())
-    return messages, elements, broadcasts, by_kind
+    pairs = []
+    for task in range(problem.num_tasks):
+        bids = [int(problem.time(agent, task)) for agent in range(n)]
+        first_price = min(bids)
+        pairs.append((parameters.disclosure_width(first_price),
+                      bids.count(first_price)))
+    return pairs
 
 
-@pytest.mark.parametrize("n,m,c", [
-    (4, 1, 1),
-    (4, 3, 1),
-    (5, 2, 1),
-    (6, 2, 1),
-    (6, 1, 2),
-    (6, 3, 2),
-])
-def test_honest_run_matches_closed_form(n, m, c):
+#: Driver axis: ``run_dmw`` keywords and the rounds an honest run takes
+#: (four barriers per auction plus payments, or one barrier per round
+#: when every auction shares them).
+DRIVERS = {
+    "sequential": (dict(), lambda m: 4 * m + 1),
+    "phase_barrier": (dict(parallel=True), lambda m: 5),
+    "pool": (dict(parallel=True, workers=1), lambda m: 4 * m + 1),
+    "asyncio": (dict(transport="asyncio"), lambda m: 4 * m + 1),
+}
+
+GRID = [(4, 1, 1), (4, 3, 1), (5, 2, 1), (6, 2, 1), (6, 1, 2), (6, 3, 2)]
+
+#: The pool and the socket transport cost a process or sockets per run,
+#: so two grid points cover them.  Sequential cases keep plain ``n-m-c``
+#: ids.
+CASES = [pytest.param(driver, n, m, c, id=(
+             "%d-%d-%d" % (n, m, c) if driver == "sequential"
+             else "%s-%d-%d-%d" % (driver, n, m, c)))
+         for driver in DRIVERS for n, m, c in GRID
+         if driver in ("sequential", "phase_barrier")
+         or (n, m, c) in ((4, 3, 1), (6, 1, 2))]
+
+
+@pytest.mark.parametrize("driver,n,m,c", CASES)
+def test_honest_run_matches_closed_form(driver, n, m, c):
     parameters = DMWParameters.generate(n, fault_bound=c,
                                         group_size="small")
     problem = workloads.random_discrete(n, m, parameters.bid_values,
                                         random.Random(7 * n + m + c))
+    keywords, rounds = DRIVERS[driver]
     outcome = run_dmw(problem, parameters=parameters,
-                      rng=random.Random(42))
+                      rng=random.Random(42), **keywords)
     assert outcome.completed
-    expected_messages, expected_elements, expected_broadcasts, by_kind = \
-        _expected_totals(parameters, problem, outcome)
+    expected = theorem11_totals(n, parameters.sigma,
+                                _instance_disclosures(parameters, problem))
     metrics = outcome.network_metrics
-    assert metrics.point_to_point_messages == expected_messages
-    assert metrics.field_elements == expected_elements
-    assert metrics.broadcast_events == expected_broadcasts
-    assert dict(metrics.by_kind) == by_kind
-    # Sequential schedule: four barrier rounds per auction plus payments.
-    assert metrics.rounds == 4 * m + 1
+    assert metrics.point_to_point_messages == expected.messages
+    assert metrics.field_elements == expected.field_elements
+    assert metrics.broadcast_events == expected.broadcasts
+    assert dict(metrics.by_kind) == expected.by_kind
+    assert metrics.rounds == rounds(m)
 
 
 class TestExtraParticipantFanOut:

@@ -26,11 +26,10 @@ from hypothesis import strategies as st
 
 from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol, run_dmw
+from repro.core.rounds import PAYMENTS, ROUNDS
 from repro.core.verification import CheckStats
 from repro.obs import (
     NULL_RECORDER,
-    PAYMENTS_PHASE,
-    PHASES,
     MetricsRegistry,
     PrometheusParseError,
     Recorder,
@@ -232,9 +231,10 @@ def test_sequential_span_structure(params5, problem53):
     for task_span in tasks:
         children = [span for span in recorder.spans
                     if span.parent_id == task_span.span_id]
-        assert [span.name for span in children] == list(PHASES)
+        assert [span.name for span in children] == [
+            round_.name for round_ in ROUNDS if round_.per_task]
         assert all(span.task == task_span.task for span in children)
-    payments = recorder.find_spans(name=PAYMENTS_PHASE)
+    payments = recorder.find_spans(name=PAYMENTS.name)
     assert len(payments) == 1
     assert payments[0].parent_id == runs[0].span_id
     assert len(recorder.phase_spans()) == 4 * m + 1
@@ -248,7 +248,8 @@ def test_parallel_span_structure(params5, problem53):
     # Phase-barrier execution: no task spans, one span per global phase.
     assert recorder.find_spans(kind=KIND_TASK) == []
     phases = recorder.phase_spans()
-    assert [span.name for span in phases] == list(PHASES) + [PAYMENTS_PHASE]
+    assert [span.name for span in phases] == [round_.name
+                                              for round_ in ROUNDS]
     assert all(span.task is None for span in phases)
 
 
@@ -434,7 +435,7 @@ class TestRegistryForRun:
                     for name, kind in durations.series())
         assert total == len(recorder.spans)
         phase_work = registry.get("dmw_phase_multiplication_work_total")
-        for name in list(PHASES) + [PAYMENTS_PHASE]:
+        for name in [round_.name for round_ in ROUNDS]:
             expected = sum(span.operations.get("multiplication_work", 0)
                            for span in recorder.find_spans(name=name))
             assert phase_work.value(phase=name) == expected

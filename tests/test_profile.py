@@ -16,13 +16,16 @@ import random
 
 from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol
+from repro.core.rounds import ROUNDS
 from repro.obs import (
     PhaseProfiler,
     Recorder,
     run_report,
     validate_run_report,
 )
-from repro.obs.recorder import PHASES
+
+#: Every phase span name: one per round.
+ROUND_NAMES = {round_.name for round_ in ROUNDS}
 
 
 def _busy(n):
@@ -113,7 +116,7 @@ class TestProfiledRuns:
         outcome, protocol, recorder = profiled_run(params5, problem53)
         assert outcome.completed
         report = recorder.profiler.report()
-        assert set(report["phases"]) == set(PHASES) | {"payments"}
+        assert set(report["phases"]) == ROUND_NAMES
         for body in report["phases"].values():
             assert body["calls"] > 0
             assert body["time_s"] >= 0.0
@@ -127,7 +130,7 @@ class TestProfiledRuns:
         validate_run_report(document)
         assert document["profile"]["top_n"] == 5
         assert set(document["profile"]["phases"]) \
-            == set(PHASES) | {"payments"}
+            == ROUND_NAMES
         for body in document["profile"]["phases"].values():
             assert len(body["hotspots"]) <= 5
 
@@ -159,12 +162,12 @@ class TestProfiledRuns:
         # The per-auction phases ran inside the workers; their merged
         # tables must land in the parent's profile alongside the
         # parent-side payments phase.
-        assert set(report["phases"]) == set(PHASES) | {"payments"}
+        assert set(report["phases"]) == ROUND_NAMES
         document = run_report(outcome, agents=protocol.agents,
                               recorder=recorder, parameters=params5)
         validate_run_report(document)
         assert set(document["profile"]["phases"]) \
-            == set(PHASES) | {"payments"}
+            == ROUND_NAMES
 
     def test_unprofiled_run_reports_empty_profile(self, params5,
                                                   problem53):
