@@ -125,7 +125,10 @@ class DMWAgent:
         self.cache = cache
 
     def _state(self, task: int) -> _TaskState:
-        return self._tasks.setdefault(task, _TaskState())
+        state = self._tasks.get(task)
+        if state is None:
+            state = self._tasks[task] = _TaskState()
+        return state
 
     def task_rng(self, task: int) -> random.Random:
         """The private randomness substream for ``task``'s auction.

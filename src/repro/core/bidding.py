@@ -31,7 +31,7 @@ from typing import Dict, Tuple
 
 from ..crypto.commitments import PedersenCommitter, PolynomialCommitment
 from ..crypto.modular import NULL_COUNTER, OperationCounter
-from ..crypto.polynomials import Polynomial
+from ..crypto.polynomials import Polynomial, evaluate_all
 from ..crypto.secret import SecretInt, local_value
 from .parameters import DMWParameters
 
@@ -91,12 +91,10 @@ class BidPackage:
                          counter: OperationCounter = NULL_COUNTER
                          ) -> ShareBundle:
         """Evaluate the four polynomials at ``pseudonym`` (step II.2)."""
-        return ShareBundle(
-            e_value=self.e.evaluate(pseudonym, counter),
-            f_value=self.f.evaluate(pseudonym, counter),
-            g_value=self.g.evaluate(pseudonym, counter),
-            h_value=self.h.evaluate(pseudonym, counter),
-        )
+        e_value, f_value, g_value, h_value = evaluate_all(
+            (self.e, self.f, self.g, self.h), pseudonym, counter)
+        return ShareBundle(e_value=e_value, f_value=f_value,
+                           g_value=g_value, h_value=h_value)
 
 
 def encode_bid(parameters: DMWParameters, bid: SecretInt,

@@ -183,18 +183,20 @@ def verify_lambda_psi(parameters: DMWParameters,
     ``exclude`` (used for the second-price values, which divide the winner
     out of the aggregates).
     """
-    group = parameters.group
+    modulus = parameters.group.p
     product = 1
+    terms = 0
     for index, commitments in enumerate(all_commitments):
         if index == exclude:
             continue
-        product = group.mul(
-            product,
-            gamma_value(parameters, commitments, publisher_pseudonym, counter,
-                        cache),
-            counter,
-        )
-    valid = product == group.mul(lambda_value, psi_value_, counter)
+        # Gamma_{i,k} (gamma_value), multiplied in place.
+        gamma = commitments.q_vector.evaluate(publisher_pseudonym, counter,
+                                              cache)
+        product = product * gamma % modulus
+        terms += 1
+    # One multiplication per Gamma term plus Lambda_i * Psi_i.
+    counter.count_mul(terms + 1)
+    valid = product == lambda_value * psi_value_ % modulus
     if stats is not None:
         stats.record("lambda_psi", valid)
     return valid

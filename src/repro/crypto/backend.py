@@ -52,8 +52,8 @@ class BackendUnavailableError(RuntimeError):
 class ArithmeticBackend:
     """One arithmetic engine: scalar entry points plus residue wrapping.
 
-    The scalar methods (:meth:`mul`, :meth:`powmod`, :meth:`invert`) take
-    and return plain ``int`` — they are the drop-in targets for
+    The scalar entry points (:meth:`mul`, :attr:`powmod`, :meth:`invert`)
+    take and return plain ``int`` — they are the drop-in targets for
     :mod:`repro.crypto.modular`.  Hot loops that keep intermediate
     residues alive (fixed-base tables, Straus chains, Montgomery batches)
     instead :meth:`wrap` their operands once, run native ``*``/``%``
@@ -62,6 +62,13 @@ class ArithmeticBackend:
     """
 
     name: str = "abstract"
+
+    #: ``powmod(base, exponent, modulus)`` returns ``base ** exponent %
+    #: modulus`` (``exponent >= 0``).  An attribute rather than a method so
+    #: an engine can install a C function directly: the python backend's
+    #: is the builtin ``pow``, so Horner, Straus and ``mod_exp`` pay no
+    #: Python frame per call.
+    powmod: Callable[[int, int, int], int]
 
     def wrap(self, value: int) -> Any:
         """Convert an int into this backend's native residue type."""
@@ -73,10 +80,6 @@ class ArithmeticBackend:
 
     def mul(self, a: int, b: int, modulus: int) -> int:
         """Return ``(a * b) % modulus``."""
-        raise NotImplementedError
-
-    def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        """Return ``base ** exponent % modulus`` (``exponent >= 0``)."""
         raise NotImplementedError
 
     def invert(self, a: int, modulus: int) -> int:
@@ -106,6 +109,9 @@ class PythonBackend(ArithmeticBackend):
 
     name = "python"
 
+    def __init__(self) -> None:
+        self.powmod = pow
+
     def wrap(self, value: int) -> Any:
         return value
 
@@ -114,9 +120,6 @@ class PythonBackend(ArithmeticBackend):
 
     def mul(self, a: int, b: int, modulus: int) -> int:
         return (a * b) % modulus
-
-    def powmod(self, base: int, exponent: int, modulus: int) -> int:
-        return pow(base, exponent, modulus)
 
     def invert(self, a: int, modulus: int) -> int:
         # Native pow(a, -1, m) (CPython >= 3.8) beats a Python-level
@@ -144,6 +147,7 @@ class Gmpy2Backend(ArithmeticBackend):
 
         self._gmpy2 = gmpy2
         self._mpz = gmpy2.mpz
+        self.powmod = self._powmod
 
     def wrap(self, value: int) -> Any:
         return self._mpz(value)
@@ -154,7 +158,7 @@ class Gmpy2Backend(ArithmeticBackend):
     def mul(self, a: int, b: int, modulus: int) -> int:
         return int(self._mpz(a) * b % modulus)
 
-    def powmod(self, base: int, exponent: int, modulus: int) -> int:
+    def _powmod(self, base: int, exponent: int, modulus: int) -> int:
         return int(self._gmpy2.powmod(base, exponent, modulus))
 
     def invert(self, a: int, modulus: int) -> int:

@@ -21,6 +21,7 @@ evaluation used by those checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import fastexp
@@ -28,6 +29,25 @@ from .fastexp import PublicValueCache, multi_exp
 from .groups import GroupParameters
 from .modular import NULL_COUNTER, OperationCounter
 from .polynomials import Polynomial
+
+
+@lru_cache(maxsize=4096)
+def _horner_schedule(order: int, point: int, size: int) -> int:
+    """Counted work of the exponents ``point^1 .. point^size mod order``.
+
+    The summed square-and-multiply schedules that
+    :meth:`PolynomialCommitment.evaluate` charges for a ``size``-slot
+    vector at ``point`` (``0 <= point < order``), i.e. what ``size``
+    :meth:`~repro.crypto.modular.OperationCounter.count_exp` calls would
+    add to ``multiplication_work``.  It depends only on public
+    parameters, so it is worked out once per ``(order, point, size)``.
+    """
+    schedule = OperationCounter()
+    power = 1
+    for _ in range(size):
+        power = (power * point) % order
+        schedule.count_exp(power)
+    return schedule.multiplication_work
 
 
 @dataclass(frozen=True)
@@ -75,12 +95,14 @@ class PedersenCommitter:
             raise ValueError(
                 "committed polynomials must have zero constant terms"
             )
-        elements = [
-            self.commit(value_coefficients[l], blinding_coefficients[l], counter)
+        open_value = self.parameters.open_value
+        elements = tuple(
+            open_value(value_coefficients[l], blinding_coefficients[l],
+                       counter)
             for l in range(1, size + 1)
-        ]
+        )
         return PolynomialCommitment(parameters=self.parameters,
-                                    elements=tuple(elements))
+                                    elements=elements)
 
 
 @dataclass(frozen=True)
@@ -135,13 +157,8 @@ class PolynomialCommitment:
                 counter.count_exp_batch(exp_count, exp_work)
                 counter.count_mul(exp_count)
                 return value
-        exp_work = 0
-        power = 1
-        for _ in self.elements:
-            power = (power * reduced_point) % q
-            if power > 1:
-                exp_work += power.bit_length() + power.bit_count() - 2
         exp_count = len(self.elements)
+        exp_work = _horner_schedule(q, reduced_point, exp_count)
         counter.count_exp_batch(exp_count, exp_work)
         counter.count_mul(exp_count)
         value = fastexp.horner_multi_exp(self.elements, reduced_point, q,
@@ -210,13 +227,10 @@ def verify_share_batch(commitments: Sequence[PolynomialCommitment],
     # but tolerate ragged sizes by extending lazily).
     max_size = max(c.size for c in commitments)
     powers: List[int] = []
-    exp_work_prefix: List[int] = [0]
     power = 1
     for _ in range(max_size):
         power = (power * reduced_point) % q
         powers.append(power)
-        work = power.bit_length() + power.bit_count() - 2 if power > 1 else 0
-        exp_work_prefix.append(exp_work_prefix[-1] + work)
     for vector, (value, blinding), coefficient in zip(commitments, openings,
                                                       coefficients):
         if coefficient % q == 0:
@@ -227,7 +241,9 @@ def verify_share_batch(commitments: Sequence[PolynomialCommitment],
         counter.count_exp(blinding % q)
         counter.count_mul()
         # ... plus the homomorphic evaluation (sigma exps + sigma muls).
-        counter.count_exp_batch(vector.size, exp_work_prefix[vector.size])
+        counter.count_exp_batch(vector.size,
+                                _horner_schedule(q, reduced_point,
+                                                vector.size))
         counter.count_mul(vector.size)
     # Execution: fold everything into one multi-exp over 2 + sum sigma_j
     # bases.  Negated slot exponents are lifted to q - x (the generators

@@ -7,8 +7,9 @@ Lagrange basis term (Theorem 12, Table 1).  This module makes the
 model bit-for-bit identical:
 
 * :class:`FixedBaseTable` — windowed fixed-base precomputation for the
-  public generators ``z1``/``z2``, built once per ``(base, modulus)`` and
-  shared process-wide (:func:`fixed_base_table`);
+  public generators ``z1``/``z2``, built once per ``(base, modulus)`` by
+  the process-wide factory (:func:`fixed_base_table`) and bound to each
+  :class:`~repro.crypto.groups.GroupParameters` on first use;
 * :func:`multi_exp` — Straus/Shamir simultaneous multi-exponentiation for
   products with full-size exponents: the degree-resolution products
   ``prod_k Lambda_k^{rho_k}`` and batched share verification;
@@ -167,9 +168,11 @@ class FixedBaseTableCache:
     long-lived daemon (128 *entries*, each potentially megabytes of
     precomputed rows).  This cache keeps LRU semantics but exposes
     counters for the metrics registry, an approximate byte footprint, and
-    per-modulus eviction so the service's
-    :class:`~repro.service.warmcache.WarmCacheStore` can drop a group's
-    tables when it evicts that group.
+    per-modulus eviction, which the service's
+    :class:`~repro.service.warmcache.WarmCacheStore` calls when it evicts
+    a group.  It is the factory the groups fetch from: a
+    :class:`~repro.crypto.groups.GroupParameters` keeps the tables it
+    fetched, so eviction drops only this cache's entries.
     """
 
     __slots__ = ("maxsize", "_tables", "hits", "misses", "evictions")

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from . import backend, fastexp
-from .modular import NULL_COUNTER, OperationCounter, mod_exp, mod_inv, mod_mul
+from .modular import (NULL_COUNTER, OperationCounter, mod_exp, mod_inv,
+                      mod_mul, popcount)
 from .primes import find_subgroup_generator, generate_schnorr_parameters, is_prime
 
 
@@ -113,9 +115,26 @@ class GroupParameters:
             raise ValueError("z1 and z2 must be distinct")
 
     # -- fixed-base fast paths (counted on the naive schedule) ---------------
-    def _generator_table(self, base: int) -> "fastexp.FixedBaseTable":
+    @cached_property
+    def generator_tables(self) -> Tuple["fastexp.FixedBaseTable",
+                                        "fastexp.FixedBaseTable"]:
+        """The fixed-base tables of ``z1`` and ``z2``, bound on first use.
+
+        Fetched once from the process-wide factory
+        (:func:`~repro.crypto.fastexp.fixed_base_table`) and kept on the
+        instance, so the hot path never looks them up again.  They are a
+        per-process execution artefact: :meth:`__getstate__` leaves them
+        out of every pickle, and ``==``/``hash`` ignore them.
+        """
         group = self.group
-        return fastexp.fixed_base_table(base, group.p, group.q.bit_length())
+        bits = group.q.bit_length()
+        return (fastexp.fixed_base_table(self.z1, group.p, bits),
+                fastexp.fixed_base_table(self.z2, group.p, bits))
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Only the dataclass fields travel: a copy rebuilds its tables on
+        # first use in its own process.
+        return {"group": self.group, "z1": self.z1, "z2": self.z2}
 
     def exp_z1(self, exponent: int,
                counter: OperationCounter = NULL_COUNTER) -> int:
@@ -129,7 +148,7 @@ class GroupParameters:
             return self.group.exp(self.z1, exponent, counter)
         reduced = exponent % self.group.q
         counter.count_exp(reduced)
-        return self._generator_table(self.z1).pow(reduced)
+        return self.generator_tables[0].pow(reduced)
 
     def exp_z2(self, exponent: int,
                counter: OperationCounter = NULL_COUNTER) -> int:
@@ -138,16 +157,17 @@ class GroupParameters:
             return self.group.exp(self.z2, exponent, counter)
         reduced = exponent % self.group.q
         counter.count_exp(reduced)
-        return self._generator_table(self.z2).pow(reduced)
+        return self.generator_tables[1].pow(reduced)
 
     def open_value(self, value: int, blinding: int,
                    counter: OperationCounter = NULL_COUNTER) -> int:
         """Return the Pedersen opening ``z1^value * z2^blinding mod p``.
 
         This is the left-hand side of eqs. (7)-(9) and (13) and the
-        commitment function itself; both generators go through their
-        fixed-base tables.  Counted cost: two exponentiations plus one
-        multiplication — identical to the naive evaluation order.
+        commitment function itself.  Both exponents walk their generator
+        tables in one loop into one product.  Counted cost: two
+        exponentiations plus one multiplication — identical to the naive
+        evaluation order.
         """
         group = self.group
         if not fastexp.enabled():
@@ -156,14 +176,35 @@ class GroupParameters:
                 group.exp(self.z2, blinding, counter),
                 counter,
             )
-        reduced_value = value % group.q
-        reduced_blinding = blinding % group.q
-        counter.count_exp(reduced_value)
-        counter.count_exp(reduced_blinding)
+        value %= group.q
+        blinding %= group.q
+        # Both square-and-multiply schedules (OperationCounter.count_exp),
+        # charged in one step.
+        work = 0
+        if value > 1:
+            work = value.bit_length() + popcount(value) - 2
+        if blinding > 1:
+            work += blinding.bit_length() + popcount(blinding) - 2
+        counter.count_exp_batch(2, work)
         counter.count_mul()
-        return (self._generator_table(self.z1).pow(reduced_value)
-                * self._generator_table(self.z2).pow(reduced_blinding)
-                ) % group.p
+        z1_table, z2_table = self.generator_tables
+        z1_rows, z2_rows = z1_table.rows, z2_table.rows
+        window, mask, modulus = z1_table.window, z1_table.mask, group.p
+        result = 1
+        row = 0
+        # Both tables cover q's bit length with the same window, so the
+        # reduced exponents never run past their rows.
+        while value or blinding:
+            digit = value & mask
+            if digit:
+                result = result * z1_rows[row][digit] % modulus
+            digit = blinding & mask
+            if digit:
+                result = result * z2_rows[row][digit] % modulus
+            value >>= window
+            blinding >>= window
+            row += 1
+        return int(result)
 
     @classmethod
     def generate(cls, q_bits: int, p_bits: int,

@@ -28,9 +28,21 @@ with near-zero overhead.
 from __future__ import annotations
 
 import contextlib
-from typing import Dict, Iterator
+from typing import Callable, Dict, Iterator
 
 from . import backend as _backend
+
+
+def _popcount_fallback(value: int) -> int:
+    """Number of set bits of a non-negative ``value``, for Python 3.9."""
+    return bin(value).count("1")
+
+
+#: Number of set bits of a non-negative int: the C ``int.bit_count`` on
+#: Python 3.10+, :func:`_popcount_fallback` on 3.9.  Bound once at import;
+#: every popcount of the counted model goes through it.
+popcount: Callable[[int], int] = getattr(int, "bit_count",
+                                         _popcount_fallback)
 
 
 class OperationCounter:
@@ -82,10 +94,8 @@ class OperationCounter:
         """Record one exponentiation by ``exponent`` (non-negative)."""
         self.exponentiations += 1
         if exponent > 1:
-            # bit_count() == bin(exponent).count("1"), just ~5x faster;
-            # the analytic square-and-multiply schedule is unchanged.
             squarings = exponent.bit_length() - 1
-            multiplies = exponent.bit_count() - 1
+            multiplies = popcount(exponent) - 1
             self.multiplication_work += squarings + multiplies
 
     def count_exp_batch(self, count: int, work: int) -> None:

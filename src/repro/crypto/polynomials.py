@@ -92,13 +92,7 @@ class Polynomial:
     def evaluate(self, x: int, counter: OperationCounter = NULL_COUNTER) -> int:
         """Evaluate at ``x`` by Horner's rule, counting one multiplication
         and one addition per stored coefficient (charged once per call)."""
-        counter.count_mul(len(self.coefficients))
-        counter.count_add(len(self.coefficients))
-        result = 0
-        x %= self.modulus
-        for coefficient in reversed(self.coefficients):
-            result = (result * x + coefficient) % self.modulus
-        return result
+        return evaluate_all((self,), x, counter)[0]
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.modulus != other.modulus:
@@ -153,12 +147,15 @@ class Polynomial:
         underlying degree (that is what hides the degree), so callers need
         zero-padded coefficient lists.
         """
-        if size < len(self.coefficients):
+        stored = len(self.coefficients)
+        if size < stored:
             raise ValueError(
                 "cannot pad degree-%d polynomial into %d coefficients"
                 % (self.degree, size)
             )
-        return [self.coefficient(i) for i in range(size)]
+        padded = [0] * size
+        padded[:stored] = self.coefficients
+        return padded
 
     # -- dunder plumbing -------------------------------------------------------
     def __eq__(self, other: object) -> bool:
@@ -171,6 +168,30 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return "Polynomial(%r, modulus=%d)" % (list(self.coefficients), self.modulus)
+
+
+def evaluate_all(polynomials: Sequence[Polynomial], x: int,
+                 counter: OperationCounter = NULL_COUNTER) -> List[int]:
+    """Evaluate every polynomial at ``x`` by Horner's rule, in one pass.
+
+    Charges one multiplication and one addition per stored coefficient,
+    in one ``count_mul`` and one ``count_add`` for all of them: the same
+    totals as one :meth:`Polynomial.evaluate` call per polynomial.
+    """
+    values: List[int] = []
+    slots = 0
+    for polynomial in polynomials:
+        modulus = polynomial.modulus
+        coefficients = polynomial.coefficients
+        slots += len(coefficients)
+        point = x % modulus
+        result = 0
+        for coefficient in reversed(coefficients):
+            result = (result * point + coefficient) % modulus
+        values.append(result)
+    counter.count_mul(slots)
+    counter.count_add(slots)
+    return values
 
 
 def sum_polynomials(polynomials: Sequence[Polynomial], modulus: int) -> Polynomial:

@@ -184,18 +184,21 @@ def deliver_round(network: Any, queued: List[Message],
     # Late copies eligible for retry, paired with the seq of their
     # original "send" message event so retry events link back to it.
     pending: List[Tuple[Message, Optional[int]]] = []
+    faulty = fault_plan.has_faults()
     for message in queued:
-        if fault_plan.sender_is_crashed(message.sender, round_index):
+        broadcast = message.is_broadcast
+        if faulty and fault_plan.sender_is_crashed(message.sender,
+                                                   round_index):
             # The receivers still expected this round's copies: a
             # crashed sender holds the barrier to its full timeout.
-            if message.is_broadcast:
+            if broadcast:
                 withheld_this_round += len(
                     network._broadcast_recipients(message.sender))
             else:
                 withheld_this_round += 1
             continue
         stamped = message.with_round(round_index)
-        if message.is_broadcast:
+        if broadcast:
             network.bulletin_board.append(stamped)
             recipients = network._broadcast_recipients(message.sender)
             metrics.record(stamped, network.num_participants,
@@ -204,10 +207,13 @@ def deliver_round(network: Any, queued: List[Message],
             recipients = [message.recipient]
             metrics.record(stamped, network.num_participants)
         for recipient in recipients:
-            unicast = Message(sender=stamped.sender, recipient=recipient,
-                              kind=stamped.kind, payload=stamped.payload,
-                              field_elements=stamped.field_elements,
-                              round_sent=round_index)
+            # A unicast's stamped message is its own delivered copy.
+            unicast = stamped
+            if broadcast:
+                unicast = Message(sender=stamped.sender, recipient=recipient,
+                                  kind=stamped.kind, payload=stamped.payload,
+                                  field_elements=stamped.field_elements,
+                                  round_sent=round_index)
             sent_seq: Optional[int] = None
             if capture:
                 sent_seq = recorder.message(
@@ -215,7 +221,8 @@ def deliver_round(network: Any, queued: List[Message],
                     kind=unicast.kind, sender=unicast.sender,
                     receiver=recipient,
                     field_elements=unicast.field_elements)
-            final = fault_plan.transform(unicast, round_index)
+            final = (fault_plan.transform(unicast, round_index)
+                     if faulty else unicast)
             if final is None:
                 withheld_this_round += 1
                 if capture:

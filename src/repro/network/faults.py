@@ -54,6 +54,17 @@ class FaultPlan:
         if not 0.0 <= self.drop_probability <= 1.0:
             raise ValueError("drop_probability must be in [0, 1]")
 
+    def has_faults(self) -> bool:
+        """Return True if the plan can crash, drop or corrupt anything.
+
+        The networks ask once per delivery barrier and skip the per-copy
+        :meth:`sender_is_crashed` and :meth:`transform` calls when it is
+        False, so a fault added between two barriers takes effect at the
+        next one.
+        """
+        return bool(self.crashed_from_round or self.dropped_links
+                    or self.drop_probability or self.corruptors)
+
     def sender_is_crashed(self, sender: int, round_index: int) -> bool:
         """Return True if ``sender`` has crashed by ``round_index``."""
         crash_round = self.crashed_from_round.get(sender)

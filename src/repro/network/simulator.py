@@ -124,13 +124,16 @@ class SynchronousNetwork:
         delivered = 0
         recorder = self.recorder
         capture = recorder.records_messages
+        fault_plan = self.fault_plan
+        faulty = fault_plan.has_faults()
         queued, self._outbox = self._outbox, []
         for message in queued:
-            if self.fault_plan.sender_is_crashed(message.sender,
-                                                 self.round_index):
+            if faulty and fault_plan.sender_is_crashed(message.sender,
+                                                       self.round_index):
                 continue
             stamped = message.with_round(self.round_index)
-            if message.is_broadcast:
+            broadcast = message.is_broadcast
+            if broadcast:
                 self.bulletin_board.append(stamped)
                 recipients = self._broadcast_recipients(message.sender)
                 self.metrics.record(stamped, self.num_participants,
@@ -139,10 +142,15 @@ class SynchronousNetwork:
                 recipients = [message.recipient]
                 self.metrics.record(stamped, self.num_participants)
             for recipient in recipients:
-                unicast = Message(sender=stamped.sender, recipient=recipient,
-                                  kind=stamped.kind, payload=stamped.payload,
-                                  field_elements=stamped.field_elements,
-                                  round_sent=self.round_index)
+                # A unicast's stamped message is its own delivered copy.
+                unicast = stamped
+                if broadcast:
+                    unicast = Message(sender=stamped.sender,
+                                      recipient=recipient,
+                                      kind=stamped.kind,
+                                      payload=stamped.payload,
+                                      field_elements=stamped.field_elements,
+                                      round_sent=self.round_index)
                 sent_seq: Optional[int] = None
                 if capture:
                     # One send event per expanded unicast copy — the unit
@@ -152,7 +160,8 @@ class SynchronousNetwork:
                         kind=unicast.kind, sender=unicast.sender,
                         receiver=recipient,
                         field_elements=unicast.field_elements)
-                final = self.fault_plan.transform(unicast, self.round_index)
+                final = (fault_plan.transform(unicast, self.round_index)
+                         if faulty else unicast)
                 if final is not None:
                     self._inboxes[recipient].append(final)
                     if self.record_deliveries:

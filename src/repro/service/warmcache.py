@@ -18,10 +18,11 @@ counters are bit-identical with or without it.
 in-process (sequential and barrier) jobs only: pool shards start cold,
 because no cache entry crosses the process boundary.  It holds one
 entries-only :class:`PublicValueCache` per group (LRU-bounded), plus the
-eviction hook into the process-wide fixed-base table cache
-(:func:`repro.crypto.fastexp.clear_fixed_base_tables`) so dropping a
-group from the store also drops its precomputed tables — daemon memory
-stays bounded and observable (``docs/SERVICE.md``).
+eviction hook into the process-wide fixed-base table factory
+(:func:`repro.crypto.fastexp.clear_fixed_base_tables`), so dropping a
+group from the store also drops the factory's tables for it.  A live
+:class:`~repro.crypto.groups.GroupParameters` keeps the tables it bound
+(``docs/SERVICE.md``).
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ class WarmCacheStore:
         while len(self._stores) > self.capacity:
             _, (modulus, _) = self._stores.popitem(last=False)
             self.evictions += 1
-            # Eviction hook: a group leaving the store takes its
-            # fixed-base tables with it, bounding daemon memory.
+            # Eviction hook: a group leaving the store takes its entries
+            # in the fixed-base table factory with it (a live
+            # GroupParameters keeps the tables it already fetched).
             clear_fixed_base_tables(modulus)
 
     def warm(self, parameters: Any) -> bool:

@@ -39,7 +39,8 @@ from repro.crypto.fastexp import (
     straus_tables,
 )
 from repro.crypto.groups import fixture_group
-from repro.crypto.modular import NULL_COUNTER, OperationCounter, mod_inv
+from repro.crypto.modular import (NULL_COUNTER, OperationCounter, mod_inv,
+                                  popcount)
 from repro.scheduling.problem import SchedulingProblem
 
 
@@ -242,7 +243,7 @@ class TestCounterBatching:
         for exponent in exponents:
             reference.count_exp(exponent)
         batched = OperationCounter()
-        work = sum(e.bit_length() + e.bit_count() - 2
+        work = sum(e.bit_length() + popcount(e) - 2
                    for e in exponents if e > 1)
         batched.count_exp_batch(len(exponents), work)
         assert (batched.exponentiations, batched.multiplication_work) == (
@@ -304,7 +305,9 @@ class TestCommitmentEvaluationExactness:
     The protocol never checks that published commitment elements lie in
     the order-q subgroup, so the fast evaluation must be exact for any
     element of ``Z_p^*`` — including at points whose powers wrap mod q,
-    where plain Horner over every slot would not be.
+    where plain Horner over every slot would not be.  Every sigma from 1
+    to 12 meets every point, so the counted schedule memoised per
+    ``(q, point, sigma)`` is pinned too, on its first use and on reuse.
     """
 
     SIGMA = 12
@@ -335,6 +338,125 @@ class TestCommitmentEvaluationExactness:
                                                cache_arg) == expected
                     assert counter.snapshot() == reference_counter.snapshot()
         assert any(point ** self.SIGMA >= q for point in points)
+
+
+def _special_exponents(order, rng, count=12):
+    """Edge exponents around the group order plus random ones."""
+    return ([0, 1, 2, order - 1, order, order + 1, -1]
+            + [rng.randrange(-order, 2 * order) for _ in range(count)])
+
+
+class TestGeneratorPathsMatchReference:
+    """The bound-table generator paths equal builtin ``pow`` in value and
+    ``naive_mode()`` in counted cost, and return plain ints."""
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
+    def test_exp_z1_and_exp_z2(self, group_size):
+        parameters = fixture_group(group_size)
+        group = parameters.group
+        rng = random.Random("generator-paths-" + group_size)
+        for exponent in _special_exponents(group.q, rng):
+            for base, method in ((parameters.z1, parameters.exp_z1),
+                                 (parameters.z2, parameters.exp_z2)):
+                counter = OperationCounter()
+                value = method(exponent, counter)
+                assert type(value) is int
+                assert value == pow(base, exponent, group.p)
+                reference = OperationCounter()
+                with naive_mode():
+                    assert method(exponent, reference) == value
+                assert counter.snapshot() == reference.snapshot()
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
+    def test_open_value(self, group_size):
+        parameters = fixture_group(group_size)
+        group = parameters.group
+        rng = random.Random("fused-opening-" + group_size)
+        exponents = _special_exponents(group.q, rng)
+        pairs = [(value, blinding) for value in exponents[:7]
+                 for blinding in exponents[:7]]
+        pairs += list(zip(exponents[7:], reversed(exponents)))
+        for value, blinding in pairs:
+            counter = OperationCounter()
+            opening = parameters.open_value(value, blinding, counter)
+            assert type(opening) is int
+            assert opening == (pow(parameters.z1, value, group.p)
+                               * pow(parameters.z2, blinding, group.p)
+                               % group.p)
+            reference = OperationCounter()
+            with naive_mode():
+                assert parameters.open_value(value, blinding,
+                                             reference) == opening
+            assert counter.snapshot() == reference.snapshot()
+
+
+class TestOnePassChargesMatchReference:
+    def test_share_bundle_for(self, params5, rng):
+        from repro.core.bidding import encode_bid
+        package = encode_bid(params5, bid=2, rng=rng)
+        polynomials = (package.e, package.f, package.g, package.h)
+        slots = sum(len(p.coefficients) for p in polynomials)
+        q = params5.group.q
+        for pseudonym in params5.pseudonyms:
+            counter = OperationCounter()
+            bundle = package.share_bundle_for(pseudonym, counter)
+            reference = OperationCounter()
+            with naive_mode():
+                assert package.share_bundle_for(pseudonym,
+                                                reference) == bundle
+            assert counter.snapshot() == reference.snapshot()
+            assert (counter.multiplications, counter.additions) == (slots,
+                                                                    slots)
+            assert (bundle.e_value, bundle.f_value, bundle.g_value,
+                    bundle.h_value) == tuple(
+                sum(c * pow(pseudonym, i, q)
+                    for i, c in enumerate(p.coefficients)) % q
+                for p in polynomials)
+
+    @pytest.mark.parametrize("exclude", [None, 0, 3])
+    def test_verify_lambda_psi(self, params5, exclude):
+        from repro.core.bidding import encode_bid
+        from repro.core.verification import verify_lambda_psi
+        packages = [encode_bid(params5, bid=1 + index % 3,
+                               rng=random.Random(index))
+                    for index in range(params5.num_agents)]
+        commitments = [package.commitments for package in packages]
+        publisher = 1
+        point = params5.pseudonyms[publisher]
+        included = [index for index in range(params5.num_agents)
+                    if index != exclude]
+        e_total = sum(packages[k].e.evaluate(point) for k in included)
+        h_total = sum(packages[k].h.evaluate(point) for k in included)
+        group_parameters = params5.group_parameters
+        honest = (group_parameters.exp_z1(e_total),
+                  group_parameters.exp_z2(h_total))
+        wrong = (honest[0], group_parameters.exp_z2(h_total + 1))
+        for lambda_value, psi_value in (honest, wrong):
+            outcomes = []
+            for mode in ("fast", "naive"):
+                cache = PublicValueCache()
+                counter = OperationCounter()
+                if mode == "naive":
+                    with naive_mode():
+                        valid = verify_lambda_psi(
+                            params5, commitments, point, lambda_value,
+                            psi_value, exclude=exclude, counter=counter,
+                            cache=cache)
+                else:
+                    valid = verify_lambda_psi(
+                        params5, commitments, point, lambda_value,
+                        psi_value, exclude=exclude, counter=counter,
+                        cache=cache)
+                outcomes.append((valid, counter.snapshot()))
+            assert outcomes[0] == outcomes[1]
+            assert outcomes[0][0] is ((lambda_value, psi_value) == honest)
+            # The listing the paper prices: one Gamma evaluation and one
+            # multiplication per included agent, plus Lambda * Psi.
+            reference = OperationCounter()
+            for index in included:
+                commitments[index].q_vector.evaluate(point, reference)
+            reference.count_mul(len(included) + 1)
+            assert outcomes[0][1] == reference.snapshot()
 
 
 # ---------------------------------------------------------------------------

@@ -103,3 +103,71 @@ class TestSimulatorIntegration:
         network.deliver()   # round 1: crashed
         kinds = [m.kind for m in network.receive(1)]
         assert kinds == ["early"]
+
+
+def _synchronous(num_agents, plan):
+    return SynchronousNetwork(num_agents, fault_plan=plan)
+
+
+def _timeout(num_agents, plan):
+    from repro.network.asynchronous import TimeoutNetwork
+    from repro.network.latency import LatencyModel
+    return TimeoutNetwork(num_agents,
+                          LatencyModel(random.Random(0), base=0.0,
+                                       jitter=0.0),
+                          round_timeout=1.0, fault_plan=plan)
+
+
+def _corrupt(message):
+    return Message(sender=message.sender, recipient=message.recipient,
+                   kind=message.kind, payload="corrupted",
+                   field_elements=message.field_elements,
+                   round_sent=message.round_sent)
+
+
+class TestFaultsAddedBetweenBarriers:
+    """The networks ask ``has_faults()`` once per barrier and skip the
+    per-copy fault calls on an empty plan; a fault added to the plan
+    after one barrier still applies at the next."""
+
+    def test_has_faults(self):
+        assert not obedient_plan().has_faults()
+        assert FaultPlan(crashed_from_round={0: 3}).has_faults()
+        assert FaultPlan(dropped_links={(0, 1)}).has_faults()
+        assert FaultPlan(drop_probability=0.5,
+                         rng=random.Random(0)).has_faults()
+        assert FaultPlan(corruptors={(0, 1): _corrupt}).has_faults()
+
+    @pytest.mark.parametrize("make_network", [_synchronous, _timeout])
+    @pytest.mark.parametrize("fault", ["crash", "drop", "corrupt"])
+    def test_fault_added_between_two_deliveries(self, make_network, fault):
+        plan = FaultPlan()
+        network = make_network(3, plan)
+        network.send(0, 1, "x", "before")
+        network.publish(0, "y", "before")
+        assert network.deliver() == 3
+        assert [m.payload for m in network.receive(1)] == ["before"] * 2
+        assert [m.payload for m in network.receive(2)] == ["before"]
+        if fault == "crash":
+            plan.crashed_from_round[0] = network.round_index
+        elif fault == "drop":
+            plan.dropped_links.add((0, 1))
+        else:
+            plan.corruptors[(0, 1)] = _corrupt
+        assert plan.has_faults()
+        network.send(0, 1, "x", "after")
+        network.publish(0, "y", "after")
+        network.send(2, 1, "z", "after")
+        network.deliver()
+        to_one = [(m.sender, m.payload) for m in network.receive(1)]
+        to_two = [(m.sender, m.payload) for m in network.receive(2)]
+        if fault == "crash":
+            assert to_one == [(2, "after")]
+            assert to_two == []
+        elif fault == "drop":
+            assert to_one == [(2, "after")]
+            assert to_two == [(0, "after")]
+        else:
+            assert to_one == [(0, "corrupted"), (0, "corrupted"),
+                              (2, "after")]
+            assert to_two == [(0, "after")]

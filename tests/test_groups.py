@@ -1,5 +1,6 @@
 """Unit tests for repro.crypto.groups."""
 
+import pickle
 import random
 
 import pytest
@@ -128,3 +129,63 @@ class TestLargeFixture:
         assert group.contains(params.z1)
         assert group.contains(params.z2)
         assert pow(params.z1, group.q, group.p) == 1
+
+
+def _fresh_twin(size="small"):
+    """An unused GroupParameters equal to the shared fixture group."""
+    fixture = fixture_group(size)
+    return GroupParameters(group=fixture.group, z1=fixture.z1, z2=fixture.z2)
+
+
+class TestBoundGeneratorTables:
+    """A group binds its generator tables on first use, in its own process.
+
+    The tables are an execution artefact: they never enter a pickle (pool
+    work units, checkpoints and socket frames keep their size), and they
+    take no part in equality or hashing.
+    """
+
+    def test_pickle_is_unchanged_by_use(self):
+        group = _fresh_twin()
+        before = pickle.dumps(group)
+        group.open_value(12345, 678)
+        group.exp_z1(91011)
+        assert "generator_tables" in vars(group)
+        assert pickle.dumps(group) == before
+
+    def test_equal_and_hash_equal_to_an_unused_twin(self):
+        used = _fresh_twin()
+        used.open_value(3, 4)
+        twin = _fresh_twin()
+        assert "generator_tables" not in vars(twin)
+        assert used == twin
+        assert hash(used) == hash(twin)
+
+    def test_unpickled_copy_rebuilds_the_tables(self):
+        group = _fresh_twin()
+        openings = [group.open_value(v, b) for v, b in ((0, 0), (5, 9),
+                                                        (12345, 678))]
+        copy = pickle.loads(pickle.dumps(group))
+        assert "generator_tables" not in vars(copy)
+        assert [copy.open_value(v, b) for v, b in ((0, 0), (5, 9),
+                                                   (12345, 678))] == openings
+        assert copy.exp_z2(77) == group.exp_z2(77)
+
+    def test_pool_work_unit_does_not_grow_after_openings(self):
+        from repro.core.parameters import DMWParameters
+        from repro.core.protocol import run_dmw
+        from repro.parallel import PoolSpec
+        from repro.scheduling.problem import SchedulingProblem
+
+        parameters = DMWParameters.generate(4, fault_bound=1,
+                                            group_parameters=_fresh_twin())
+        times = ((1, 2), (2, 1), (2, 2), (1, 1))
+        problem = SchedulingProblem(times)
+        spec = PoolSpec(parameters=parameters, true_values=times,
+                        rng_roots=(11, 12, 13, 14))
+        before = pickle.dumps((spec, 0))
+        run_dmw(problem, parameters=parameters, rng=random.Random(5))
+        assert "generator_tables" in vars(parameters.group_parameters)
+        after = pickle.dumps((spec, 0))
+        assert len(after) == len(before)
+        assert after == before

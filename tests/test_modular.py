@@ -1,10 +1,14 @@
 """Unit tests for repro.crypto.modular."""
 
+import random
+
 import pytest
 
+from repro.crypto.groups import FIXTURE_SIZES, fixture_group
 from repro.crypto.modular import (
     NULL_COUNTER,
     OperationCounter,
+    _popcount_fallback,
     metered,
     mod_add,
     mod_div,
@@ -12,6 +16,7 @@ from repro.crypto.modular import (
     mod_inv,
     mod_mul,
     mod_sub,
+    popcount,
 )
 
 P = 101  # a small prime for hand-checkable arithmetic
@@ -127,3 +132,33 @@ class TestOperationCounter:
         with metered() as counter:
             mod_mul(2, 3, P, counter)
         assert counter.multiplications == 1
+
+
+class TestPopcount:
+    """The counted model's popcount, including the pre-3.10 fallback."""
+
+    def _values(self):
+        rng = random.Random("popcount")
+        values = [0, 1, 2, 3, 255, 256, (1 << 64) - 1, 1 << 200]
+        for size in sorted(FIXTURE_SIZES):
+            values.append(fixture_group(size).group.q - 1)
+        values.extend(rng.getrandbits(bits) for bits in (8, 40, 160, 512)
+                      for _ in range(5))
+        return values
+
+    def test_fallback_matches_bin_count(self):
+        for value in self._values():
+            assert _popcount_fallback(value) == bin(value).count("1")
+
+    def test_bound_popcount_matches_bin_count(self):
+        for value in self._values():
+            assert popcount(value) == bin(value).count("1")
+
+    def test_count_exp_charges_square_and_multiply(self):
+        for value in self._values():
+            counter = OperationCounter()
+            counter.count_exp(value)
+            expected = (value.bit_length() - 1 + bin(value).count("1") - 1
+                        if value > 1 else 0)
+            assert counter.multiplication_work == expected
+            assert counter.exponentiations == 1

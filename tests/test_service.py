@@ -29,6 +29,7 @@ Pins the daemon's contracts (``docs/SERVICE.md``):
 
 import json
 import os
+import pickle
 import socket
 import sys
 import threading
@@ -440,9 +441,12 @@ class TestWarmCacheStore:
         tiny = self._parameters("tiny")
         small = self._parameters("small")
         fastexp.clear_fixed_base_tables()
-        # Touch both groups' generator tables.
-        tiny.group_parameters.exp_z1(3)
-        small.group_parameters.exp_z1(3)
+        # Touch both groups' generator tables.  A group fetches its tables
+        # from the factory once, on first use, and the shared fixture
+        # groups did that long before this test; unpickled twins start
+        # unbound.
+        pickle.loads(pickle.dumps(tiny.group_parameters)).exp_z1(3)
+        pickle.loads(pickle.dumps(small.group_parameters)).exp_z1(3)
         tiny_p = tiny.group_parameters.group.p
         entries = fastexp.fixed_base_table_stats()["entries"]
         assert entries >= 2
