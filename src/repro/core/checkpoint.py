@@ -13,12 +13,11 @@ At a boundary the only state that determines the rest of the execution
 is (a) each agent's private randomness (per-task substreams derived from
 ``rng_root``, plus the residual stream state), (b) the resolved
 transcripts so far, (c) the accumulated accounting (operation counters,
-network metrics, wall clock), (d) the degraded-mode quarantine record,
-and (e) the public-value cache.  :class:`ProtocolCheckpoint` captures
-exactly that, so a crashed orchestrator can be restarted from the last
-boundary and produce an outcome **identical** to the uninterrupted run:
-same schedule, same payments, same transcripts, same operation counts,
-same network totals, same ``cache_stats``
+network metrics, wall clock), and (d) the degraded-mode quarantine
+record.  :class:`ProtocolCheckpoint` captures exactly that, so a crashed
+orchestrator can be restarted from the last boundary and produce an
+outcome **identical** to the uninterrupted run: same schedule, same
+payments, same transcripts, same operation counts, same network totals
 (``tests/test_checkpoint.py`` / ``tests/test_process_pool.py`` pin this
 down).
 
@@ -29,14 +28,16 @@ What is deliberately *not* captured:
   are all the payments phase needs), and the in-flight auction is simply
   re-run from its start, regenerating shares from the per-task rng
   substreams.  A checkpoint file therefore leaks nothing the bulletin
-  board did not already reveal — the cache state in :attr:`cache_state`
-  consists purely of bulletin-board-derivable values (commitment
-  evaluations, Lagrange weights, memoised resolution results).
+  board did not already reveal.
+* The public-value cache.  Every cache hit is charged the full analytic
+  schedule, so the cache changes no outcome, transcript or counter; a
+  resumed run starts with a cold cache, and its ``cache_stats`` count
+  only the resuming process's own lookups.
 * The bulletin-board history.  Resuming restores the *outcome*-relevant
   state; a post-resume transcript audit only covers the auctions run
   since the restart.
 
-Serialization lives in :mod:`repro.serialization` (format version 4,
+Serialization lives in :mod:`repro.serialization` (format version 5,
 document type ``dmw_checkpoint``); this module holds only the in-memory
 state transfer, keeping the dependency one-directional.
 """
@@ -106,12 +107,6 @@ class ProtocolCheckpoint:
     completed_tasks:
         The completed-auction frontier: every task already attempted
         (completed or quarantined).
-    cache_state:
-        :meth:`~repro.crypto.fastexp.PublicValueCache.export_state`
-        snapshot of the shared public-value cache (sequential driver), or
-        a stats-only snapshot of the merged per-shard statistics
-        (process-pool driver).  Restoring it makes a resumed run's
-        ``cache_stats`` agree exactly with the uninterrupted run.
     """
 
     num_tasks: int
@@ -126,7 +121,6 @@ class ProtocolCheckpoint:
     network_metrics: Dict[str, int] = field(default_factory=dict)
     round_index: int = 0
     timeout_state: Dict[str, Any] = field(default_factory=dict)
-    cache_state: Dict[str, Any] = field(default_factory=dict)
 
     def completed_set(self) -> Set[int]:
         """Tasks the resumed run must *not* re-execute."""
@@ -148,14 +142,6 @@ class ProtocolCheckpoint:
                 timeout_state[attr] = getattr(network, attr)
         completed = sorted({t.task for t in protocol._transcripts}
                            | set(protocol._task_aborts))
-        cache_state: Dict[str, Any] = {}
-        override = getattr(protocol, "_cache_stats_override", None)
-        if override is not None:
-            # Process-pool driver: per-shard caches die with their
-            # workers; persist the merged cumulative statistics.
-            cache_state = {"stats": dict(override)}
-        elif protocol._shared_cache is not None:
-            cache_state = protocol._shared_cache.export_state()
         return cls(
             num_tasks=num_tasks,
             next_task=next_task,
@@ -171,7 +157,6 @@ class ProtocolCheckpoint:
             round_index=network.round_index,
             timeout_state=timeout_state,
             completed_tasks=completed,
-            cache_state=cache_state,
         )
 
     # -- restore ---------------------------------------------------------------
@@ -188,51 +173,27 @@ class ProtocolCheckpoint:
                 "checkpoint was taken with %d agents, protocol has %d"
                 % (self.num_agents, protocol.parameters.num_agents)
             )
-        if len(self.agent_rng_states) != len(protocol.agents):
-            raise ParameterError(
-                "checkpoint holds %d rng states for %d agents"
-                % (len(self.agent_rng_states), len(protocol.agents))
-            )
+        for name, count in (("rng states", len(self.agent_rng_states)),
+                            ("operation counters",
+                             len(self.agent_operations))):
+            if count != len(protocol.agents):
+                raise ParameterError(
+                    "checkpoint holds %d %s for %d agents"
+                    % (count, name, len(protocol.agents)))
         for agent, encoded, operations in zip(protocol.agents,
                                               self.agent_rng_states,
                                               self.agent_operations):
             agent.rng.setstate(decode_rng_state(encoded))
             agent.counter.restore(operations)
-        # Completed auctions: re-establish the public per-task results the
-        # payments phase reads (winner + second price; first price kept
-        # for introspection parity).
+        protocol._transcripts = []
         for transcript in self.transcripts:
-            for agent in protocol.agents:
-                state = agent.task_state(transcript.task)
-                state.first_price = transcript.first_price
-                state.winner = transcript.winner
-                state.second_price = transcript.second_price
-        protocol._transcripts = list(self.transcripts)
+            protocol._adopt_transcript(transcript)
         protocol._task_aborts = dict(self.task_aborts)
         protocol._degraded = self.degraded
         # Network accounting: totals continue from the boundary.
-        protocol.network.metrics = _metrics_from_totals(self.network_metrics)
+        protocol.network.metrics = NetworkMetrics.from_dict(
+            self.network_metrics)
         protocol.network.round_index = self.round_index
         for attr, value in self.timeout_state.items():
             if hasattr(protocol.network, attr):
                 setattr(protocol.network, attr, value)
-        # Public-value cache: restore counters (and, for full sequential
-        # snapshots, the memoised entries) so the resumed run's
-        # ``cache_stats`` agree exactly with the uninterrupted run.
-        if self.cache_state and protocol._shared_cache is not None:
-            protocol._shared_cache.import_state(self.cache_state)
-
-
-def _metrics_from_totals(totals: Dict[str, int]) -> NetworkMetrics:
-    """Rebuild :class:`NetworkMetrics` from its ``as_dict`` totals."""
-    metrics = NetworkMetrics()
-    metrics.point_to_point_messages = totals.get("point_to_point_messages", 0)
-    metrics.broadcast_events = totals.get("broadcast_events", 0)
-    metrics.field_elements = totals.get("field_elements", 0)
-    metrics.rounds = totals.get("rounds", 0)
-    metrics.retransmissions = totals.get("retransmissions", 0)
-    metrics.recovered_messages = totals.get("recovered_messages", 0)
-    for key, value in totals.items():
-        if key.startswith("messages[") and key.endswith("]"):
-            metrics.by_kind[key[len("messages["):-1]] = value
-    return metrics

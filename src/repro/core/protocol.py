@@ -234,6 +234,17 @@ class DMWProtocol:
         active.remove(task)
         return None
 
+    def _adopt_transcript(self, transcript: AuctionTranscript) -> None:
+        """Record an auction finished elsewhere (a checkpoint or a pool
+        shard): install its winner and prices, which the payments phase
+        reads, into every agent's task state."""
+        for agent in self.agents:
+            state = agent.task_state(transcript.task)
+            state.first_price = transcript.first_price
+            state.winner = transcript.winner
+            state.second_price = transcript.second_price
+        self._transcripts.append(transcript)
+
     def _write_checkpoint(self, path: str, num_tasks: int,
                           next_task: int) -> None:
         """Persist a resume point at the current auction boundary."""
@@ -556,10 +567,10 @@ class DMWProtocol:
             restore before running: auctions inside the checkpoint's
             completed frontier are skipped and the execution runs exactly
             the remaining ones, producing an outcome identical to the
-            uninterrupted run — ``cache_stats`` included, since the
-            checkpoint carries the public-value cache state.  The
-            protocol must be freshly constructed with the original
-            configuration.
+            uninterrupted run.  Only ``cache_stats`` and wall-clock
+            differ: the resumed run starts with a cold cache and counts
+            only its own lookups.  The protocol must be freshly
+            constructed with the original configuration.
         workers:
             Number of OS processes for the process-pool engine; requires
             ``parallel=True``.  ``workers=1`` exercises the pool
@@ -642,15 +653,10 @@ class DMWProtocol:
                                 quarantined=sorted(self._task_aborts))
         if use_pool:
             # The pool's shards each use a fresh per-task cache; the
-            # execution's cache_stats are the merged per-shard sums,
-            # accumulated here (continuing a resumed run's saved tallies).
-            override: Dict[str, int] = {
+            # execution's cache_stats are the sums over the shards this
+            # process merges (a resumed run counts only its own).
+            self._cache_stats_override = {
                 key: 0 for key in shared_cache.stats()}
-            if resume is not None:
-                for key, value in (resume.cache_state.get("stats")
-                                   or {}).items():
-                    override[key] = int(value)
-            self._cache_stats_override = override
             self._parallelism = {"workers": workers,
                                  "tasks_pooled": num_tasks - len(skip)}
         with recorder.span("run", kind=KIND_RUN, num_tasks=num_tasks,

@@ -559,55 +559,6 @@ class PublicValueCache:
             "straus_tables": len(self._tables),
         }
 
-    # -- checkpoint persistence ----------------------------------------------
-    def export_state(self) -> Dict[str, Any]:
-        """JSON-encodable snapshot of the cache: counters *and* entries.
-
-        Checkpoint/resume embeds this in the ``dmw_checkpoint`` document so
-        a resumed run's ``cache_stats`` agree exactly with the uninterrupted
-        run: the restored entries reproduce every cross-task hit (e.g. the
-        shared ``rho`` Lagrange-weight vectors) and the restored counters
-        continue the cumulative tallies.  Every entry is a public value —
-        commitment evaluations, Straus digit tables, Lagrange weights, and
-        memoised resolution results — so the export leaks nothing the
-        bulletin board did not already reveal (``docs/RESILIENCE.md``).
-        """
-        return {
-            "stats": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evaluation_hits": self.evaluation_hits,
-                "evaluation_misses": self.evaluation_misses,
-                "weight_hits": self.weight_hits,
-                "weight_misses": self.weight_misses,
-            },
-            "evaluations": [[encode_cache_value(key), encode_cache_value(e)]
-                            for key, e in self._evaluations.items()],
-            "weights": [[encode_cache_value(key), encode_cache_value(e)]
-                        for key, e in self._weights.items()],
-            "tables": [[encode_cache_value(key), encode_cache_value(e)]
-                       for key, e in self._tables.items()],
-        }
-
-    def import_state(self, state: Dict[str, Any]) -> None:
-        """Restore an :meth:`export_state` snapshot (checkpoint resume).
-
-        Counters are overwritten, entries are merged in; sections missing
-        from ``state`` are left untouched (a stats-only snapshot — the
-        process-pool driver's merged tallies — restores just the counters).
-        """
-        stats = state.get("stats") or {}
-        for name in ("hits", "misses", "evaluation_hits",
-                     "evaluation_misses", "weight_hits", "weight_misses"):
-            if name in stats:
-                setattr(self, name, int(stats[name]))
-        for section, store in (("evaluations", self._evaluations),
-                               ("weights", self._weights),
-                               ("tables", self._tables)):
-            for encoded_key, encoded_entry in state.get(section) or []:
-                store[decode_cache_value(encoded_key)] = \
-                    decode_cache_value(encoded_entry)
-
     def seed_from(self, other: "PublicValueCache") -> None:
         """Copy another cache's *entries* into this one (not its counters).
 
@@ -628,62 +579,8 @@ class PublicValueCache:
         return (len(self._evaluations) + len(self._weights)
                 + len(self._tables))
 
-    def hit_rate(self) -> float:
-        """Hit fraction over all counted lookups (0.0 when none).
-
-        Diagnostic-only value exported to run reports; never feeds back
-        into field arithmetic, hence the DMW006 suppression.
-        """
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0  # dmwlint: disable=DMW006
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "PublicValueCache(%r)" % (self.stats(),)
-
-
-# ---------------------------------------------------------------------------
-# Cache-state encoding (checkpoint persistence)
-# ---------------------------------------------------------------------------
-#
-# Cache keys and entries are heterogeneous trees of ints, strings, bools,
-# tuples, lists, and (for memoised resolution schedules) OperationCounter
-# replays.  JSON has neither tuples nor counters, so both are wrapped in
-# single-key tagged objects: {"t": [...]} for tuples, {"l": [...]} for
-# lists, {"c": snapshot} for counters.  Scalars pass through untouched
-# (Python's JSON keeps arbitrary-precision ints exact).
-
-def encode_cache_value(value: Any) -> Any:
-    """Encode one cache key/entry tree into JSON-safe form."""
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, tuple):
-        return {"t": [encode_cache_value(item) for item in value]}
-    if isinstance(value, list):
-        return {"l": [encode_cache_value(item) for item in value]}
-    if isinstance(value, OperationCounter):
-        return {"c": value.snapshot()}
-    if hasattr(value, "__index__"):
-        # Backend-native residues (e.g. gmpy2 ``mpz`` in Straus tables)
-        # round-trip as exact ints; mixed int/mpz rows multiply fine on
-        # import, so decode does not need to re-wrap.
-        return int(value)
-    raise TypeError("cannot encode cache value of type %r"
-                    % type(value).__name__)
-
-
-def decode_cache_value(value: Any) -> Any:
-    """Invert :func:`encode_cache_value` (tuples come back hashable)."""
-    if isinstance(value, dict):
-        if "t" in value:
-            return tuple(decode_cache_value(item) for item in value["t"])
-        if "l" in value:
-            return [decode_cache_value(item) for item in value["l"]]
-        if "c" in value:
-            counter = OperationCounter()
-            counter.restore(value["c"])
-            return counter
-        raise TypeError("unknown cache-value tag %r" % sorted(value))
-    return value
 
 
 def merge_cache_stats(into: Dict[str, int],

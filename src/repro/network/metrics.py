@@ -117,3 +117,19 @@ class NetworkMetrics:
         for kind in sorted(self.by_kind):
             summary["messages[%s]" % kind] = self.by_kind[kind]
         return summary
+
+    @classmethod
+    def from_dict(cls, totals: Dict[str, int]) -> "NetworkMetrics":
+        """Rebuild the totals :meth:`as_dict` summarised (its inverse)."""
+        metrics = cls(
+            point_to_point_messages=totals["point_to_point_messages"],
+            broadcast_events=totals["broadcast_events"],
+            field_elements=totals["field_elements"],
+            rounds=totals["rounds"],
+            retransmissions=totals.get("retransmissions", 0),
+            recovered_messages=totals.get("recovered_messages", 0),
+        )
+        for key, value in totals.items():
+            if key.startswith("messages[") and key.endswith("]"):
+                metrics.by_kind[key[len("messages["):-1]] = value
+        return metrics

@@ -82,10 +82,10 @@ way: the analytic schedule is charged on cache hits too
 Checkpointing
 -------------
 With ``checkpoint_path`` the parent writes a *completed-auction frontier*
-checkpoint after every merged task, carrying the cumulative merged cache
-statistics; a killed run resumes (``resume=...``) by re-running exactly
-the tasks outside the frontier and produces an outcome identical to the
-uninterrupted run, ``cache_stats`` included (``docs/RESILIENCE.md``).
+checkpoint after every merged task; a killed run resumes (``resume=...``)
+by re-running exactly the tasks outside the frontier and produces an
+outcome identical to the uninterrupted run (``docs/RESILIENCE.md``).
+Its ``cache_stats`` sum only the shards the resuming process merged.
 
 Scope: the pool driver covers the fault-free fast path — plain
 :class:`~repro.core.agent.DMWAgent` strategies over an obedient
@@ -109,6 +109,7 @@ from .crypto import backend as crypto_backend
 from .core.outcome import AuctionTranscript
 from .crypto.fastexp import PublicValueCache, merge_cache_stats
 from .crypto.modular import OperationCounter
+from .network.metrics import NetworkMetrics
 from .network.simulator import SynchronousNetwork
 from .obs.profile import PhaseProfiler
 from .obs.recorder import Recorder
@@ -162,7 +163,7 @@ class ShardResult:
     agent_operations: List[Dict[str, int]] = field(default_factory=list)
     check_stats: List[List[Tuple[Tuple[str, bool], int]]] = \
         field(default_factory=list)
-    network_totals: Dict[str, int] = field(default_factory=dict)
+    network_metrics: NetworkMetrics = field(default_factory=NetworkMetrics)
     round_index: int = 0
     cache_stats: Dict[str, int] = field(default_factory=dict)
     #: The shard recorder's :meth:`~repro.obs.recorder.Recorder.export`
@@ -263,7 +264,7 @@ def _run_shard(task: int) -> ShardResult:
         transcript=transcript,
         agent_operations=[agent.counter.snapshot() for agent in agents],
         check_stats=[list(agent.check_stats.items()) for agent in agents],
-        network_totals=protocol.network.metrics.as_dict(),
+        network_metrics=protocol.network.metrics,
         round_index=protocol.network.round_index,
         cache_stats=cache.stats(),
         recording=recorder.export() if recorder is not None else None,
@@ -273,12 +274,6 @@ def _run_shard(task: int) -> ShardResult:
 # ---------------------------------------------------------------------------
 # Parent side: validation, merge, drive
 # ---------------------------------------------------------------------------
-
-def _plan_is_obedient(plan: Any) -> bool:
-    """True iff the fault plan injects nothing (Theorem 3's network)."""
-    return (not plan.crashed_from_round and not plan.dropped_links
-            and not plan.drop_probability and not plan.corruptors)
-
 
 def _validate_poolable(protocol: "DMWProtocol") -> None:
     """Reject configurations the process-pool driver cannot shard.
@@ -301,7 +296,7 @@ def _validate_poolable(protocol: "DMWProtocol") -> None:
             "process-pool driver requires the plain SynchronousNetwork; "
             "got %s (timeout/latency models are in-process only)"
             % type(network).__name__)
-    if not _plan_is_obedient(network.fault_plan):
+    if network.fault_plan.has_faults():
         raise ParameterError(
             "process-pool driver requires an obedient fault plan; "
             "fault injection studies use the in-process drivers")
@@ -311,21 +306,16 @@ def _validate_poolable(protocol: "DMWProtocol") -> None:
             "logs; disable record_deliveries")
 
 
-def _metrics_from_totals_dict(totals: Dict[str, int]) -> Any:
-    from .core.checkpoint import _metrics_from_totals
-    return _metrics_from_totals(totals)
-
-
 def _merge_shard(protocol: "DMWProtocol", result: ShardResult) -> None:
     """Fold one shard's accounting into the parent protocol (additive).
 
     Mirrors :meth:`~repro.core.checkpoint.ProtocolCheckpoint.apply`:
     counters and network totals continue from the parent's state, the
-    transcript's public results are installed into every parent agent's
-    task state (what the payments phase reads), and the shard's recording
-    is ingested into the parent recorder.  Merging is additive and
-    per-task, so the final state after merging all shards in task order
-    equals the sequential driver's state exactly.
+    transcript is adopted by the same
+    :meth:`~repro.core.protocol.DMWProtocol._adopt_transcript` call, and
+    the shard's recording is ingested into the parent recorder.  Merging
+    is additive and per-task, so the final state after merging all
+    shards in task order equals the sequential driver's state exactly.
     """
     for agent, operations, tallies in zip(protocol.agents,
                                           result.agent_operations,
@@ -334,17 +324,10 @@ def _merge_shard(protocol: "DMWProtocol", result: ShardResult) -> None:
         delta.restore(operations)
         agent.counter.merge(delta)
         agent.check_stats.merge(tallies)
-    protocol.network.metrics.merge(
-        _metrics_from_totals_dict(result.network_totals))
+    protocol.network.metrics.merge(result.network_metrics)
     protocol.network.round_index += result.round_index
     if result.transcript is not None:
-        transcript = result.transcript
-        for agent in protocol.agents:
-            state = agent.task_state(transcript.task)
-            state.first_price = transcript.first_price
-            state.winner = transcript.winner
-            state.second_price = transcript.second_price
-        protocol._transcripts.append(transcript)
+        protocol._adopt_transcript(result.transcript)
     if protocol._cache_stats_override is not None:
         merge_cache_stats(protocol._cache_stats_override, result.cache_stats)
     if result.recording is not None:

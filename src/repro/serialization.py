@@ -26,16 +26,17 @@ from .obs.recorder import Event, Recorder
 from .scheduling.problem import SchedulingProblem, Task
 from .scheduling.schedule import PartialSchedule, Schedule
 
-#: Bumped whenever an encoding changes shape.  Version 4 carries the
+#: Bumped whenever an encoding changes shape.  Version 5 carries the
 #: outcome's ``trace``, ``cache_stats``, ``degraded``/``task_aborts`` and
 #: ``parallelism`` fields, partial schedules (``null`` assignment entries
 #: for quarantined tasks), and the ``dmw_checkpoint`` document with its
-#: completed-auction frontier (``completed_tasks``) and public-value cache
-#: snapshot (``cache_state``).
-FORMAT_VERSION = 4
+#: completed-auction frontier (``completed_tasks``).  Version 4
+#: checkpoints also embedded the public-value cache; version 5 carries
+#: protocol state only, and version 4 documents are no longer read.
+FORMAT_VERSION = 5
 
 #: Document versions :func:`loads` accepts.
-SUPPORTED_VERSIONS = (4,)
+SUPPORTED_VERSIONS = (5,)
 
 
 class SerializationError(ValueError):
@@ -188,7 +189,7 @@ def outcome_from_dict(document: Dict[str, Any]) -> DMWOutcome:
     :class:`~repro.core.exceptions.ProtocolAbort`.
     """
     _check(document, "dmw_outcome")
-    metrics = metrics_from_dict(document["network_metrics"])
+    metrics = NetworkMetrics.from_dict(document["network_metrics"])
 
     abort = None
     if document["abort"] is not None:
@@ -213,22 +214,6 @@ def outcome_from_dict(document: Dict[str, Any]) -> DMWOutcome:
     )
 
 
-def metrics_from_dict(raw_metrics: Dict[str, Any]) -> NetworkMetrics:
-    """Rebuild :class:`~repro.network.metrics.NetworkMetrics` from its
-    :meth:`~repro.network.metrics.NetworkMetrics.as_dict` encoding."""
-    metrics = NetworkMetrics()
-    metrics.point_to_point_messages = raw_metrics["point_to_point_messages"]
-    metrics.broadcast_events = raw_metrics["broadcast_events"]
-    metrics.field_elements = raw_metrics["field_elements"]
-    metrics.rounds = raw_metrics["rounds"]
-    metrics.retransmissions = raw_metrics.get("retransmissions", 0)
-    metrics.recovered_messages = raw_metrics.get("recovered_messages", 0)
-    for key, value in raw_metrics.items():
-        if key.startswith("messages[") and key.endswith("]"):
-            metrics.by_kind[key[len("messages["):-1]] = value
-    return metrics
-
-
 def trace_from_dict(document: Dict[str, Any]) -> Optional[List[Event]]:
     """Recover the embedded protocol events from an outcome document.
 
@@ -248,8 +233,7 @@ def checkpoint_to_dict(checkpoint: ProtocolCheckpoint) -> Dict[str, Any]:
 
     The rng states are the JSON encodings produced by
     :func:`repro.core.checkpoint.encode_rng_state`; no cryptographic
-    secret appears in the document — the cache snapshot holds only
-    bulletin-board-derivable public values (see the module docstring of
+    secret appears in the document (see the module docstring of
     :mod:`repro.core.checkpoint`).
     """
     return {
@@ -271,7 +255,6 @@ def checkpoint_to_dict(checkpoint: ProtocolCheckpoint) -> Dict[str, Any]:
         "round_index": checkpoint.round_index,
         "timeout_state": dict(checkpoint.timeout_state),
         "completed_tasks": list(checkpoint.completed_tasks),
-        "cache_state": dict(checkpoint.cache_state),
     }
 
 
@@ -294,7 +277,6 @@ def checkpoint_from_dict(document: Dict[str, Any]) -> ProtocolCheckpoint:
         round_index=document["round_index"],
         timeout_state=dict(document["timeout_state"]),
         completed_tasks=list(document["completed_tasks"]),
-        cache_state=dict(document["cache_state"]),
     )
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..crypto.fastexp import PublicValueCache, clear_fixed_base_tables
 
@@ -105,23 +105,6 @@ class WarmCacheStore:
     def warm(self, parameters: Any) -> bool:
         """True when the group already has accumulated entries."""
         return group_key(parameters.group_parameters) in self._stores
-
-    def evict(self, parameters: Optional[Any] = None) -> int:
-        """Drop one group's warm state (or all), tables included."""
-        if parameters is not None:
-            key = group_key(parameters.group_parameters)
-            held = self._stores.pop(key, None)
-            if held is None:
-                return 0
-            self.evictions += 1
-            clear_fixed_base_tables(held[0])
-            return 1
-        dropped = len(self._stores)
-        for _, (modulus, _) in self._stores.items():
-            clear_fixed_base_tables(modulus)
-        self._stores.clear()
-        self.evictions += dropped
-        return dropped
 
     # -- observability --------------------------------------------------------
     def stats(self) -> Dict[str, int]:

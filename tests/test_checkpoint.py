@@ -1,11 +1,13 @@
 """Checkpoint/resume: serialize protocol state at auction boundaries.
 
-The acceptance criterion (ISSUE tentpole 3): an execution interrupted
-after auction ``k`` and resumed from its checkpoint in a *fresh* process
-produces an outcome identical to the uninterrupted run — schedule,
-payments, transcripts, per-agent operation counters, network metrics,
-and (format version 4) ``cache_stats`` all match exactly.  Process-pool
-checkpointing is covered by ``tests/test_process_pool.py``.
+An execution interrupted after auction ``k`` and resumed from its
+checkpoint in a *fresh* process produces an outcome identical to the
+uninterrupted run: schedule, payments, transcripts, per-agent operation
+counters and network metrics all match exactly.  A format version 5
+checkpoint holds protocol state only, no public-value cache, so a
+resumed run's ``cache_stats`` describe the resuming process alone and
+are not compared.  Process-pool checkpointing is covered by
+``tests/test_process_pool.py``.
 """
 
 import json
@@ -52,6 +54,14 @@ def make_agents(params, problem, seed=7):
 def baseline(params5, problem):
     protocol = DMWProtocol(params5, make_agents(params5, problem))
     return protocol.execute(problem.num_tasks)
+
+
+#: Every key of a version 5 checkpoint document: protocol state only.
+CHECKPOINT_KEYS = {
+    "type", "version", "num_tasks", "next_task", "degraded", "num_agents",
+    "transcripts", "task_aborts", "agent_rng_states", "agent_operations",
+    "network_metrics", "round_index", "timeout_state", "completed_tasks",
+}
 
 
 def checkpoint_after(params, problem, completed_tasks, path):
@@ -103,12 +113,32 @@ class TestCheckpointDocument:
         checkpoint_after(params5, problem, 2, path)
         with open(path) as handle:
             document = json.load(handle)
+        assert document["version"] == 5
+        assert set(document) == CHECKPOINT_KEYS
         document["version"] = 3
         document.pop("completed_tasks")
-        document.pop("cache_state")
         with pytest.raises(serialization.SerializationError,
                            match="version 3"):
             serialization.checkpoint_from_dict(document)
+
+    @pytest.mark.parametrize("kind", ["checkpoint", "outcome"])
+    def test_version4_document_is_rejected(self, params5, problem,
+                                           tmp_path, kind):
+        """Version 4 documents (whose checkpoints embedded the
+        public-value cache) are no longer read, whatever they carry."""
+        if kind == "checkpoint":
+            path = str(tmp_path / "cp.json")
+            checkpoint_after(params5, problem, 1, path)
+            with open(path) as handle:
+                document = json.load(handle)
+        else:
+            outcome = DMWProtocol(params5, make_agents(
+                params5, problem)).execute(problem.num_tasks)
+            document = json.loads(serialization.dumps(outcome))
+        document["version"] = 4
+        with pytest.raises(serialization.SerializationError,
+                           match="version 4"):
+            serialization.loads(json.dumps(document))
 
     def test_document_is_versioned(self, params5, problem, tmp_path):
         path = str(tmp_path / "cp.json")
@@ -169,9 +199,10 @@ class TestResume:
     def test_resume_restores_cache_stats_exactly(self, params5, problem,
                                                  baseline, tmp_path,
                                                  boundary):
-        """The v4 fix: resumed ``cache_stats`` equal the uninterrupted
-        run's — counters *and* entry counts — because the checkpoint
-        carries the full public-value cache snapshot."""
+        """A run crashed inside ``execute`` resumes exactly from the
+        checkpoint it wrote, which holds no public-value cache: every
+        protocol result matches, and ``cache_stats`` (a diagnostic of
+        one process) are not compared."""
         path = str(tmp_path / "cp.json")
         crash = DMWProtocol(params5, make_agents(params5, problem))
         original = crash._run_auction
@@ -186,14 +217,18 @@ class TestResume:
         crash._run_auction = interrupted
         with pytest.raises(RuntimeError):
             crash.execute(problem.num_tasks, checkpoint_path=path)
+        with open(path) as handle:
+            assert set(json.load(handle)) == CHECKPOINT_KEYS
         loaded = serialization.load_checkpoint(path)
         assert loaded.completed_set() == set(range(boundary))
-        assert loaded.cache_state["stats"]
         fresh = DMWProtocol(params5, make_agents(params5, problem))
         outcome = fresh.execute(problem.num_tasks, resume=loaded)
         assert outcome.completed
         assert outcome.transcripts == baseline.transcripts
-        assert outcome.cache_stats == baseline.cache_stats
+        assert list(outcome.payments) == list(baseline.payments)
+        assert outcome.agent_operations == baseline.agent_operations
+        assert outcome.network_metrics.as_dict() == \
+            baseline.network_metrics.as_dict()
 
 
 class TestResumedReport:
@@ -287,6 +322,29 @@ class TestResumeValidation:
         protocol = DMWProtocol(params4, agents)
         with pytest.raises(ParameterError):
             loaded.apply(protocol)
+
+    @pytest.mark.parametrize("field", ["agent_rng_states",
+                                       "agent_operations"])
+    def test_short_per_agent_list_is_rejected(self, params5, problem,
+                                              tmp_path, field):
+        """A per-agent list that misses agents raises before any state
+        is touched; ``zip`` would otherwise skip the agents past its
+        end and the run would complete with wrong counters."""
+        path = str(tmp_path / "cp.json")
+        checkpoint_after(params5, problem, 1, path)
+        with open(path) as handle:
+            document = json.load(handle)
+        document[field] = document[field][:2]
+        loaded = serialization.checkpoint_from_dict(document)
+        agents = make_agents(params5, problem)
+        before = [(agent.rng.getstate(), agent.counter.snapshot())
+                  for agent in agents]
+        protocol = DMWProtocol(params5, agents)
+        with pytest.raises(ParameterError, match="for 5 agents"):
+            protocol.execute(problem.num_tasks, resume=loaded)
+        assert [(agent.rng.getstate(), agent.counter.snapshot())
+                for agent in agents] == before
+        assert protocol._transcripts == []
 
 
 class TestCompactCheckpoint:

@@ -9,7 +9,7 @@ read off the instance: ``d_t = disclosure_width(y*_t)`` disclosers and
 ``k_t = #{i : b_i(t) = y*_t}`` claimants.  These tests pin every
 driver's and transport's measured totals to
 :func:`~repro.core.rounds.theorem11_totals` across an ``(n, m, c)``
-grid, and unit-test ``merge``/``as_dict``.
+grid, and unit-test ``merge``/``as_dict``/``from_dict``.
 """
 
 import random
@@ -85,6 +85,28 @@ class TestNetworkMetricsUnit:
         }
         # Per-kind keys come after the scalar totals, sorted by kind.
         assert list(summary)[4:] == ["messages[alpha]", "messages[beta]"]
+
+    def test_from_dict_inverts_as_dict_on_fresh_metrics(self):
+        restored = NetworkMetrics.from_dict(NetworkMetrics().as_dict())
+        assert restored == NetworkMetrics()
+
+    def test_from_dict_inverts_as_dict_with_retries_and_kinds(self):
+        metrics = NetworkMetrics()
+        metrics.record(_message(kind="beta"), num_agents=4)
+        metrics.record(_message(kind="alpha", recipient=BROADCAST,
+                                field_elements=2), num_agents=4)
+        metrics.record(_message(kind="gamma", field_elements=3),
+                       num_agents=4)
+        metrics.record_retransmission(_message(kind="beta"))
+        metrics.record_retransmission(_message(kind="gamma"))
+        metrics.record_recovery()
+        metrics.record_round()
+        restored = NetworkMetrics.from_dict(metrics.as_dict())
+        assert restored == metrics
+        assert restored.retransmissions == 2
+        assert restored.recovered_messages == 1
+        assert restored.by_kind == {"alpha": 3, "beta": 2, "gamma": 2}
+        assert restored.as_dict() == metrics.as_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -178,10 +178,10 @@ class TestVersionCompatibility:
                            match="version 1"):
             serialization.loads(json.dumps(document))
 
-    def test_current_documents_carry_version_4(self, problem53):
+    def test_current_documents_carry_version_5(self, problem53):
         document = json.loads(serialization.dumps(problem53))
-        assert document["version"] == serialization.FORMAT_VERSION == 4
-        assert serialization.SUPPORTED_VERSIONS == (4,)
+        assert document["version"] == serialization.FORMAT_VERSION == 5
+        assert serialization.SUPPORTED_VERSIONS == (5,)
 
 
 class TestNaiveOutcomeRoundTrip:
