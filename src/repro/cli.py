@@ -219,7 +219,11 @@ def cmd_run(args) -> int:
         resume = None
         if args.resume:
             from . import serialization
-            resume = serialization.load_checkpoint(args.resume)
+            try:
+                resume = serialization.load_checkpoint(args.resume)
+            except (serialization.SerializationError, OSError) as error:
+                raise SystemExit("cannot resume from %s: %s"
+                                 % (args.resume, error)) from None
             print("resuming from %s (next task %d, %d auctions done)"
                   % (args.resume, resume.next_task, len(resume.transcripts)))
         outcome = protocol.execute(problem.num_tasks, degraded=args.degraded,

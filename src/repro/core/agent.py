@@ -481,22 +481,16 @@ class DMWAgent:
 
         Returns ``(Lambda'_i, Psi'_i) = (Lambda_i / z1^{e_*(alpha_i)},
         Psi_i / z2^{h_*(alpha_i)})`` computed from the winner's share
-        bundle this agent holds.
+        bundle this agent holds (each one table walk, no inversion:
+        :meth:`~repro.crypto.groups.GroupParameters.div_z1`).
         """
         state = self._state(task)
         winner_bundle = state.received_bundles[state.winner]
-        group = self.parameters.group
         group_parameters = self.parameters.group_parameters
-        lambda_prime = group.div(
-            state.lambda_value,
-            group_parameters.exp_z1(winner_bundle.e_value, self.counter),
-            self.counter,
-        )
-        psi_prime = group.div(
-            state.psi_value,
-            group_parameters.exp_z2(winner_bundle.h_value, self.counter),
-            self.counter,
-        )
+        lambda_prime = group_parameters.div_z1(
+            state.lambda_value, winner_bundle.e_value, self.counter)
+        psi_prime = group_parameters.div_z2(
+            state.psi_value, winner_bundle.h_value, self.counter)
         return lambda_prime, psi_prime
 
     def validate_excluded_aggregates(self, task: int,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from ..crypto.commitments import PedersenCommitter, PolynomialCommitment
 from ..crypto.modular import NULL_COUNTER, OperationCounter
@@ -132,11 +132,12 @@ def encode_bid(parameters: DMWParameters, bid: SecretInt,
     h = Polynomial.random(sigma, q, rng, zero_constant_term=True)
     committer = PedersenCommitter(parameters.group_parameters)
     product = e * f
-    commitments = AgentCommitments(
-        o_vector=committer.commit_polynomial(product, g, sigma, counter),
-        q_vector=committer.commit_polynomial(e, h, sigma, counter),
-        r_vector=committer.commit_polynomial(f, h, sigma, counter),
-    )
+    o_vector = committer.commit_polynomial(product, g, sigma, counter)
+    # Q and R are both blinded by h: one pass commits them together.
+    q_vector, r_vector = committer.commit_polynomial_pair(e, f, h, sigma,
+                                                          counter)
+    commitments = AgentCommitments(o_vector=o_vector, q_vector=q_vector,
+                                   r_vector=r_vector)
     return BidPackage(bid=bid, e=e, f=f, g=g, h=h, commitments=commitments)
 
 

@@ -24,6 +24,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..crypto import fastexp
 from ..crypto.commitments import verify_share_batch
 from ..crypto.fastexp import PublicValueCache
+from ..crypto.groups import GroupParameters
 from ..crypto.modular import NULL_COUNTER, OperationCounter
 from .bidding import AgentCommitments, ShareBundle
 from .parameters import DMWParameters
@@ -112,6 +113,10 @@ def verify_share_bundle(parameters: DMWParameters,
     Straus chain instead of three openings plus three evaluations.  The
     batched path is an execution fast path, so it defers to the
     per-share listing under :func:`~repro.crypto.fastexp.naive_mode`.
+
+    The per-share path checks the equations in that order and stops at the
+    first failure; eq. (9) is derived from eq. (8) (see
+    :func:`_verify_q_then_r`).
     """
     q = parameters.group.q
     product_value = (bundle.e_value * bundle.f_value) % q
@@ -131,16 +136,44 @@ def verify_share_bundle(parameters: DMWParameters,
         valid = (
             commitments.o_vector.verify_share(pseudonym, product_value,
                                               bundle.g_value, counter, cache)
-            and commitments.q_vector.verify_share(pseudonym, bundle.e_value,
-                                                  bundle.h_value, counter,
-                                                  cache)
-            and commitments.r_vector.verify_share(pseudonym, bundle.f_value,
-                                                  bundle.h_value, counter,
-                                                  cache)
+            and _verify_q_then_r(parameters, commitments, pseudonym, bundle,
+                                 counter, cache)
         )
     if stats is not None:
         stats.record("share_bundle", valid)
     return valid
+
+
+def _verify_q_then_r(parameters: DMWParameters,
+                     commitments: AgentCommitments, pseudonym: int,
+                     bundle: ShareBundle, counter: OperationCounter,
+                     cache: Optional[PublicValueCache]) -> bool:
+    """Eqs. (8) and (9) in that order, the second derived from the first.
+
+    Once eq. (8) holds, ``Q(a) = z1^e z2^h``; ``z1`` has order ``q``, so
+    eq. (9) ``z1^f z2^h == R(a)`` holds exactly when
+    ``z1^((f - e) mod q) * Q(a) == R(a)``, for any ``R(a)`` and any share
+    values.  One ``z1`` table walk then replaces the ``R`` opening, whose
+    schedule is still charged, and only when eq. (8) passes, as the
+    literal listing (``naive_mode``) charges it.
+    """
+    q_vector, r_vector = commitments.q_vector, commitments.r_vector
+    if not fastexp.enabled():
+        return (q_vector.verify_share(pseudonym, bundle.e_value,
+                                      bundle.h_value, counter, cache)
+                and r_vector.verify_share(pseudonym, bundle.f_value,
+                                          bundle.h_value, counter, cache))
+    group_parameters = parameters.group_parameters
+    group = group_parameters.group
+    q_at = q_vector.evaluate(pseudonym, counter, cache)
+    if group_parameters.open_value(bundle.e_value, bundle.h_value,
+                                   counter) != q_at:
+        return False
+    group_parameters.charge_opening(bundle.f_value, bundle.h_value, counter)
+    r_at = r_vector.evaluate(pseudonym, counter, cache)
+    shift = group_parameters.generator_tables[0].pow(
+        (bundle.f_value - bundle.e_value) % group.q)
+    return shift * q_at % group.p == r_at
 
 
 def gamma_value(parameters: DMWParameters, commitments: AgentCommitments,
@@ -232,12 +265,37 @@ def _f_disclosure_consistent(parameters: DMWParameters,
                              cache: Optional[PublicValueCache]) -> bool:
     if set(disclosed) != set(range(len(all_commitments))):
         return False
+    group_parameters = parameters.group_parameters
     for index, commitments in enumerate(all_commitments):
         f_value, h_value = disclosed[index]
         expected = phi_value(parameters, commitments, discloser_pseudonym,
                              counter, cache)
-        opened = parameters.group_parameters.open_value(f_value, h_value,
-                                                        counter)
+        opened = _open_published(group_parameters, f_value, h_value,
+                                 counter, cache)
         if opened != expected:
             return False
     return True
+
+
+def _open_published(group_parameters: GroupParameters, value: int,
+                    blinding: int, counter: OperationCounter,
+                    cache: Optional[PublicValueCache]) -> int:
+    """Open one disclosed eq. (13) pair, once per execution.
+
+    Every assigned verifier, and the auditor, opens the same published
+    pairs, so with a cache each opening is memoised by content and its
+    counted schedule replayed on a hit.  Share-check openings never come
+    here: their arguments are private.
+    """
+    if cache is None or not fastexp.enabled():
+        return group_parameters.open_value(value, blinding, counter)
+    group = group_parameters.group
+    key = (group.p, group_parameters.z1, group_parameters.z2,
+           value % group.q, blinding % group.q)
+    opened = cache.get_opening(key)
+    if opened is None:
+        opened = group_parameters.open_value(value, blinding, counter)
+        cache.put_opening(key, opened)
+    else:
+        group_parameters.charge_opening(value, blinding, counter)
+    return opened

@@ -89,12 +89,8 @@ class PedersenCommitter:
             Number of slots (the protocol's ``sigma``); polynomials of lower
             degree are zero-padded, which is what hides their degree.
         """
-        value_coefficients = values.padded_coefficients(size + 1)
-        blinding_coefficients = blindings.padded_coefficients(size + 1)
-        if value_coefficients[0] != 0 or blinding_coefficients[0] != 0:
-            raise ValueError(
-                "committed polynomials must have zero constant terms"
-            )
+        value_coefficients, blinding_coefficients = _slot_coefficients(
+            size, values, blindings)
         open_value = self.parameters.open_value
         elements = tuple(
             open_value(value_coefficients[l], blinding_coefficients[l],
@@ -103,6 +99,47 @@ class PedersenCommitter:
         )
         return PolynomialCommitment(parameters=self.parameters,
                                     elements=elements)
+
+    def commit_polynomial_pair(self, first: Polynomial, second: Polynomial,
+                               blindings: Polynomial, size: int,
+                               counter: OperationCounter = NULL_COUNTER
+                               ) -> Tuple["PolynomialCommitment",
+                                          "PolynomialCommitment"]:
+        """Commit ``first`` and ``second`` under the same ``blindings``.
+
+        Equal, in elements and counted cost, to
+        ``commit_polynomial(first, blindings, size)`` and
+        ``commit_polynomial(second, blindings, size)``; each slot pair is
+        one :meth:`~repro.crypto.groups.GroupParameters.open_pair`, which
+        walks the shared ``z2`` power once.  ``Q`` and ``R`` are committed
+        this way: both are blinded by ``h``.
+        """
+        first_coefficients, second_coefficients, blinding_coefficients = (
+            _slot_coefficients(size, first, second, blindings))
+        open_pair = self.parameters.open_pair
+        pairs = [open_pair(first_coefficients[l], second_coefficients[l],
+                           blinding_coefficients[l], counter)
+                 for l in range(1, size + 1)]
+        return (
+            PolynomialCommitment(parameters=self.parameters,
+                                 elements=tuple(pair[0] for pair in pairs)),
+            PolynomialCommitment(parameters=self.parameters,
+                                 elements=tuple(pair[1] for pair in pairs)),
+        )
+
+
+def _slot_coefficients(size: int,
+                       *polynomials: Polynomial) -> List[List[int]]:
+    """Coefficients ``0..size`` of each polynomial (zero-padded).
+
+    Committed polynomials must have zero constant terms: slot 0 is never
+    committed, and the verification equations start at ``l = 1``.
+    """
+    padded = [polynomial.padded_coefficients(size + 1)
+              for polynomial in polynomials]
+    if any(coefficients[0] != 0 for coefficients in padded):
+        raise ValueError("committed polynomials must have zero constant terms")
+    return padded
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,17 @@ model bit-for-bit identical:
   the process-wide factory (:func:`fixed_base_table`) and bound to each
   :class:`~repro.crypto.groups.GroupParameters` on first use;
 * :func:`multi_exp` — Straus/Shamir simultaneous multi-exponentiation for
-  products with full-size exponents: the degree-resolution products
-  ``prod_k Lambda_k^{rho_k}`` and batched share verification;
+  products with full-size exponents: batched share verification and the
+  degree-resolution products ``prod_k Lambda_k^{rho_k}`` whose weights
+  have no small signed representative;
 * :func:`horner_multi_exp` — Horner in the exponent for commitment-vector
   evaluations ``prod_l C_l^{alpha^l}`` at the small public pseudonyms;
 * :func:`batch_mod_inv` — Montgomery's batch-inversion trick (one real
   inversion plus ``3(k-1)`` multiplications for ``k`` inverses);
 * :class:`PublicValueCache` — a per-execution memo for publicly derivable
   values (``Gamma_{i,k}``, ``Phi_{i,k}``, commitment evaluations, Lagrange
-  weight vectors, first- and second-price resolutions) so the ``O(n^2)``
+  weight vectors, first- and second-price resolutions, openings of the
+  disclosed eq. (13) pairs) so the ``O(n^2)``
   Phase-III verification loops compute each public value exactly once per
   execution.
 
@@ -470,6 +472,12 @@ class PublicValueCache:
       eq. (12) resolution, first and second price, with its recorded
       counter.
 
+    One more slot, the *published openings* (:meth:`get_opening`), holds
+    the Pedersen openings of the disclosed eq. (13) pairs, keyed by
+    ``(modulus, z1, z2, value mod q, blinding mod q)``.  It lives for one
+    execution only: it is not counted in the hits, misses or
+    :meth:`stats`, and :meth:`seed_from` does not copy it.
+
     The cache stores no secrets: every entry is computable by any observer
     of the bulletin board.  Counter replay is the *caller's* job (the call
     sites charge the naive schedule on hit and miss alike); the cache only
@@ -481,14 +489,15 @@ class PublicValueCache:
     exception (:meth:`seed_from`); pool shards never receive entries.
     """
 
-    __slots__ = ("_evaluations", "_weights", "_tables", "hits", "misses",
-                 "evaluation_hits", "evaluation_misses", "weight_hits",
-                 "weight_misses")
+    __slots__ = ("_evaluations", "_weights", "_tables", "_openings", "hits",
+                 "misses", "evaluation_hits", "evaluation_misses",
+                 "weight_hits", "weight_misses")
 
     def __init__(self) -> None:
         self._evaluations: Dict[CacheKey, CacheEntry] = {}
         self._weights: Dict[CacheKey, CacheEntry] = {}
         self._tables: Dict[CacheKey, CacheEntry] = {}
+        self._openings: Dict[CacheKey, int] = {}
         self.hits = 0
         self.misses = 0
         # Per-namespace breakdown (the observability layer exports these
@@ -529,6 +538,18 @@ class PublicValueCache:
     def put_tables(self, key: CacheKey, entry: CacheEntry) -> None:
         self._tables[key] = entry
 
+    # -- published eq. (13) openings (per execution, not in the stats) ------
+    def get_opening(self, key: CacheKey) -> Optional[int]:
+        """The memoised opening of one disclosed pair, or ``None``.
+
+        Only public pairs belong here: an opening of a private share
+        (eqs. (7)-(9)) must never be stored.
+        """
+        return self._openings.get(key)
+
+    def put_opening(self, key: CacheKey, opening: int) -> None:
+        self._openings[key] = opening
+
     # -- Lagrange weight vectors --------------------------------------------
     def get_weights(self, key: CacheKey) -> Optional[CacheEntry]:
         entry = self._weights.get(key)
@@ -568,7 +589,8 @@ class PublicValueCache:
         recomputation, while this cache's hit/miss counters still
         describe only the current job.  Entries are
         immutable tuples keyed purely by content, so sharing them across
-        executions can never serve a stale value.
+        executions can never serve a stale value.  The published openings
+        are not copied: they belong to one execution.
         """
         self._evaluations.update(other._evaluations)
         self._weights.update(other._weights)

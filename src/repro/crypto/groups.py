@@ -25,6 +25,13 @@ from .modular import (NULL_COUNTER, OperationCounter, mod_exp, mod_inv,
 from .primes import find_subgroup_generator, generate_schnorr_parameters, is_prime
 
 
+def _exp_work(exponent: int) -> int:
+    """Square-and-multiply work of ``exponent`` (as ``count_exp`` adds)."""
+    if exponent > 1:
+        return exponent.bit_length() + popcount(exponent) - 2
+    return 0
+
+
 @dataclass(frozen=True)
 class SchnorrGroup:
     """An order-``q`` subgroup of ``Z_p^*``.
@@ -205,6 +212,95 @@ class GroupParameters:
             blinding >>= window
             row += 1
         return int(result)
+
+    def charge_opening(self, value: int, blinding: int,
+                       counter: OperationCounter = NULL_COUNTER) -> None:
+        """Charge what :meth:`open_value` charges, computing nothing.
+
+        For call sites that already know the opening's result (eq. (9)
+        derived from eq. (8), a memoised eq. (13) pair): two
+        exponentiations with the schedules of the reduced exponents, plus
+        one multiplication.
+        """
+        q = self.group.q
+        counter.count_exp_batch(2, _exp_work(value % q)
+                                + _exp_work(blinding % q))
+        counter.count_mul()
+
+    def open_pair(self, first: int, second: int, blinding: int,
+                  counter: OperationCounter = NULL_COUNTER
+                  ) -> Tuple[int, int]:
+        """Return the openings of ``first`` and ``second`` under one blinding.
+
+        Equal to ``(open_value(first, blinding), open_value(second,
+        blinding))``.  The two openings share ``z2^blinding`` (the ``Q``
+        and ``R`` slots of a bid are blinded by the same coefficient of
+        ``h``), so one loop walks three table rows: ``z1`` for each value
+        and ``z2`` once.  Counted cost: the two :meth:`open_value`
+        schedules.
+        """
+        if not fastexp.enabled():
+            return (self.open_value(first, blinding, counter),
+                    self.open_value(second, blinding, counter))
+        group = self.group
+        q = group.q
+        first %= q
+        second %= q
+        blinding %= q
+        counter.count_exp_batch(4, _exp_work(first) + _exp_work(second)
+                                + 2 * _exp_work(blinding))
+        counter.count_mul(2)
+        z1_table, z2_table = self.generator_tables
+        z1_rows, z2_rows = z1_table.rows, z2_table.rows
+        window, mask, modulus = z1_table.window, z1_table.mask, group.p
+        first_power = second_power = shared = 1
+        row = 0
+        while first or second or blinding:
+            digit = first & mask
+            if digit:
+                first_power = first_power * z1_rows[row][digit] % modulus
+            digit = second & mask
+            if digit:
+                second_power = second_power * z1_rows[row][digit] % modulus
+            digit = blinding & mask
+            if digit:
+                shared = shared * z2_rows[row][digit] % modulus
+            first >>= window
+            second >>= window
+            blinding >>= window
+            row += 1
+        return (int(first_power * shared % modulus),
+                int(second_power * shared % modulus))
+
+    def div_z1(self, value: int, exponent: int,
+               counter: OperationCounter = NULL_COUNTER) -> int:
+        """Return ``value / z1^(exponent mod q) mod p``.
+
+        ``z1`` has order ``q``, so ``value / z1^x == value * z1^((-x) mod
+        q)`` for every ``value``: one table walk and one multiplication, no
+        inversion.  Counted cost: what ``group.div(value, exp_z1(exponent))``
+        charges, one exponentiation, one inversion and one multiplication.
+        """
+        return self._div_power(0, value, exponent, counter)
+
+    def div_z2(self, value: int, exponent: int,
+               counter: OperationCounter = NULL_COUNTER) -> int:
+        """Return ``value / z2^(exponent mod q) mod p`` (as :meth:`div_z1`)."""
+        return self._div_power(1, value, exponent, counter)
+
+    def _div_power(self, index: int, value: int, exponent: int,
+                   counter: OperationCounter) -> int:
+        group = self.group
+        if not fastexp.enabled():
+            base = (self.z1, self.z2)[index]
+            return group.div(value, group.exp(base, exponent, counter),
+                             counter)
+        reduced = exponent % group.q
+        counter.count_exp(reduced)
+        counter.count_inv()
+        counter.count_mul()
+        power = self.generator_tables[index].pow(-reduced % group.q)
+        return value * power % group.p
 
     @classmethod
     def generate(cls, q_bits: int, p_bits: int,

@@ -24,7 +24,8 @@ the same failure probability the paper cites.
 
 Execution fast paths (see :mod:`repro.crypto.fastexp` and
 ``docs/PERFORMANCE.md``): inversions are batched with Montgomery's trick,
-the exponent-space test products use Straus multi-exponentiation, and both
+the exponent-space tests raise each base to its small signed Lagrange
+weight (Straus multi-exponentiation when a weight has none), and both
 the Lagrange weight vectors and whole resolutions can be memoised in a
 per-execution :class:`~repro.crypto.fastexp.PublicValueCache`.  The
 *counted* cost — one ``inv`` per Lagrange basis term, square-and-multiply
@@ -41,8 +42,8 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from . import fastexp
-from .fastexp import PublicValueCache, batch_mod_inv, multi_exp
+from . import backend, fastexp
+from .fastexp import PublicValueCache, batch_mod_inv
 from .groups import SchnorrGroup
 from .modular import (
     NULL_COUNTER,
@@ -249,34 +250,70 @@ def resolve_degree(points: Sequence[int], values: Sequence[int], modulus: int,
     return None
 
 
-def _exponent_product(group: SchnorrGroup, values: Sequence[int],
-                      weights: Sequence[int],
-                      counter: OperationCounter,
-                      tables: Optional[Sequence[Sequence[int]]] = None) -> int:
-    """Return ``prod_k values[k] ** weights[k] mod p`` (the eq. (12) test).
+#: Largest magnitude of a signed eq. (12) weight raised directly:
+#: C(33, 16) < 2^32, so contiguous pseudonym prefixes of up to 33 points fit.
+SIGNED_WEIGHT_BOUND = 1 << 32
 
-    Executed with Straus multi-exponentiation when the fast path is on;
-    counted as per-term square-and-multiply plus one multiplication per
-    term either way.  ``tables`` may hold precomputed window-5
-    :func:`~repro.crypto.fastexp.straus_tables` rows for a prefix-compatible
-    base list (the incremental resolution reuses one table set across all
-    candidate degrees).
+
+def _signed_weights(reduced: Sequence[int], order: int) -> Optional[List[int]]:
+    """Each weight's least-magnitude representative mod ``order``, or
+    ``None`` when one exceeds :data:`SIGNED_WEIGHT_BOUND` in magnitude."""
+    signed: List[int] = []
+    for weight in reduced:
+        if weight > order - weight:
+            weight -= order
+        if abs(weight) > SIGNED_WEIGHT_BOUND:
+            return None
+        signed.append(weight)
+    return signed
+
+
+def _exponent_test(group: SchnorrGroup, values: Sequence[int],
+                   weights: Sequence[int],
+                   counter: OperationCounter) -> bool:
+    """Return whether ``prod_k values[k] ** (weights[k] mod q) == 1 mod p``.
+
+    The eq. (12) test, counted as per-term square-and-multiply plus one
+    multiplication per term on every path.  At the pseudonyms ``1..d+1``
+    the Lagrange weights are ``+-C(d+1, k)``, so each reduced weight is
+    ``c`` or ``q - c`` with ``c`` small.  For a unit ``v``,
+    ``v^(q-c) = v^q * v^(-c)``, so the product is 1 exactly when
+    ``prod_pos v^c * (prod_neg v)^q == prod_neg v^c``: one full-width
+    power instead of a Straus chain.  A base that is 0 mod ``p`` under a
+    non-zero weight makes the product 0.  Weights with no small signed
+    representative (a point set such as ``{1, 2, 4}``, left when a
+    publisher is excluded) take Straus multi-exponentiation.
     """
     if not fastexp.enabled():
         product = 1
         for value, weight in zip(values, weights):
             product = group.mul(product, group.exp(value, weight, counter),
                                 counter)
-        return product
-    q = group.q
+        return product == 1
+    p, q = group.p, group.q
     reduced = [weight % q for weight in weights]
     for weight in reduced:
         counter.count_exp(weight)
     counter.count_mul(len(reduced))
-    if tables is not None:
-        return fastexp.multi_exp_with_tables(list(tables[:len(reduced)]),
-                                             reduced, group.p, window=5)
-    return multi_exp(list(values), reduced, group.p)
+    signed = _signed_weights(reduced, q)
+    if signed is None:
+        return fastexp.multi_exp(list(values), reduced, p) == 1
+    powmod = backend.ACTIVE.powmod
+    left = right = negative_bases = 1
+    for value, weight in zip(values, signed):
+        if weight == 0:
+            continue
+        value %= p
+        if value == 0:
+            return False
+        if weight > 0:
+            left = left * powmod(value, weight, p) % p
+        else:
+            right = right * powmod(value, -weight, p) % p
+            negative_bases = negative_bases * value % p
+    if negative_bases != 1:
+        left = left * powmod(negative_bases, q, p) % p
+    return left == right
 
 
 def resolve_degree_in_exponent(group: SchnorrGroup, points: Sequence[int],
@@ -349,20 +386,6 @@ def _resolve_degree_in_exponent(group: SchnorrGroup, points: Sequence[int],
                                 counter: OperationCounter,
                                 incremental: bool) -> Optional[int]:
     """Uncached body of :func:`resolve_degree_in_exponent`."""
-    # One Straus digit-table row per Lambda base, grown lazily with the
-    # interpolation prefix and shared across every candidate-degree test
-    # (the bases never change within one resolution, only the weights do).
-    base_tables: Optional[List[List[int]]] = ([] if fastexp.enabled()
-                                              else None)
-
-    def tables_for(size: int) -> Optional[List[List[int]]]:
-        if base_tables is None:
-            return None
-        while len(base_tables) < size:
-            base_tables.extend(fastexp.straus_tables(
-                [exponent_values[len(base_tables)]], group.p, window=5))
-        return base_tables
-
     if not incremental:
         for degree in candidates:
             needed = degree + 1
@@ -370,10 +393,8 @@ def _resolve_degree_in_exponent(group: SchnorrGroup, points: Sequence[int],
                 continue
             weights = lagrange_weights_at_zero(points[:needed], group.q,
                                                counter)
-            product = _exponent_product(group, exponent_values[:needed],
-                                        weights, counter,
-                                        tables_for(needed))
-            if product == 1:
+            if _exponent_test(group, exponent_values[:needed], weights,
+                              counter):
                 return degree
         return None
     # Incremental scan: maintain the weights for the current point prefix.
@@ -410,8 +431,6 @@ def _resolve_degree_in_exponent(group: SchnorrGroup, points: Sequence[int],
         degree = size - 1
         if degree not in candidate_set:
             continue
-        product = _exponent_product(group, exponent_values[:size], weights,
-                                    counter, tables_for(size))
-        if product == 1:
+        if _exponent_test(group, exponent_values[:size], weights, counter):
             return degree
     return None

@@ -16,7 +16,7 @@ run (the auditor consumes them in-process via
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .core.checkpoint import ProtocolCheckpoint
 from .core.outcome import AuctionTranscript, DMWOutcome
@@ -41,6 +41,47 @@ SUPPORTED_VERSIONS = (5,)
 
 class SerializationError(ValueError):
     """Raised on malformed or wrong-version documents."""
+
+
+class _Fields(dict):
+    """A document's top-level fields, remembering the last key read so a
+    decoding error can name the field it came from."""
+
+    last: Optional[str] = None
+
+    def __getitem__(self, key: str) -> Any:
+        self.last = key
+        return super().__getitem__(key)
+
+
+def _parse(text: str) -> Any:
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as error:
+        raise SerializationError("not valid JSON: %s" % error) from None
+
+
+def _decode(decoder: Callable[[Dict[str, Any]], Any],
+            document: Any) -> Any:
+    """Run ``decoder`` on ``document``; a missing key or a wrong-typed
+    field becomes a :class:`SerializationError` naming the document type
+    and the key."""
+    if not isinstance(document, dict):
+        raise SerializationError("expected a JSON object")
+    fields = _Fields(document)
+    kind = document.get("type")
+    try:
+        return decoder(fields)
+    except SerializationError:
+        raise
+    except KeyError as error:
+        key = error.args[0] if error.args else None
+        where = "" if key == fields.last else " in field %r" % fields.last
+        raise SerializationError("%s document lacks key %r%s"
+                                 % (kind, key, where)) from None
+    except (TypeError, ValueError, AttributeError) as error:
+        raise SerializationError("%s document is malformed at field %r: %s"
+                                 % (kind, fields.last, error)) from None
 
 
 def _check(document: Dict[str, Any], expected_type: str) -> None:
@@ -296,10 +337,15 @@ def save_checkpoint(checkpoint: ProtocolCheckpoint, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ProtocolCheckpoint:
-    """Load a checkpoint document written by :func:`save_checkpoint`."""
+    """Load a checkpoint document written by :func:`save_checkpoint`.
+
+    Raises :class:`SerializationError` for anything but a well-formed
+    current-version checkpoint, and ``OSError`` when the file cannot be
+    read.
+    """
     with open(path) as handle:
-        document = json.loads(handle.read())
-    return checkpoint_from_dict(document)
+        document = _parse(handle.read())
+    return _decode(checkpoint_from_dict, document)
 
 
 # -- file helpers -----------------------------------------------------------------
@@ -343,15 +389,19 @@ def dumps(artifact, recorder: Optional[Recorder] = None) -> str:
 
 
 def loads(text: str):
-    """Deserialize a JSON string produced by :func:`dumps`."""
-    document = json.loads(text)
+    """Deserialize a JSON string produced by :func:`dumps`.
+
+    Raises :class:`SerializationError` for invalid JSON, an unknown or
+    wrong-version document, a missing key or a wrong-typed field.
+    """
+    document = _parse(text)
     if not isinstance(document, dict) or "type" not in document:
         raise SerializationError("not a repro document")
-    decoder = _DECODERS.get(document["type"])
+    kind = document["type"]
+    decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
     if decoder is None:
-        raise SerializationError("unknown document type %r"
-                                 % document["type"])
-    return decoder(document)
+        raise SerializationError("unknown document type %r" % (kind,))
+    return _decode(decoder, document)
 
 
 def save(artifact, path: str,
@@ -370,5 +420,5 @@ def load(path: str):
 def load_trace(path: str) -> Optional[List[Event]]:
     """Load the embedded events of a saved outcome (``None`` if absent)."""
     with open(path) as handle:
-        document = json.loads(handle.read())
-    return trace_from_dict(document)
+        document = _parse(handle.read())
+    return _decode(trace_from_dict, document)

@@ -13,6 +13,8 @@ are not compared.  Process-pool checkpointing is covered by
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -196,9 +198,9 @@ class TestResume:
         assert list(outcome.payments) == list(baseline.payments)
 
     @pytest.mark.parametrize("boundary", [1, 2])
-    def test_resume_restores_cache_stats_exactly(self, params5, problem,
-                                                 baseline, tmp_path,
-                                                 boundary):
+    def test_crashed_run_resumes_to_identical_results(self, params5,
+                                                      problem, baseline,
+                                                      tmp_path, boundary):
         """A run crashed inside ``execute`` resumes exactly from the
         checkpoint it wrote, which holds no public-value cache: every
         protocol result matches, and ``cache_stats`` (a diagnostic of
@@ -357,3 +359,60 @@ class TestCompactCheckpoint:
             text = handle.read()
         assert text.endswith("\n") and text.count("\n") == 1
         assert serialization.load_checkpoint(path) == checkpoint
+
+
+class TestMalformedCheckpoint:
+    """A truncated or wrong-typed checkpoint fails with a
+    ``SerializationError`` naming the document type and the key, and
+    ``dmw run --resume`` turns it into one line on stderr."""
+
+    def document(self, params5, problem, tmp_path):
+        path = str(tmp_path / "cp.json")
+        checkpoint_after(params5, problem, 1, path)
+        with open(path) as handle:
+            return path, json.load(handle)
+
+    def test_wrong_typed_field_names_the_key(self, params5, problem,
+                                             tmp_path):
+        path, document = self.document(params5, problem, tmp_path)
+        document["transcripts"] = 3
+        message = "dmw_checkpoint document is malformed at field 'transcripts'"
+        with pytest.raises(serialization.SerializationError, match=message):
+            serialization.loads(json.dumps(document))
+        with open(path, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(serialization.SerializationError, match=message):
+            serialization.load_checkpoint(path)
+
+    def test_nested_missing_key_names_its_field(self, params5, problem,
+                                                tmp_path):
+        _, document = self.document(params5, problem, tmp_path)
+        del document["transcripts"][0]["winner"]
+        with pytest.raises(serialization.SerializationError,
+                           match="lacks key 'winner' in field "
+                                 "'transcripts'"):
+            serialization.loads(json.dumps(document))
+
+    def test_cut_file_is_not_valid_json(self, params5, problem, tmp_path):
+        path, _ = self.document(params5, problem, tmp_path)
+        with open(path) as handle:
+            text = handle.read()
+        with open(path, "w") as handle:
+            handle.write(text[:len(text) // 2])
+        with pytest.raises(serialization.SerializationError,
+                           match="not valid JSON"):
+            serialization.load_checkpoint(path)
+
+    def test_cli_resume_from_truncated_checkpoint(self, tmp_path):
+        path = tmp_path / "trunc.json"
+        path.write_text('{"type": "dmw_checkpoint", "version": 5}')
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--agents", "4",
+             "--tasks", "2", "--resume", str(path)],
+            cwd=root, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+        assert result.returncode != 0
+        assert result.stderr.splitlines() == [
+            "cannot resume from %s: dmw_checkpoint document lacks key "
+            "'num_tasks'" % path]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.core.audit import audit_protocol_run
 from repro.core.deviant import standard_deviations
 from repro.core.parameters import DMWParameters
-from repro.core.protocol import DMWProtocol
+from repro.core.protocol import DMWProtocol, run_dmw
 from repro.core.agent import DMWAgent
 from repro.crypto import fastexp, interpolation
 from repro.crypto.commitments import PolynomialCommitment
@@ -41,7 +41,6 @@ from repro.crypto.fastexp import (
 from repro.crypto.groups import fixture_group
 from repro.crypto.modular import (NULL_COUNTER, OperationCounter, mod_inv,
                                   popcount)
-from repro.scheduling.problem import SchedulingProblem
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +275,20 @@ class TestPublicValueCache:
         assert hit_counter.snapshot() == miss_counter.snapshot()
         assert cache.stats()["hits"] == 1
 
+    def test_cache_stats_of_a_seeded_run_are_pinned(self, params5,
+                                                     problem53):
+        """The published-openings slot is not in the stats: a seeded
+        run's ``cache_stats`` are what they were before it existed."""
+        outcome = run_dmw(problem53, parameters=params5,
+                          rng=random.Random(0))
+        assert outcome.completed
+        assert outcome.cache_stats == {
+            "hits": 384, "misses": 211,
+            "evaluation_hits": 336, "evaluation_misses": 204,
+            "weight_hits": 48, "weight_misses": 7,
+            "evaluations": 204, "weight_vectors": 7, "straus_tables": 0,
+        }
+
     def test_cache_keys_are_content_addressed(self, params5, rng):
         from repro.core.bidding import encode_bid
         cache = PublicValueCache()
@@ -388,6 +401,146 @@ class TestGeneratorPathsMatchReference:
                 assert parameters.open_value(value, blinding,
                                              reference) == opening
             assert counter.snapshot() == reference.snapshot()
+
+    @pytest.mark.parametrize("group_size", ["small", "large"])
+    def test_open_pair(self, group_size):
+        """One walk of the shared ``z2`` power gives both openings, and
+        charges both ``open_value`` schedules."""
+        parameters = fixture_group(group_size)
+        rng = random.Random("pair-opening-" + group_size)
+        exponents = _special_exponents(parameters.group.q, rng)
+        special = exponents[:7]
+        triples = [(first, second, blinding) for first in special
+                   for second in special for blinding in special]
+        triples += list(zip(exponents[7:], reversed(exponents),
+                            exponents[5:]))
+        for first, second, blinding in triples:
+            reference = OperationCounter()
+            expected = (parameters.open_value(first, blinding, reference),
+                        parameters.open_value(second, blinding, reference))
+            counter = OperationCounter()
+            pair = parameters.open_pair(first, second, blinding, counter)
+            assert pair == expected
+            assert all(type(opening) is int for opening in pair)
+            assert counter.snapshot() == reference.snapshot()
+            naive = OperationCounter()
+            with naive_mode():
+                assert parameters.open_pair(first, second, blinding,
+                                            naive) == expected
+            assert naive.snapshot() == reference.snapshot()
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
+    def test_div_z1_and_div_z2(self, group_size):
+        """Dividing out a generator power needs no inversion: same value
+        as ``group.div`` for any dividend, same counted cost."""
+        parameters = fixture_group(group_size)
+        group = parameters.group
+        p = group.p
+        rng = random.Random("generator-division-" + group_size)
+        dividends = [0, 1, p - 1, p, -3, p + 5, parameters.z1,
+                     rng.randrange(p)]
+        for exponent in _special_exponents(group.q, rng, count=3):
+            for base, method in ((parameters.z1, parameters.div_z1),
+                                 (parameters.z2, parameters.div_z2)):
+                inverse = pow(pow(base, exponent % group.q, p), -1, p)
+                for dividend in dividends:
+                    counter = OperationCounter()
+                    quotient = method(dividend, exponent, counter)
+                    assert type(quotient) is int
+                    assert quotient == dividend * inverse % p
+                    reference = OperationCounter()
+                    with naive_mode():
+                        assert method(dividend, exponent,
+                                      reference) == quotient
+                    assert counter.snapshot() == reference.snapshot()
+                    assert counter.inversions == 1
+
+
+class TestSignedWeightExponentTest:
+    """The eq. (12) test with signed small weights equals the Straus
+    product test ``multi_exp(...) == 1`` for every base, and charges the
+    naive schedule; weights with no small signed representative take the
+    Straus fallback."""
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
+    def test_matches_multi_exp(self, group_size, monkeypatch):
+        parameters = fixture_group(group_size)
+        group = parameters.group
+        p, q = group.p, group.q
+        rng = random.Random("signed-weights-" + group_size)
+        subgroup = [parameters.exp_z1(rng.randrange(q)) for _ in range(4)]
+        outside = [p - 1, 2, 3, rng.randrange(2, p - 1)]
+        assert not group.contains(p - 1)
+        odd = [0, p, 3 * p, -1, -5, -(p - 2), p + 7,
+               2 * p + rng.randrange(p)]
+        bases = subgroup + outside + odd
+        small = interpolation.SIGNED_WEIGHT_BOUND
+
+        def draw_weight():
+            kind = rng.randrange(4)
+            if kind == 0:
+                return rng.randrange(0, 40)
+            if kind == 1:
+                return q - rng.randrange(1, 40)
+            if kind == 2:
+                return rng.choice((small, small + 1, q - small,
+                                   q - small - 1, -rng.randrange(1, 40)))
+            return rng.randrange(q)
+
+        fallbacks = []
+        straus = fastexp.multi_exp
+
+        def counting(*args, **kwargs):
+            fallbacks.append(1)
+            return straus(*args, **kwargs)
+
+        monkeypatch.setattr(fastexp, "multi_exp", counting)
+        verdicts = []
+        for case in range(300 if group_size != "large" else 150):
+            size = rng.randrange(1, 7)
+            values = [rng.choice(bases) for _ in range(size)]
+            weights = [draw_weight() for _ in range(size)]
+            if case % 3 == 0:
+                # Balance one weight-1 term so that the product is 1.
+                slot = rng.randrange(size)
+                rest = straus(values[:slot] + values[slot + 1:],
+                              [w % q for w in weights[:slot]
+                               + weights[slot + 1:]], p)
+                if rest:
+                    values[slot] = pow(rest, -1, p)
+                    weights[slot] = 1
+            elif case % 3 == 1:
+                # Lambda-style bases at contiguous pseudonyms.
+                points = list(range(1, size + 1))
+                secret = [0] + [rng.randrange(q) for _ in range(size - 1)]
+                values = [parameters.exp_z1(sum(c * point ** k for k, c
+                                                in enumerate(secret)))
+                          for point in points]
+                weights = interpolation.lagrange_weights_at_zero(points, q)
+            expected = straus(values, [w % q for w in weights], p) == 1
+            counter = OperationCounter()
+            assert interpolation._exponent_test(group, values, weights,
+                                                counter) is expected
+            reference = OperationCounter()
+            with naive_mode():
+                assert interpolation._exponent_test(group, values, weights,
+                                                    reference) is expected
+            assert counter.snapshot() == reference.snapshot()
+            verdicts.append(expected)
+        assert any(verdicts) and not all(verdicts)
+        if q.bit_length() > 34:
+            assert fallbacks
+        else:
+            assert not fallbacks  # every weight has a signed form < 2^32
+
+    def test_zero_base_with_small_weight_is_not_one(self, group_small):
+        group = group_small.group
+        for weights in ([1, 1], [1, group.q - 1], [group.q - 2, 3]):
+            assert not interpolation._exponent_test(
+                group, [0, group_small.z1], weights, OperationCounter())
+        # A zero weight skips its base, as 0^0 = 1 in the reference.
+        assert interpolation._exponent_test(group, [0, 1], [0, 5],
+                                            OperationCounter())
 
 
 class TestOnePassChargesMatchReference:
@@ -544,6 +697,27 @@ def test_fast_and_naive_identical_full_verification():
         naive_protocol, naive_outcome = run()
     _assert_identical(fast_protocol, fast_outcome, naive_protocol,
                       naive_outcome)
+
+
+@pytest.mark.parametrize("deviant", ["wrong_aggregates",
+                                     "corrupt_commitments"])
+def test_fast_and_naive_identical_large_group(deviant, monkeypatch):
+    """On the 512-bit group, with agent 2 (pseudonym 3) deviating.  Its
+    excluded aggregate leaves the point set {1, 2, 4, ...}, whose eq. (12)
+    weights are full-width: the Straus fallback runs."""
+    fallbacks = []
+    straus = fastexp.multi_exp
+
+    def counting(*args, **kwargs):
+        fallbacks.append(1)
+        return straus(*args, **kwargs)
+
+    monkeypatch.setattr(fastexp, "multi_exp", counting)
+    times = [[3], [2], [4], [3], [4], [2]]
+    _assert_identical(*_run_both_ways(6, "large", times, {2: deviant},
+                                      seed=5, num_tasks=1))
+    if deviant == "wrong_aggregates":
+        assert fallbacks
 
 
 def test_audit_identical_fast_and_naive():

@@ -1,7 +1,5 @@
 """Unit tests for repro.crypto.interpolation (paper §2.4)."""
 
-import random
-
 import pytest
 
 from repro.crypto.interpolation import (

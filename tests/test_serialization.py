@@ -7,10 +7,8 @@ import pytest
 
 from repro import serialization
 from repro.core.protocol import run_dmw
-from repro.core.parameters import DMWParameters
-from repro.scheduling.problem import SchedulingProblem, Task
+from repro.scheduling.problem import SchedulingProblem
 from repro.scheduling.schedule import Schedule
-from repro.scheduling import workloads
 
 
 class TestProblemRoundTrip:
@@ -101,6 +99,11 @@ class TestErrors:
         with pytest.raises(serialization.SerializationError):
             serialization.loads('{"type": "mystery", "version": 1}')
 
+    def test_non_string_document_type(self):
+        with pytest.raises(serialization.SerializationError,
+                           match="unknown document type"):
+            serialization.loads('{"type": ["schedule"]}')
+
     def test_not_a_document(self):
         with pytest.raises(serialization.SerializationError):
             serialization.loads('[1, 2, 3]')
@@ -110,6 +113,20 @@ class TestErrors:
         document["version"] = 99
         with pytest.raises(serialization.SerializationError):
             serialization.loads(json.dumps(document))
+
+    @pytest.mark.parametrize("kind, key", [("dmw_checkpoint", "num_tasks"),
+                                           ("dmw_outcome", "network_metrics")])
+    def test_missing_key_names_type_and_key(self, kind, key):
+        text = json.dumps({"type": kind,
+                           "version": serialization.FORMAT_VERSION})
+        with pytest.raises(serialization.SerializationError,
+                           match="%s document lacks key '%s'" % (kind, key)):
+            serialization.loads(text)
+
+    def test_invalid_json(self):
+        with pytest.raises(serialization.SerializationError,
+                           match="not valid JSON"):
+            serialization.loads('{"type": "schedule", "vers')
 
     def test_type_mismatch(self, problem53):
         document = json.loads(serialization.dumps(problem53))

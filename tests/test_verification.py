@@ -1,8 +1,13 @@
 """Unit tests for repro.core.verification (eqs. (7)-(9), (11), (13))."""
 
+import dataclasses
+import random
+
 import pytest
 
+from repro.core.agent import DMWAgent
 from repro.core.bidding import ShareBundle, all_share_bundles, encode_bid
+from repro.core.parameters import DMWParameters
 from repro.core.verification import (
     gamma_value,
     phi_value,
@@ -10,6 +15,9 @@ from repro.core.verification import (
     verify_lambda_psi,
     verify_share_bundle,
 )
+from repro.crypto.fastexp import PublicValueCache, naive_mode
+from repro.crypto.groups import fixture_group
+from repro.crypto.modular import OperationCounter
 
 
 @pytest.fixture()
@@ -175,3 +183,154 @@ class TestDisclosure:
         assert not verify_f_disclosure(params5,
                                        [p.commitments for p in packages],
                                        params5.pseudonyms[discloser], row)
+
+
+def _perturbed(vector, slot, factor, modulus):
+    elements = list(vector.elements)
+    elements[slot] = elements[slot] * factor % modulus
+    return dataclasses.replace(vector, elements=tuple(elements))
+
+
+class TestShareBundleMatchesReference:
+    """The per-share path derives eq. (9) from eq. (8); every verdict and
+    every counter snapshot equals the literal listing's (``naive_mode``),
+    with and without a cache, including values outside ``[0, q)``."""
+
+    def cases(self, parameters, packages, bundles):
+        sender, receiver = 0, 2
+        commitments = packages[sender].commitments
+        bundle = bundles[sender][receiver]
+        q, p, z1 = parameters.group.q, parameters.group.p, parameters.z1
+        yield "honest", commitments, bundle, True
+        yield "honest+q", commitments, dataclasses.replace(
+            bundle, e_value=bundle.e_value + q,
+            f_value=bundle.f_value - q), True
+        for field in ("e_value", "f_value", "g_value", "h_value"):
+            for delta in (1, -1):
+                shifted = dataclasses.replace(
+                    bundle, **{field: getattr(bundle, field) + delta})
+                yield "%s%+d" % (field, delta), commitments, shifted, False
+        for name in ("o_vector", "q_vector", "r_vector"):
+            vector = _perturbed(getattr(commitments, name), 1, z1, p)
+            yield (name + "*z1",
+                   dataclasses.replace(commitments, **{name: vector}),
+                   bundle, False)
+        # R-only: O and Q still open, only eq. (9) fails.
+        yield ("r_vector of another agent",
+               dataclasses.replace(
+                   commitments,
+                   r_vector=packages[sender + 1].commitments.r_vector),
+               bundle, False)
+
+    def verdict(self, parameters, commitments, pseudonym, bundle, naive,
+                cache):
+        counter = OperationCounter()
+        if naive:
+            with naive_mode():
+                valid = verify_share_bundle(parameters, commitments,
+                                            pseudonym, bundle, counter, cache)
+        else:
+            valid = verify_share_bundle(parameters, commitments, pseudonym,
+                                        bundle, counter, cache)
+        return valid, counter.snapshot()
+
+    @pytest.mark.parametrize("group_size", ["small", "large"])
+    def test_verdicts_and_counters(self, group_size):
+        parameters = DMWParameters.generate(
+            5, fault_bound=1, group_parameters=fixture_group(group_size))
+        rng = random.Random("eq9-from-eq8-" + group_size)
+        packages = [encode_bid(parameters, bid, rng) for bid in (1, 3, 2)]
+        bundles = [all_share_bundles(parameters, package)
+                   for package in packages]
+        pseudonym = parameters.pseudonyms[2]
+        r_only = 0
+        for name, commitments, bundle, honest in self.cases(
+                parameters, packages, bundles):
+            reference = self.verdict(parameters, commitments, pseudonym,
+                                     bundle, naive=True, cache=None)
+            assert reference[0] is honest, name
+            for cache in (None, PublicValueCache()):
+                assert self.verdict(parameters, commitments, pseudonym,
+                                    bundle, naive=False,
+                                    cache=cache) == reference, name
+            q_opens = commitments.q_vector.verify_share(
+                pseudonym, bundle.e_value, bundle.h_value)
+            o_opens = commitments.o_vector.verify_share(
+                pseudonym, bundle.e_value * bundle.f_value,
+                bundle.g_value)
+            if o_opens and q_opens and not honest:
+                r_only += 1
+        assert r_only == 2  # r_vector*z1 and the foreign r_vector
+
+
+class TestPublishedOpenings:
+    """Eq. (13) openings of published pairs are memoised per execution."""
+
+    def row(self, bundles, discloser):
+        return {sender: (bundles[sender][discloser].f_value,
+                         bundles[sender][discloser].h_value)
+                for sender in range(len(bundles))}
+
+    def test_hit_charges_what_a_miss_charges(self, params5, setup):
+        _, packages, bundles = setup
+        commitments = [package.commitments for package in packages]
+        discloser = 3
+        alpha = params5.pseudonyms[discloser]
+        row = self.row(bundles, discloser)
+        reference = OperationCounter()
+        with naive_mode():
+            assert verify_f_disclosure(params5, commitments, alpha, row,
+                                       reference)
+        cache = PublicValueCache()
+        snapshots = []
+        for _ in range(2):  # miss, then hit
+            counter = OperationCounter()
+            assert verify_f_disclosure(params5, commitments, alpha, row,
+                                       counter, cache)
+            snapshots.append(counter.snapshot())
+        assert snapshots == [reference.snapshot()] * 2
+        # The openings slot stays out of the stats.
+        evaluations_only = PublicValueCache()
+        for _ in range(2):
+            for vector in commitments:
+                vector.r_vector.evaluate(alpha, OperationCounter(),
+                                         evaluations_only)
+        assert cache.stats() == evaluations_only.stats()
+
+    def test_memo_keeps_a_tampered_row_invalid(self, params5, setup):
+        _, packages, bundles = setup
+        commitments = [package.commitments for package in packages]
+        discloser = 1
+        alpha = params5.pseudonyms[discloser]
+        cache = PublicValueCache()
+        row = self.row(bundles, discloser)
+        assert verify_f_disclosure(params5, commitments, alpha, row,
+                                   cache=cache)
+        f_value, h_value = row[3]
+        row[3] = (f_value + 1, h_value)
+        assert not verify_f_disclosure(params5, commitments, alpha, row,
+                                       cache=cache)
+        row[3] = (f_value + params5.group.q, h_value)
+        assert verify_f_disclosure(params5, commitments, alpha, row,
+                                   cache=cache)
+
+    def test_share_checks_leave_the_slot_empty(self, params5):
+        """Share-check openings have private arguments and never enter
+        the memo."""
+        times = [[1], [3], [2], [2], [1]]
+        agents = [DMWAgent(index, params5, times[index],
+                           rng=random.Random(index)) for index in range(5)]
+        cache = PublicValueCache()
+        for agent in agents:
+            agent.adopt_cache(cache)
+        for sender, agent in enumerate(agents):
+            commitments, bundles = agent.begin_task(0)
+            for receiver in agents:
+                receiver.receive_commitments(0, sender, commitments)
+                if receiver.index != sender:
+                    receiver.receive_bundle(0, sender,
+                                            bundles[receiver.index])
+        for agent in agents:
+            assert agent.check_shares(0) is None
+        assert cache.stats()["evaluations"] > 0
+        assert not cache._openings
