@@ -23,7 +23,6 @@ Run:  python examples/related_machines.py
 import itertools
 
 from repro.mechanisms.related import (
-    GreedyWorkSplit,
     MyersonRelatedMachines,
     assigned_work,
 )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 from ..mechanisms.minwork import MinWork
 from ..mechanisms.optimal import optimal_makespan_schedule

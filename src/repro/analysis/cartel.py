@@ -21,7 +21,6 @@ delimits precisely what "faithful" does and does not promise.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.parameters import DMWParameters
 from ..core.protocol import run_dmw
-from ..crypto.groups import GroupParameters, fixture_group
+from ..crypto.groups import GroupParameters
 from ..mechanisms.minwork import MinWork
 from ..network.simulator import SynchronousNetwork
 from ..scheduling import workloads

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from ..mechanisms.minwork import MinWork, minwork_first_and_second_price
 from ..scheduling import workloads

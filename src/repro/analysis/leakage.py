@@ -27,7 +27,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List
 
 from ..core.outcome import AuctionTranscript
 from ..core.parameters import DMWParameters

@@ -23,11 +23,10 @@ returns measured-vs-predicted thresholds.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List
 
-from ..core.deviant import WithholdAggregatesAgent, WrongAggregatesAgent
+from ..core.deviant import WithholdAggregatesAgent
 from ..core.parameters import DMWParameters
 from ..scheduling.problem import SchedulingProblem
 from .faithfulness import honest_factory, run_with_agents

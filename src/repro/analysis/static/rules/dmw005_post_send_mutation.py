@@ -5,14 +5,15 @@ delivers by reference within a process, so mutating a message object after
 ``send()``/``broadcast()`` retroactively rewrites what the recipient — and
 the transcript — saw.  That breaks the bulletin-board equivocation checks
 (every agent must observe the *same* published value) and makes replay
-diverge from the live run.  :class:`repro.network.message.Message` is a
-frozen dataclass precisely to prevent this; the rule guards the remaining
-hole (mutable payloads) and any future non-frozen message type.
+diverge from the live run.  :class:`repro.network.message.Message` is an
+immutable ``NamedTuple``, stamped with its round when it is queued,
+precisely to prevent this; the rule guards the remaining hole (mutable
+payloads) and any future mutable message type.
 
 The rule tracks, per function, names passed to a ``send``-like method and
 flags later attribute/subscript assignment or mutating method calls on
-them.  Sanctioned idiom: build the final payload first, send last, and use
-``Message.with_round`` — which copies — for stamping.
+them.  Sanctioned idiom: build the final payload first and send last; a
+restamped message is a copy (``Message.with_round``).
 """
 
 from __future__ import annotations

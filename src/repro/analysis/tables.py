@@ -7,7 +7,7 @@ embeds it verbatim).
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
+from typing import Any, Sequence
 
 
 def format_cell(value: Any) -> str:

@@ -38,7 +38,6 @@ from .bidding import (
 from .exceptions import ProtocolAbort
 from .parameters import DMWParameters
 from .resolution import (
-    ResolutionError,
     identify_winner,
     resolve_first_price,
     resolve_second_price,

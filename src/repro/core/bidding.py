@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict
+from typing import Any, Dict, NamedTuple, Tuple
 
 from ..crypto.commitments import PedersenCommitter, PolynomialCommitment
 from ..crypto.modular import NULL_COUNTER, OperationCounter
@@ -36,12 +36,12 @@ from ..crypto.secret import SecretInt, local_value
 from .parameters import DMWParameters
 
 
-@dataclass(frozen=True)
-class ShareBundle:
+class ShareBundle(NamedTuple):
     """The four share values one agent sends another for one task.
 
     All values are elements of ``Z_q`` evaluated at the recipient's
-    pseudonym.  Weight: 4 field elements.
+    pseudonym.  Weight: 4 field elements.  An immutable tuple, like
+    :class:`~repro.network.message.Message` that carries it.
     """
 
     e_value: int
@@ -51,9 +51,12 @@ class ShareBundle:
 
     FIELD_ELEMENTS = 4
 
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Unpickled in C from the socket transport's frames.
+        return (tuple.__new__, (type(self), tuple(self)))
 
-@dataclass(frozen=True)
-class AgentCommitments:
+
+class AgentCommitments(NamedTuple):
     """The published commitment vectors ``(O, Q, R)`` of one agent/task.
 
     Weight: ``3 * sigma`` group elements.
@@ -66,6 +69,10 @@ class AgentCommitments:
     @property
     def field_elements(self) -> int:
         return (self.o_vector.size + self.q_vector.size + self.r_vector.size)
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Unpickled in C from the socket transport's frames.
+        return (tuple.__new__, (type(self), tuple(self)))
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,8 @@ class BidPackage:
                          counter: OperationCounter = NULL_COUNTER
                          ) -> ShareBundle:
         """Evaluate the four polynomials at ``pseudonym`` (step II.2)."""
-        e_value, f_value, g_value, h_value = evaluate_all(
-            (self.e, self.f, self.g, self.h), pseudonym, counter)
-        return ShareBundle(e_value=e_value, f_value=f_value,
-                           g_value=g_value, h_value=h_value)
+        return ShareBundle(*evaluate_all((self.e, self.f, self.g, self.h),
+                                         pseudonym, counter))
 
 
 def encode_bid(parameters: DMWParameters, bid: SecretInt,
@@ -136,8 +141,7 @@ def encode_bid(parameters: DMWParameters, bid: SecretInt,
     # Q and R are both blinded by h: one pass commits them together.
     q_vector, r_vector = committer.commit_polynomial_pair(e, f, h, sigma,
                                                           counter)
-    commitments = AgentCommitments(o_vector=o_vector, q_vector=q_vector,
-                                   r_vector=r_vector)
+    commitments = AgentCommitments(o_vector, q_vector, r_vector)
     return BidPackage(bid=bid, e=e, f=f, g=g, h=h, commitments=commitments)
 
 

@@ -39,7 +39,8 @@ from ..network.transport import Transport
 from .agent import DMWAgent
 from .exceptions import ProtocolAbort
 from .rounds import (COMMITMENTS, F_DISCLOSURE, LAMBDA_PSI, PAYMENT_CLAIM,
-                     SECOND_PRICE, SHARE_BUNDLE, WINNER_CLAIM, MessageKind)
+                     ROUNDS, SECOND_PRICE, SHARE_BUNDLE, WINNER_CLAIM,
+                     MessageKind)
 
 #: ``boards[task][sender] -> published value`` (the merged bulletin view).
 Boards = Dict[int, Dict[int, Any]]
@@ -51,14 +52,17 @@ class AgentMachine:
     def __init__(self, agent: DMWAgent) -> None:
         self.agent = agent
         self.index = agent.index
-        self._size = (agent.parameters.num_agents, agent.parameters.sigma)
+        size = (agent.parameters.num_agents, agent.parameters.sigma)
+        #: Each declared kind's field elements at this run's ``(n, sigma)``.
+        self._elements = {kind.name: kind.field_elements(*size)
+                          for round_ in ROUNDS for kind in round_.kinds}
 
     # -- send steps -----------------------------------------------------------
     def _transmit(self, transport: Transport, kind: MessageKind,
                   payload: Any, recipient: Optional[int] = None) -> None:
         """Queue one ``kind`` message the way the schedule declares it
         (:mod:`repro.core.rounds`): published or unicast, and its size."""
-        elements = kind.field_elements(*self._size)
+        elements = self._elements[kind.name]
         if kind.published:
             transport.publish(self.index, kind.name, payload,
                               field_elements=elements)

@@ -30,16 +30,12 @@ keep a losing bid secret for even one second.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..mechanisms.base import MechanismResult
 from ..mechanisms.minwork import MinWork
-from ..network.metrics import NetworkMetrics
 from ..network.simulator import SynchronousNetwork
 from ..scheduling.problem import SchedulingProblem
-from ..scheduling.schedule import Schedule
 from .exceptions import ProtocolAbort
 from .outcome import DMWOutcome
 from .payments import PaymentInfrastructure

@@ -19,7 +19,6 @@ available pseudonym shares (DESIGN.md decision 5).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fastexp
 from .fastexp import PublicValueCache, multi_exp
@@ -97,8 +97,7 @@ class PedersenCommitter:
                        counter)
             for l in range(1, size + 1)
         )
-        return PolynomialCommitment(parameters=self.parameters,
-                                    elements=elements)
+        return PolynomialCommitment(self.parameters, elements)
 
     def commit_polynomial_pair(self, first: Polynomial, second: Polynomial,
                                blindings: Polynomial, size: int,
@@ -121,10 +120,10 @@ class PedersenCommitter:
                            blinding_coefficients[l], counter)
                  for l in range(1, size + 1)]
         return (
-            PolynomialCommitment(parameters=self.parameters,
-                                 elements=tuple(pair[0] for pair in pairs)),
-            PolynomialCommitment(parameters=self.parameters,
-                                 elements=tuple(pair[1] for pair in pairs)),
+            PolynomialCommitment(self.parameters,
+                                 tuple(pair[0] for pair in pairs)),
+            PolynomialCommitment(self.parameters,
+                                 tuple(pair[1] for pair in pairs)),
         )
 
 
@@ -142,21 +141,25 @@ def _slot_coefficients(size: int,
     return padded
 
 
-@dataclass(frozen=True)
-class PolynomialCommitment:
+class PolynomialCommitment(NamedTuple):
     """A vector of per-coefficient Pedersen commitments (slots ``1..sigma``).
 
     The commitment reveals only ``sigma`` (public protocol parameter), never
-    the underlying degree, because every slot is blinded.
+    the underlying degree, because every slot is blinded.  An immutable
+    tuple, published inside a network message.
     """
 
     parameters: GroupParameters
-    elements: tuple
+    elements: Tuple[int, ...]
 
     @property
     def size(self) -> int:
         """The number of committed coefficient slots (``sigma``)."""
         return len(self.elements)
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Unpickled in C from the socket transport's frames.
+        return (tuple.__new__, (type(self), tuple(self)))
 
     def evaluate(self, point: int,
                  counter: OperationCounter = NULL_COUNTER,

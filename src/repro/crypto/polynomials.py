@@ -10,7 +10,7 @@ Horner's rule, which is exactly what :meth:`Polynomial.evaluate` does.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from .modular import NULL_COUNTER, OperationCounter
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..scheduling.problem import SchedulingProblem
 from ..scheduling.schedule import Schedule

@@ -17,7 +17,7 @@ The search orders tasks by decreasing best-case time and prunes on:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 from ..scheduling.problem import SchedulingProblem
 from ..scheduling.schedule import Schedule

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..scheduling.problem import SchedulingProblem
 from .base import CentralizedMechanism, truthful_bids, unilateral_deviation

@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..scheduling.problem import SchedulingProblem
 from ..scheduling.schedule import Schedule
-from .base import Bids, CentralizedMechanism, MechanismResult
+from .base import Bids, CentralizedMechanism
 
 
 def biased_auction(bids: Tuple[float, float], favored: int,

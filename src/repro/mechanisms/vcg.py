@@ -15,7 +15,7 @@ separable-or-not social-cost objective with Clarke payments — so that:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 from ..scheduling.problem import SchedulingProblem
 from ..scheduling.schedule import Schedule

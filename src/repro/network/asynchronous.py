@@ -41,7 +41,7 @@ from ..obs.recorder import (EVENT_DELIVER, EVENT_DROP, EVENT_LATE,
                             EVENT_RECOVERY, EVENT_RETRANSMIT, EVENT_SEND)
 from .faults import FaultPlan
 from .latency import LatencyModel
-from .message import Message
+from .message import BROADCAST, Message
 from .simulator import SynchronousNetwork
 
 
@@ -186,39 +186,36 @@ def deliver_round(network: Any, queued: List[Message],
     pending: List[Tuple[Message, Optional[int]]] = []
     faulty = fault_plan.has_faults()
     for message in queued:
-        broadcast = message.is_broadcast
-        if faulty and fault_plan.sender_is_crashed(message.sender,
-                                                   round_index):
+        sender = message.sender
+        broadcast = message.recipient is BROADCAST
+        if faulty and fault_plan.sender_is_crashed(sender, round_index):
             # The receivers still expected this round's copies: a
             # crashed sender holds the barrier to its full timeout.
             if broadcast:
                 withheld_this_round += len(
-                    network._broadcast_recipients(message.sender))
+                    network._broadcast_recipients(sender))
             else:
                 withheld_this_round += 1
             continue
-        stamped = message.with_round(round_index)
+        # The message was stamped with this round when it was queued.
         if broadcast:
-            network.bulletin_board.append(stamped)
-            recipients = network._broadcast_recipients(message.sender)
-            metrics.record(stamped, network.num_participants,
+            network.bulletin_board.append(message)
+            recipients = network._broadcast_recipients(sender)
+            metrics.record(message, network.num_participants,
                            copies=len(recipients))
+            _, _, kind, payload, elements, stamp = message
+            copies = [Message(sender, recipient, kind, payload, elements,
+                              stamp) for recipient in recipients]
         else:
-            recipients = [message.recipient]
-            metrics.record(stamped, network.num_participants)
-        for recipient in recipients:
-            # A unicast's stamped message is its own delivered copy.
-            unicast = stamped
-            if broadcast:
-                unicast = Message(sender=stamped.sender, recipient=recipient,
-                                  kind=stamped.kind, payload=stamped.payload,
-                                  field_elements=stamped.field_elements,
-                                  round_sent=round_index)
+            metrics.record(message, network.num_participants)
+            copies = [message]
+        for unicast in copies:
+            recipient = unicast.recipient
             sent_seq: Optional[int] = None
             if capture:
                 sent_seq = recorder.message(
                     EVENT_SEND, round_index=round_index,
-                    kind=unicast.kind, sender=unicast.sender,
+                    kind=unicast.kind, sender=sender,
                     receiver=recipient,
                     field_elements=unicast.field_elements)
             final = (fault_plan.transform(unicast, round_index)
@@ -227,12 +224,12 @@ def deliver_round(network: Any, queued: List[Message],
                 withheld_this_round += 1
                 if capture:
                     recorder.message(EVENT_DROP, round_index=round_index,
-                                     kind=unicast.kind, sender=unicast.sender,
+                                     kind=unicast.kind, sender=sender,
                                      receiver=recipient,
                                      field_elements=unicast.field_elements,
                                      link=sent_seq, detail="fault_plan")
                 continue
-            delay = latency_model.sample(stamped.sender, recipient)
+            delay = latency_model.sample(sender, recipient)
             if delay > round_timeout:
                 pending.append((final, sent_seq))
                 if capture:

@@ -66,7 +66,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from .asynchronous import NO_RETRY, RetryPolicy, deliver_round
 from .faults import FaultPlan, obedient_plan
 from .latency import LatencyModel
-from .message import BROADCAST, Message
+from .message import BROADCAST, Message, split_by_kind
 from .metrics import NetworkMetrics
 from .transport import Transport, TransportError
 
@@ -309,16 +309,16 @@ class AsyncioSocketTransport(Transport):
         if sender == recipient:
             raise ValueError("agents do not message themselves")
         self._pending.append((self._seq, Message(
-            sender=sender, recipient=recipient, kind=kind, payload=payload,
-            field_elements=field_elements)))
+            sender, recipient, kind, payload, field_elements,
+            self.round_index)))
         self._seq += 1
 
     def publish(self, sender: int, kind: str, payload: Any,
                 field_elements: int = 1) -> None:
         self._check_participant(sender, "sender")
         self._pending.append((self._seq, Message(
-            sender=sender, recipient=BROADCAST, kind=kind, payload=payload,
-            field_elements=field_elements)))
+            sender, BROADCAST, kind, payload, field_elements,
+            self.round_index)))
         self._seq += 1
 
     def _broadcast_recipients(self, sender: int) -> List[int]:
@@ -418,8 +418,7 @@ class AsyncioSocketTransport(Transport):
         if kind is None:
             self._inboxes[agent] = []
             return inbox
-        matched = [m for m in inbox if m.kind == kind]
-        self._inboxes[agent] = [m for m in inbox if m.kind != kind]
+        matched, self._inboxes[agent] = split_by_kind(inbox, kind)
         return matched
 
     def peek(self, agent: int) -> Tuple[Message, ...]:

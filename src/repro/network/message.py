@@ -10,16 +10,18 @@ Theorem 11) and in field-element volume (a proxy for bytes: multiply by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, List, NamedTuple, Optional, Tuple
 
 #: Sentinel recipient meaning "published to every participant".
 BROADCAST = None
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(NamedTuple):
     """One transmission on the simulated network.
+
+    An immutable tuple: the networks build one per queued transmission
+    and one per broadcast recipient, and the socket transport's frames
+    carry them pickled, so it is cheap to build, copy and unpickle.
 
     Attributes
     ----------
@@ -34,7 +36,9 @@ class Message:
     field_elements:
         Number of field elements the payload encodes (accounting weight).
     round_sent:
-        Filled in by the simulator at delivery time.
+        The round the message was queued in, stamped by the network when
+        it is queued (every queue is drained at the next barrier, so this
+        is also the round it is delivered in).
     """
 
     sender: int
@@ -49,11 +53,27 @@ class Message:
         return self.recipient is BROADCAST
 
     def with_round(self, round_index: int) -> "Message":
-        """Return a copy stamped with the delivery round."""
-        return Message(sender=self.sender, recipient=self.recipient,
-                       kind=self.kind, payload=self.payload,
-                       field_elements=self.field_elements,
-                       round_sent=round_index)
+        """Return a copy stamped with ``round_index``."""
+        return self._replace(round_sent=round_index)
+
+    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
+        # Unpickling then rebuilds the tuple in C, not through the
+        # generated Python-level __new__.
+        return (tuple.__new__, (type(self), tuple(self)))
+
+
+def split_by_kind(inbox: List[Message],
+                  kind: str) -> Tuple[List[Message], List[Message]]:
+    """Split ``inbox`` into its ``kind`` messages and the rest, in one
+    pass; both lists keep arrival order."""
+    matched: List[Message] = []
+    kept: List[Message] = []
+    for message in inbox:
+        if message.kind == kind:
+            matched.append(message)
+        else:
+            kept.append(message)
+    return matched, kept
 
 
 def estimate_bytes(field_elements: int, p_bits: int) -> int:

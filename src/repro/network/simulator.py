@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..obs.recorder import (EVENT_DELIVER, EVENT_DROP, EVENT_SEND,
                             NULL_RECORDER, Recorder)
 from .faults import FaultPlan, obedient_plan
-from .message import BROADCAST, Message
+from .message import BROADCAST, Message, split_by_kind
 from .metrics import NetworkMetrics
 
 
@@ -92,6 +92,9 @@ class SynchronousNetwork:
         return [a for a in range(limit) if a != sender]
 
     # -- transmission primitives ------------------------------------------------
+    # Both primitives stamp the message with the current round: every
+    # queue is drained at the next barrier, so the queued message is
+    # already the stamped one that barrier delivers.
     def send(self, sender: int, recipient: int, kind: str, payload: Any,
              field_elements: int = 1) -> None:
         """Queue a private point-to-point message for the next delivery."""
@@ -99,17 +102,15 @@ class SynchronousNetwork:
         self._check_participant(recipient, "recipient")
         if sender == recipient:
             raise ValueError("agents do not message themselves")
-        self._outbox.append(Message(sender=sender, recipient=recipient,
-                                    kind=kind, payload=payload,
-                                    field_elements=field_elements))
+        self._outbox.append(Message(sender, recipient, kind, payload,
+                                    field_elements, self.round_index))
 
     def publish(self, sender: int, kind: str, payload: Any,
                 field_elements: int = 1) -> None:
         """Queue a published message (broadcast) for the next delivery."""
         self._check_participant(sender, "sender")
-        self._outbox.append(Message(sender=sender, recipient=BROADCAST,
-                                    kind=kind, payload=payload,
-                                    field_elements=field_elements))
+        self._outbox.append(Message(sender, BROADCAST, kind, payload,
+                                    field_elements, self.round_index))
 
     # -- round execution -----------------------------------------------------
     def deliver(self) -> int:
@@ -126,65 +127,60 @@ class SynchronousNetwork:
         capture = recorder.records_messages
         fault_plan = self.fault_plan
         faulty = fault_plan.has_faults()
+        round_index = self.round_index
+        inboxes = self._inboxes
         queued, self._outbox = self._outbox, []
         for message in queued:
-            if faulty and fault_plan.sender_is_crashed(message.sender,
-                                                       self.round_index):
+            sender = message.sender
+            if faulty and fault_plan.sender_is_crashed(sender, round_index):
                 continue
-            stamped = message.with_round(self.round_index)
-            broadcast = message.is_broadcast
-            if broadcast:
-                self.bulletin_board.append(stamped)
-                recipients = self._broadcast_recipients(message.sender)
-                self.metrics.record(stamped, self.num_participants,
+            if message.recipient is BROADCAST:
+                self.bulletin_board.append(message)
+                recipients = self._broadcast_recipients(sender)
+                self.metrics.record(message, self.num_participants,
                                     copies=len(recipients))
+                _, _, kind, payload, elements, stamp = message
+                copies = [Message(sender, recipient, kind, payload, elements,
+                                  stamp) for recipient in recipients]
             else:
-                recipients = [message.recipient]
-                self.metrics.record(stamped, self.num_participants)
-            for recipient in recipients:
-                # A unicast's stamped message is its own delivered copy.
-                unicast = stamped
-                if broadcast:
-                    unicast = Message(sender=stamped.sender,
-                                      recipient=recipient,
-                                      kind=stamped.kind,
-                                      payload=stamped.payload,
-                                      field_elements=stamped.field_elements,
-                                      round_sent=self.round_index)
+                self.metrics.record(message, self.num_participants)
+                copies = [message]
+            for unicast in copies:
+                recipient = unicast.recipient
                 sent_seq: Optional[int] = None
                 if capture:
                     # One send event per expanded unicast copy — the unit
                     # NetworkMetrics charges (Theorem 11), dropped or not.
                     sent_seq = recorder.message(
-                        EVENT_SEND, round_index=self.round_index,
-                        kind=unicast.kind, sender=unicast.sender,
+                        EVENT_SEND, round_index=round_index,
+                        kind=unicast.kind, sender=sender,
                         receiver=recipient,
                         field_elements=unicast.field_elements)
-                final = (fault_plan.transform(unicast, self.round_index)
+                final = (fault_plan.transform(unicast, round_index)
                          if faulty else unicast)
                 if final is not None:
-                    self._inboxes[recipient].append(final)
+                    inboxes[recipient].append(final)
                     if self.record_deliveries:
                         self.delivery_log.append(final)
                     delivered += 1
                     if capture:
                         recorder.message(EVENT_DELIVER,
-                                         round_index=self.round_index,
+                                         round_index=round_index,
                                          kind=final.kind, sender=final.sender,
                                          receiver=recipient,
                                          field_elements=final.field_elements,
                                          link=sent_seq)
                 elif capture:
-                    recorder.message(EVENT_DROP, round_index=self.round_index,
-                                     kind=unicast.kind, sender=unicast.sender,
+                    recorder.message(EVENT_DROP, round_index=round_index,
+                                     kind=unicast.kind, sender=sender,
                                      receiver=recipient,
                                      field_elements=unicast.field_elements,
                                      link=sent_seq, detail="fault_plan")
         self.metrics.record_round()
         if recorder.enabled:
-            recorder.event("network_round", round=self.round_index,
+            recorder.event("network_round", round=round_index,
                            messages=len(queued), delivered=delivered)
-        self.round_index += 1
+        self.round_index = round_index + 1
         return delivered
 
     # -- reception -------------------------------------------------------------
@@ -198,8 +194,7 @@ class SynchronousNetwork:
         if kind is None:
             self._inboxes[agent] = []
             return inbox
-        matched = [m for m in inbox if m.kind == kind]
-        self._inboxes[agent] = [m for m in inbox if m.kind != kind]
+        matched, self._inboxes[agent] = split_by_kind(inbox, kind)
         return matched
 
     def peek(self, agent: int) -> Tuple[Message, ...]:

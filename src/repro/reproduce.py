@@ -12,7 +12,7 @@ profile matches the benchmark suite's sweep sizes.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict
 
 from .analysis import (
     adversarial_ratios,

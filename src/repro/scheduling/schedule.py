@@ -9,8 +9,7 @@ experiment in :mod:`repro.analysis.approximation`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .problem import SchedulingProblem
 

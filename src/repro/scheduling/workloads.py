@@ -15,7 +15,7 @@ from the scheduling literature, plus two purpose-built families:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 from .problem import SchedulingProblem
 

@@ -15,8 +15,9 @@ run (the auditor consumes them in-process via
 
 from __future__ import annotations
 
+import functools
 import json
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, TypeVar
 
 from .core.checkpoint import ProtocolCheckpoint
 from .core.outcome import AuctionTranscript, DMWOutcome
@@ -61,32 +62,37 @@ def _parse(text: str) -> Any:
         raise SerializationError("not valid JSON: %s" % error) from None
 
 
-def _decode(decoder: Callable[[Dict[str, Any]], Any],
-            document: Any) -> Any:
-    """Run ``decoder`` on ``document``; a missing key or a wrong-typed
-    field becomes a :class:`SerializationError` naming the document type
-    and the key."""
-    if not isinstance(document, dict):
-        raise SerializationError("expected a JSON object")
-    fields = _Fields(document)
-    kind = document.get("type")
-    try:
-        return decoder(fields)
-    except SerializationError:
-        raise
-    except KeyError as error:
-        key = error.args[0] if error.args else None
-        where = "" if key == fields.last else " in field %r" % fields.last
-        raise SerializationError("%s document lacks key %r%s"
-                                 % (kind, key, where)) from None
-    except (TypeError, ValueError, AttributeError) as error:
-        raise SerializationError("%s document is malformed at field %r: %s"
-                                 % (kind, fields.last, error)) from None
+_T = TypeVar("_T")
+
+
+def _reader(decoder: Callable[[Dict[str, Any]], _T]) -> Callable[[Any], _T]:
+    """Make ``decoder`` a public reader: a document that is not an object,
+    lacks a key or has a wrong-typed field raises a
+    :class:`SerializationError` naming the document type and the key."""
+
+    @functools.wraps(decoder)
+    def read(document: Any) -> _T:
+        if not isinstance(document, dict):
+            raise SerializationError("expected a JSON object")
+        fields = _Fields(document)
+        kind = document.get("type")
+        try:
+            return decoder(fields)
+        except SerializationError:
+            raise
+        except KeyError as error:
+            key = error.args[0] if error.args else None
+            where = "" if key == fields.last else " in field %r" % fields.last
+            raise SerializationError("%s document lacks key %r%s"
+                                     % (kind, key, where)) from None
+        except (TypeError, ValueError, AttributeError) as error:
+            raise SerializationError(
+                "%s document is malformed at field %r: %s"
+                % (kind, fields.last, error)) from None
+    return read
 
 
 def _check(document: Dict[str, Any], expected_type: str) -> None:
-    if not isinstance(document, dict):
-        raise SerializationError("expected a JSON object")
     if document.get("type") != expected_type:
         raise SerializationError(
             "expected type %r, got %r" % (expected_type,
@@ -111,6 +117,7 @@ def problem_to_dict(problem: SchedulingProblem) -> Dict[str, Any]:
     }
 
 
+@_reader
 def problem_from_dict(document: Dict[str, Any]) -> SchedulingProblem:
     """Decode an instance encoded by :func:`problem_to_dict`."""
     _check(document, "scheduling_problem")
@@ -136,6 +143,7 @@ def schedule_to_dict(schedule) -> Dict[str, Any]:
     }
 
 
+@_reader
 def schedule_from_dict(document: Dict[str, Any]):
     """Decode a schedule; ``null`` entries yield a ``PartialSchedule``."""
     _check(document, "schedule")
@@ -222,6 +230,7 @@ def _abort_from_dict(raw: Dict[str, Any]):
                          offender=raw["offender"])
 
 
+@_reader
 def outcome_from_dict(document: Dict[str, Any]) -> DMWOutcome:
     """Decode an outcome.
 
@@ -255,6 +264,7 @@ def outcome_from_dict(document: Dict[str, Any]) -> DMWOutcome:
     )
 
 
+@_reader
 def trace_from_dict(document: Dict[str, Any]) -> Optional[List[Event]]:
     """Recover the embedded protocol events from an outcome document.
 
@@ -299,6 +309,7 @@ def checkpoint_to_dict(checkpoint: ProtocolCheckpoint) -> Dict[str, Any]:
     }
 
 
+@_reader
 def checkpoint_from_dict(document: Dict[str, Any]) -> ProtocolCheckpoint:
     """Decode a checkpoint document written by :func:`checkpoint_to_dict`."""
     _check(document, "dmw_checkpoint")
@@ -344,8 +355,7 @@ def load_checkpoint(path: str) -> ProtocolCheckpoint:
     read.
     """
     with open(path) as handle:
-        document = _parse(handle.read())
-    return _decode(checkpoint_from_dict, document)
+        return checkpoint_from_dict(_parse(handle.read()))
 
 
 # -- file helpers -----------------------------------------------------------------
@@ -401,7 +411,7 @@ def loads(text: str):
     decoder = _DECODERS.get(kind) if isinstance(kind, str) else None
     if decoder is None:
         raise SerializationError("unknown document type %r" % (kind,))
-    return _decode(decoder, document)
+    return decoder(document)
 
 
 def save(artifact, path: str,
@@ -420,5 +430,4 @@ def load(path: str):
 def load_trace(path: str) -> Optional[List[Event]]:
     """Load the embedded events of a saved outcome (``None`` if absent)."""
     with open(path) as handle:
-        document = _parse(handle.read())
-    return _decode(trace_from_dict, document)
+        return trace_from_dict(_parse(handle.read()))

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.agent import DMWAgent
 from repro.core.exceptions import ParameterError, ProtocolAbort
-from repro.core.parameters import DMWParameters
 
 
 def wire_agents(params, bids_per_agent, seed=0):

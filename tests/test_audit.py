@@ -5,13 +5,12 @@ import random
 import pytest
 
 from repro.core.agent import DMWAgent
-from repro.core.audit import TranscriptAuditor, audit_protocol_run
+from repro.core.audit import audit_protocol_run
 from repro.core.deviant import FalseDisclosureAgent, WithholdDisclosureAgent
 from repro.core.protocol import DMWProtocol
 from repro.mechanisms.base import truthful_bids
 from repro.mechanisms.minwork import MinWork
 from repro.network.message import Message
-from repro.scheduling.problem import SchedulingProblem
 
 
 def run_protocol(params, problem, factories=None, seed=0):

@@ -18,7 +18,6 @@ import pytest
 
 from repro.core.agent import DMWAgent
 from repro.core.deviant import DeviantAgent, WrongAggregatesAgent
-from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol
 from repro.mechanisms.base import truthful_bids
 from repro.mechanisms.minwork import MinWork

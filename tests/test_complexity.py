@@ -1,11 +1,8 @@
 """Tests for repro.analysis.complexity (the Table 1 measurement harness)."""
 
-import math
-
 import pytest
 
 from repro.analysis.complexity import (
-    CostSample,
     fit_loglog_slope,
     measure_dmw,
     measure_minwork,

@@ -5,8 +5,6 @@ deviation in :mod:`repro.core.deviant`, the deviator's utility never
 exceeds its honest utility, and honest bystanders never end up negative.
 """
 
-import random
-
 import pytest
 
 from repro.analysis.faithfulness import (
@@ -25,7 +23,6 @@ from repro.core.deviant import (
     WrongAggregatesAgent,
     standard_deviations,
 )
-from repro.core.parameters import DMWParameters
 from repro.scheduling.problem import SchedulingProblem
 
 

@@ -9,7 +9,6 @@ sizes (it runs under the benchmark suite's time budget instead).
 
 import os
 import runpy
-import sys
 
 import pytest
 

@@ -8,13 +8,11 @@ from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol
 from repro.network.latency import (
     LatencyModel,
-    Timeline,
     estimate_protocol_latency,
     timeline_for_rounds,
 )
 from repro.network.message import BROADCAST, Message
 from repro.network.simulator import SynchronousNetwork
-from repro.scheduling.problem import SchedulingProblem
 
 
 class TestLatencyModel:

@@ -1,7 +1,6 @@
 """Tests for repro.analysis.leakage (transcript information leakage)."""
 
 import math
-import random
 
 import pytest
 
@@ -13,7 +12,6 @@ from repro.analysis.leakage import (
     repeated_execution_leakage,
 )
 from repro.core.outcome import AuctionTranscript
-from repro.core.parameters import DMWParameters
 from repro.core.protocol import run_dmw
 from repro.scheduling.problem import SchedulingProblem
 

@@ -1,11 +1,8 @@
 """Tests for the Open Problem 10 strawman (naive distributed MinWork)."""
 
-import random
-
 import pytest
 
 from repro.core.naive import NaiveAgent, NaiveDistributedMinWork, run_naive
-from repro.core.parameters import DMWParameters
 from repro.core.protocol import run_dmw
 from repro.mechanisms.base import truthful_bids
 from repro.mechanisms.minwork import MinWork

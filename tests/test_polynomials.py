@@ -1,7 +1,5 @@
 """Unit tests for repro.crypto.polynomials."""
 
-import random
-
 import pytest
 
 from repro.crypto.modular import OperationCounter

@@ -7,7 +7,6 @@ from repro.analysis.privacy import (
     exposure_by_coalition_size,
     run_collusion_experiment,
 )
-from repro.core.parameters import DMWParameters
 from repro.crypto.secretsharing import Share
 from repro.scheduling.problem import SchedulingProblem
 

@@ -11,7 +11,6 @@ interpolation of an underdetermined polynomial is (near-)uniform.
 import random
 from collections import Counter
 
-import pytest
 
 from repro.crypto.interpolation import interpolate_at_zero, resolve_degree
 from repro.crypto.polynomials import Polynomial

@@ -3,7 +3,6 @@
 import random
 from typing import List
 
-import pytest
 
 from repro.mechanisms.base import Bids, CentralizedMechanism
 from repro.mechanisms.minwork import MinWork

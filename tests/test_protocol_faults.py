@@ -13,7 +13,6 @@ import random
 import pytest
 
 from repro.core.agent import DMWAgent
-from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol
 from repro.mechanisms.base import truthful_bids
 from repro.mechanisms.minwork import MinWork

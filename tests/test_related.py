@@ -8,7 +8,6 @@ from repro.mechanisms.related import (
     ExactMakespanAllocation,
     GreedyWorkSplit,
     MyersonRelatedMachines,
-    RelatedResult,
     assigned_work,
     related_problem,
 )

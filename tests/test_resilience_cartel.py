@@ -12,7 +12,6 @@ from repro.analysis.resilience import (
     resilience_sweep,
 )
 from repro.core.deviant import WrongAggregatesAgent
-from repro.core.parameters import DMWParameters
 from repro.scheduling.problem import SchedulingProblem
 
 

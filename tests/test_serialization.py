@@ -123,6 +123,47 @@ class TestErrors:
                            match="%s document lacks key '%s'" % (kind, key)):
             serialization.loads(text)
 
+    @pytest.mark.parametrize("decoder, kind, key", [
+        (serialization.checkpoint_from_dict, "dmw_checkpoint", "num_tasks"),
+        (serialization.outcome_from_dict, "dmw_outcome", "network_metrics"),
+        (serialization.problem_from_dict, "scheduling_problem",
+         "requirements"),
+        (serialization.trace_from_dict, "dmw_outcome", "trace"),
+        (serialization.schedule_from_dict, "schedule", "assignment"),
+    ])
+    def test_public_decoder_names_missing_key(self, decoder, kind, key):
+        """Called directly, not through ``loads``, each decoder still
+        raises ``SerializationError``, never a bare ``KeyError``."""
+        stub = {"type": kind, "version": serialization.FORMAT_VERSION}
+        with pytest.raises(serialization.SerializationError,
+                           match="%s document lacks key '%s'$" % (kind, key)):
+            decoder(stub)
+
+    def test_public_decoders_round_trip(self, params5, problem53):
+        from repro.obs import Recorder
+        recorder = Recorder()
+        outcome = run_dmw(problem53, parameters=params5,
+                          rng=random.Random(0), recorder=recorder)
+        document = json.loads(serialization.dumps(outcome,
+                                                  recorder=recorder))
+        restored = serialization.outcome_from_dict(document)
+        assert restored.schedule == outcome.schedule
+        assert restored.payments == outcome.payments
+        assert serialization.trace_from_dict(document) == recorder.events
+        problem_document = serialization.problem_to_dict(problem53)
+        assert serialization.problem_from_dict(problem_document) == problem53
+
+    def test_nested_schedule_names_its_missing_key(self, params5,
+                                                   problem53):
+        outcome = run_dmw(problem53, parameters=params5,
+                          rng=random.Random(0))
+        document = json.loads(serialization.dumps(outcome))
+        del document["schedule"]["assignment"]
+        with pytest.raises(serialization.SerializationError,
+                           match="schedule document lacks key "
+                                 "'assignment'$"):
+            serialization.loads(json.dumps(document))
+
     def test_invalid_json(self):
         with pytest.raises(serialization.SerializationError,
                            match="not valid JSON"):

@@ -4,10 +4,8 @@ import random
 
 import pytest
 
-from repro.analysis.faithfulness import honest_factory
 from repro.core.agent import DMWAgent
 from repro.core.deviant import WrongAggregatesAgent
-from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol
 from repro.obs.recorder import NULL_RECORDER, Event, Recorder
 from repro.scheduling.problem import SchedulingProblem

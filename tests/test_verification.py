@@ -1,6 +1,5 @@
 """Unit tests for repro.core.verification (eqs. (7)-(9), (11), (13))."""
 
-import dataclasses
 import random
 
 import pytest
@@ -188,7 +187,7 @@ class TestDisclosure:
 def _perturbed(vector, slot, factor, modulus):
     elements = list(vector.elements)
     elements[slot] = elements[slot] * factor % modulus
-    return dataclasses.replace(vector, elements=tuple(elements))
+    return vector._replace(elements=tuple(elements))
 
 
 class TestShareBundleMatchesReference:
@@ -202,23 +201,22 @@ class TestShareBundleMatchesReference:
         bundle = bundles[sender][receiver]
         q, p, z1 = parameters.group.q, parameters.group.p, parameters.z1
         yield "honest", commitments, bundle, True
-        yield "honest+q", commitments, dataclasses.replace(
-            bundle, e_value=bundle.e_value + q,
+        yield "honest+q", commitments, bundle._replace(
+            e_value=bundle.e_value + q,
             f_value=bundle.f_value - q), True
         for field in ("e_value", "f_value", "g_value", "h_value"):
             for delta in (1, -1):
-                shifted = dataclasses.replace(
-                    bundle, **{field: getattr(bundle, field) + delta})
+                shifted = bundle._replace(
+                    **{field: getattr(bundle, field) + delta})
                 yield "%s%+d" % (field, delta), commitments, shifted, False
         for name in ("o_vector", "q_vector", "r_vector"):
             vector = _perturbed(getattr(commitments, name), 1, z1, p)
             yield (name + "*z1",
-                   dataclasses.replace(commitments, **{name: vector}),
+                   commitments._replace(**{name: vector}),
                    bundle, False)
         # R-only: O and Q still open, only eq. (9) fails.
         yield ("r_vector of another agent",
-               dataclasses.replace(
-                   commitments,
+               commitments._replace(
                    r_vector=packages[sender + 1].commitments.r_vector),
                bundle, False)
 

@@ -25,7 +25,6 @@ from repro.core.deviant import (
     FalseWinnerClaimAgent,
     SilentWinnerAgent,
     WrongAggregatesAgent,
-    standard_deviations,
 )
 from repro.core.exceptions import ParameterError
 from repro.core.parameters import DMWParameters
