@@ -13,7 +13,7 @@ payloads) and any future mutable message type.
 The rule tracks, per function, names passed to a ``send``-like method and
 flags later attribute/subscript assignment or mutating method calls on
 them.  Sanctioned idiom: build the final payload first and send last; a
-restamped message is a copy (``Message.with_round``).
+restamped message is a copy (``message._replace(round_sent=r)``).
 """
 
 from __future__ import annotations

@@ -520,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="share-bundle check mode: the paper's "
                               "per-share listing (default) or one RLC "
                               "multi-exp per sender (same counters, "
-                              "lower wall-clock)")
+                              "slower on the fixture groups)")
 
     run_parser = subparsers.add_parser(
         "run", help="execute DMW on an instance")
@@ -572,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
                             choices=["inprocess", "asyncio"],
                             help="message transport: the in-process "
                                  "simulator (default) or localhost TCP "
-                                 "with one asyncio task per agent (see "
+                                 "with one connection per agent (see "
                                  "docs/TRANSPORTS.md)")
     run_parser.add_argument("--timeout", type=float, default=None,
                             metavar="SECONDS",

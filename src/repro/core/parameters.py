@@ -67,8 +67,9 @@ class DMWParameters:
     #:   homomorphic evaluations per sender, exactly the paper's listing.
     #: * ``"batched"`` — one random-linear-combination multi-exp per
     #:   sender (:func:`repro.crypto.commitments.verify_share_batch`);
-    #:   same accept/reject verdicts up to a ``1/q`` soundness error,
-    #:   identical counted cost, lower wall-clock.
+    #:   same accept/reject verdicts up to a ``1/q`` soundness error and
+    #:   identical counted cost, but slower on the fixture groups (see
+    #:   docs/PERFORMANCE.md).
     share_verification_mode: str = "per-share"
 
     def __post_init__(self) -> None:

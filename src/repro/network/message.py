@@ -52,10 +52,6 @@ class Message(NamedTuple):
     def is_broadcast(self) -> bool:
         return self.recipient is BROADCAST
 
-    def with_round(self, round_index: int) -> "Message":
-        """Return a copy stamped with ``round_index``."""
-        return self._replace(round_sent=round_index)
-
     def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
         # Unpickling then rebuilds the tuple in C, not through the
         # generated Python-level __new__.

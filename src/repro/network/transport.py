@@ -13,7 +13,7 @@ below that loop is a :class:`Transport`.  Two implementations ship:
   transcripts, per-agent counters, and message summaries
   (``tests/test_transport.py`` pins this against a golden fixture).
 * :class:`~repro.network.asyncio_transport.AsyncioSocketTransport` —
-  localhost TCP with one asyncio reader task per participant.  Its
+  localhost TCP with one connection per participant.  Its
   barrier runs :func:`~repro.network.asynchronous.deliver_round`, the
   same timeout/retry failure-model routine ``TimeoutNetwork`` calls, so
   the two cannot drift apart.

@@ -92,6 +92,20 @@ def _reader(decoder: Callable[[Dict[str, Any]], _T]) -> Callable[[Any], _T]:
     return read
 
 
+def _integer(value: Any) -> int:
+    """``value``, which must be a JSON integer (``true`` is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("expected an integer, got %r" % (value,))
+    return value
+
+
+def _flag(value: Any) -> bool:
+    """``value``, which must be a JSON boolean."""
+    if not isinstance(value, bool):
+        raise TypeError("expected true or false, got %r" % (value,))
+    return value
+
+
 def _check(document: Dict[str, Any], expected_type: str) -> None:
     if document.get("type") != expected_type:
         raise SerializationError(
@@ -314,10 +328,10 @@ def checkpoint_from_dict(document: Dict[str, Any]) -> ProtocolCheckpoint:
     """Decode a checkpoint document written by :func:`checkpoint_to_dict`."""
     _check(document, "dmw_checkpoint")
     return ProtocolCheckpoint(
-        num_tasks=document["num_tasks"],
-        next_task=document["next_task"],
-        degraded=bool(document["degraded"]),
-        num_agents=document["num_agents"],
+        num_tasks=_integer(document["num_tasks"]),
+        next_task=_integer(document["next_task"]),
+        degraded=_flag(document["degraded"]),
+        num_agents=_integer(document["num_agents"]),
         transcripts=[_transcript_from_dict(t)
                      for t in document["transcripts"]],
         task_aborts={int(task): _abort_from_dict(raw)
@@ -326,7 +340,7 @@ def checkpoint_from_dict(document: Dict[str, Any]) -> ProtocolCheckpoint:
                           for state in document["agent_rng_states"]],
         agent_operations=list(document["agent_operations"]),
         network_metrics=dict(document["network_metrics"]),
-        round_index=document["round_index"],
+        round_index=_integer(document["round_index"]),
         timeout_state=dict(document["timeout_state"]),
         completed_tasks=list(document["completed_tasks"]),
     )

@@ -384,6 +384,25 @@ class TestMalformedCheckpoint:
         with pytest.raises(serialization.SerializationError, match=message):
             serialization.load_checkpoint(path)
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_tasks", "3"),
+        ("next_task", "1"),
+        ("num_agents", 5.0),
+        ("round_index", True),
+        ("degraded", "no"),
+    ])
+    def test_wrong_typed_scalar_names_the_key(self, params5, problem,
+                                              tmp_path, field, value):
+        """Counts and indices must be JSON integers and ``degraded`` a
+        JSON boolean; anything else would fail later, far from the
+        document, or (``"no"``) decode silently as true."""
+        _, document = self.document(params5, problem, tmp_path)
+        document[field] = value
+        with pytest.raises(serialization.SerializationError,
+                           match="dmw_checkpoint document is malformed at "
+                                 "field '%s'" % field):
+            serialization.loads(json.dumps(document))
+
     def test_nested_missing_key_names_its_field(self, params5, problem,
                                                 tmp_path):
         _, document = self.document(params5, problem, tmp_path)
@@ -416,3 +435,21 @@ class TestMalformedCheckpoint:
         assert result.stderr.splitlines() == [
             "cannot resume from %s: dmw_checkpoint document lacks key "
             "'num_tasks'" % path]
+
+    def test_cli_resume_from_wrong_typed_checkpoint(self, tmp_path):
+        path = tmp_path / "cp.json"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        command = [sys.executable, "-m", "repro", "run", "--agents", "4",
+                   "--tasks", "3"]
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        subprocess.run(command + ["--checkpoint", str(path)], cwd=root,
+                       capture_output=True, check=True, env=env)
+        document = json.loads(path.read_text())
+        document["next_task"] = "1"
+        path.write_text(json.dumps(document))
+        result = subprocess.run(command + ["--resume", str(path)], cwd=root,
+                                capture_output=True, text=True, env=env)
+        assert result.returncode != 0
+        assert result.stderr.splitlines() == [
+            "cannot resume from %s: dmw_checkpoint document is malformed "
+            "at field 'next_task': expected an integer, got '1'" % path]

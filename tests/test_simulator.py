@@ -15,14 +15,6 @@ class TestMessage:
         assert not unicast.is_broadcast
         assert broadcast.is_broadcast
 
-    def test_round_stamp(self):
-        message = Message(sender=0, recipient=1, kind="x", payload="p",
-                          field_elements=3)
-        stamped = message.with_round(7)
-        assert stamped.round_sent == 7
-        assert stamped.payload == "p"
-        assert stamped.field_elements == 3
-
     def test_estimate_bytes(self):
         assert estimate_bytes(10, p_bits=56) == 70
         assert estimate_bytes(1, p_bits=1) == 1
