@@ -45,6 +45,7 @@ from .analysis import (
 from .core import DMWParameters
 from .core.agent import DMWAgent
 from .core.audit import audit_protocol_run
+from .core.exceptions import CheckpointMismatch
 from .core.protocol import DMWProtocol
 from .mechanisms import MinWork, truthful_bids
 from .obs import (
@@ -226,10 +227,14 @@ def cmd_run(args) -> int:
                                  % (args.resume, error)) from None
             print("resuming from %s (next task %d, %d auctions done)"
                   % (args.resume, resume.next_task, len(resume.transcripts)))
-        outcome = protocol.execute(problem.num_tasks, degraded=args.degraded,
-                                   checkpoint_path=args.checkpoint,
-                                   resume=resume, parallel=args.parallel,
-                                   workers=args.workers)
+        try:
+            outcome = protocol.execute(
+                problem.num_tasks, degraded=args.degraded,
+                checkpoint_path=args.checkpoint, resume=resume,
+                parallel=args.parallel, workers=args.workers)
+        except CheckpointMismatch as error:
+            raise SystemExit("cannot resume from %s: %s"
+                             % (args.resume, error)) from None
     finally:
         if transport is not None:
             transport.close()

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Set
 
 from ..network.metrics import NetworkMetrics
-from .exceptions import ParameterError, ProtocolAbort
+from .exceptions import CheckpointMismatch, ProtocolAbort
 from .outcome import AuctionTranscript
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -169,7 +169,7 @@ class ProtocolCheckpoint:
         quarantines, and the network's accounting.
         """
         if protocol.parameters.num_agents != self.num_agents:
-            raise ParameterError(
+            raise CheckpointMismatch(
                 "checkpoint was taken with %d agents, protocol has %d"
                 % (self.num_agents, protocol.parameters.num_agents)
             )
@@ -177,7 +177,7 @@ class ProtocolCheckpoint:
                             ("operation counters",
                              len(self.agent_operations))):
             if count != len(protocol.agents):
-                raise ParameterError(
+                raise CheckpointMismatch(
                     "checkpoint holds %d %s for %d agents"
                     % (count, name, len(protocol.agents)))
         for agent, encoded, operations in zip(protocol.agents,

@@ -13,6 +13,11 @@ class ParameterError(DMWError):
     """Invalid Phase I parameters (bid set, pseudonyms, fault bound...)."""
 
 
+class CheckpointMismatch(ParameterError):
+    """A resume checkpoint does not fit the run: it was taken with another
+    number of agents or tasks, or in the other degraded mode."""
+
+
 class ProtocolAbort(DMWError):
     """An honest agent detected a protocol violation and terminated.
 

@@ -56,7 +56,8 @@ from ..obs.recorder import KIND_RUN, KIND_TASK, Recorder
 from ..scheduling.problem import SchedulingProblem
 from ..scheduling.schedule import PartialSchedule, Schedule
 from .agent import DMWAgent
-from .exceptions import ParameterError, ProtocolAbort, ScheduleError
+from .exceptions import (CheckpointMismatch, ParameterError, ProtocolAbort,
+                         ScheduleError)
 from .machine import AgentMachine, Boards
 from .outcome import AuctionTranscript, DMWOutcome
 from .parameters import DMWParameters
@@ -570,7 +571,8 @@ class DMWProtocol:
             uninterrupted run.  Only ``cache_stats`` and wall-clock
             differ: the resumed run starts with a cold cache and counts
             only its own lookups.  The protocol must be freshly
-            constructed with the original configuration.
+            constructed with the original configuration; a checkpoint
+            that does not fit raises :class:`CheckpointMismatch`.
         workers:
             Number of OS processes for the process-pool engine; requires
             ``parallel=True``.  ``workers=1`` exercises the pool
@@ -611,12 +613,12 @@ class DMWProtocol:
                 "warm_cache is in-process only; pool shards start cold")
         if resume is not None:
             if resume.num_tasks != num_tasks:
-                raise ParameterError(
+                raise CheckpointMismatch(
                     "checkpoint covers %d tasks, execute() asked for %d"
                     % (resume.num_tasks, num_tasks)
                 )
             if resume.degraded != degraded:
-                raise ParameterError(
+                raise CheckpointMismatch(
                     "checkpoint was taken with degraded=%s; resume must "
                     "use the same mode" % resume.degraded
                 )

@@ -4,25 +4,31 @@
 .transport.Transport` contract with real sockets: a hub accepts one TCP
 connection per participant (a buffered asyncio protocol on each end of
 each connection parses frames as they complete), and protocol messages
-cross the wire in length-prefixed pickle frames.  One :meth:`step` call
+cross the wire in length-prefixed pickle frames.  A frame carries each
+message as the plain tuple of its six fields, which pickles and
+unpickles without a Python-level call; each end rebuilds the
+:class:`~repro.network.message.Message` in C (``tuple.__new__``).  The
+payloads inside stay opaque to the transport.  One :meth:`step` call
 is one synchronization barrier, and writes at most one frame per
 endpoint in each of its three phases:
 
 1. each sender's queued messages go to the hub as one ``submit`` frame,
-   holding that sender's ``(seq, message)`` list;
-2. the hub collects the round's submissions and routes them in global
-   submission order — the same order the in-process simulator drains its
-   outbox, so fault-plan and latency RNG consumption match exactly;
+   holding that sender's ``(seq, fields)`` list;
+2. the hub collects the round's submissions, rebuilds their messages and
+   routes them in global submission order — the same order the
+   in-process simulator drains its outbox, so fault-plan and latency RNG
+   consumption match exactly;
 3. the routed messages go through
    :func:`~repro.network.asynchronous.deliver_round`, the one routine
    that also backs :class:`~repro.network.asynchronous.TimeoutNetwork`
    — crash plans, per-copy fault transforms, sampled latency against
    ``round_timeout``, :class:`~repro.network.asynchronous.RetryPolicy`
    grace sub-rounds, the clock/duration formulas, and the message and
-   ``network_round`` events.  Its hand-off appends each surviving copy
-   to its recipient's batch, and each recipient then gets one ``copy``
-   frame holding its copies in hand-off order, recovered retransmissions
-   included, so every inbox fills in the order ``TimeoutNetwork``'s does;
+   ``network_round`` events.  Its hand-off appends each surviving
+   copy's fields to its recipient's batch, and each recipient then gets
+   one ``copy`` frame holding its copies in hand-off order, recovered
+   retransmissions included, so every inbox fills with messages in the
+   order ``TimeoutNetwork``'s does;
 4. the barrier releases when every copy frame has been acknowledged
    (one ``ack`` frame each).
 
@@ -60,7 +66,8 @@ import struct
 import weakref
 from collections import defaultdict
 from itertools import chain
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple, cast
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Set,
+                    Tuple, cast)
 
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .asynchronous import NO_RETRY, RetryPolicy, deliver_round
@@ -79,6 +86,11 @@ _RECEIVE_BYTES = 1 << 14
 
 #: What the hub side queues for the barrier: ``(pid, kind, body)``.
 _Frame = Tuple[int, str, Any]
+
+#: Rebuild a message from the fields a frame carries, in C: a Python
+#: function here would add a call per message on both ends.
+_as_message = cast(Callable[[Tuple[Any, ...]], Message],
+                   functools.partial(tuple.__new__, Message))
 
 
 def _encode_frame(frame: Tuple[Any, ...]) -> bytes:
@@ -210,7 +222,7 @@ class _EndpointSide(_Side):
     def buffer_updated(self, nbytes: int) -> None:
         self._filled += nbytes
         for _, copies in self._take_frames(0):
-            self._inboxes[self._pid].extend(copies)
+            self._inboxes[self._pid].extend(map(_as_message, copies))
             self._link.write(_encode_frame(("ack", None)))
 
 
@@ -432,21 +444,22 @@ class AsyncioSocketTransport(Transport):
     async def _step_async(self) -> int:
         # deliver_round advances round_index; a failure names this round.
         stage = "round %d" % self.round_index
-        submits: Dict[int, List[Tuple[int, Message]]] = defaultdict(list)
+        submits: Dict[int, List[Tuple[int, Tuple[Any, ...]]]] = \
+            defaultdict(list)
         for seq, message in self._pending:
-            submits[message.sender].append((seq, message))
+            submits[message.sender].append((seq, tuple(message)))
         self._pending = []
         self._write(self._client_writers, "submit", submits)
         submitted = await self._collect("submit", submits, stage)
         # Route in global submission order: identical to the in-process
         # simulator's outbox drain, so RNG consumption and metrics match.
-        queued = [message for _, message in
+        queued = [_as_message(fields) for _, fields in
                   sorted(chain.from_iterable(submitted.values()),
                          key=lambda pair: pair[0])]
-        copies: Dict[int, List[Message]] = defaultdict(list)
+        copies: Dict[int, List[Tuple[Any, ...]]] = defaultdict(list)
         delivered = deliver_round(
             self, queued,
-            lambda recipient, copy: copies[recipient].append(copy))
+            lambda recipient, copy: copies[recipient].append(tuple(copy)))
         self._write(self._hub_writers, "copy", copies)
         # Ack barrier: every copy frame put on the wire must come back
         # acknowledged before the round closes.

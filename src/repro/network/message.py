@@ -20,8 +20,9 @@ class Message(NamedTuple):
     """One transmission on the simulated network.
 
     An immutable tuple: the networks build one per queued transmission
-    and one per broadcast recipient, and the socket transport's frames
-    carry them pickled, so it is cheap to build, copy and unpickle.
+    and one per broadcast recipient, so it is cheap to build and copy.
+    The socket transport's frames carry its fields as a plain tuple and
+    rebuild it with ``tuple.__new__``; nothing pickles a message itself.
 
     Attributes
     ----------
@@ -51,11 +52,6 @@ class Message(NamedTuple):
     @property
     def is_broadcast(self) -> bool:
         return self.recipient is BROADCAST
-
-    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # Unpickling then rebuilds the tuple in C, not through the
-        # generated Python-level __new__.
-        return (tuple.__new__, (type(self), tuple(self)))
 
 
 def split_by_kind(inbox: List[Message],

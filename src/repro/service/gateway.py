@@ -2,9 +2,10 @@
 
 The container policy is stdlib-only, so the daemon speaks a deliberately
 minimal HTTP/1.1 dialect over ``asyncio.start_server``: one request per
-connection (``Connection: close``), JSON bodies, explicit
-``Content-Length``.  That covers every client the repo ships (urllib in
-tests and CI, curl for operators, Prometheus scrapes for ``/metrics``).
+connection (``Connection: close``), JSON bodies (each reply one compact
+line), explicit ``Content-Length``.  That covers every client the repo
+ships (urllib in tests and CI, curl for operators, Prometheus scrapes
+for ``/metrics``).
 
 Endpoints (``docs/SERVICE.md``)
 -------------------------------
@@ -56,7 +57,9 @@ def _response(status: int, body: bytes, content_type: str) -> bytes:
 
 
 def _json_response(status: int, document: Any) -> bytes:
-    body = (json.dumps(document, indent=2) + "\n").encode("utf-8")
+    # One compact line: without ``indent``, ``json`` runs its C encoder.
+    body = (json.dumps(document, separators=(",", ":"))
+            + "\n").encode("utf-8")
     return _response(status, body, "application/json")
 
 

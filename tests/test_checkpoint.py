@@ -412,6 +412,61 @@ class TestMalformedCheckpoint:
                                  "'transcripts'"):
             serialization.loads(json.dumps(document))
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["agent_operations"].__setitem__(
+            0, {"multiplications": 3}),
+         "lacks key 'additions' in field 'agent_operations'"),
+        (lambda d: d["agent_operations"][1].__setitem__("additions", "7"),
+         "is malformed at field 'agent_operations': expected an integer, "
+         "got '7'"),
+        (lambda d: d["agent_rng_states"].__setitem__(0, [3, [1, 2], None]),
+         "is malformed at field 'agent_rng_states': state vector is the "
+         "wrong size"),
+        (lambda d: d["agent_rng_states"][2][1].__setitem__(0, -1),
+         "is malformed at field 'agent_rng_states'"),
+        (lambda d: d["agent_rng_states"][3].__setitem__(2, "0.5"),
+         "is malformed at field 'agent_rng_states': expected a float or "
+         "null"),
+    ], ids=["counter-missing", "counter-string", "short-state",
+            "negative-word", "gauss-string"])
+    def test_wrong_shaped_agent_entry_names_the_field(self, params5, problem,
+                                                      tmp_path, edit,
+                                                      message):
+        """Each agent's counters must be the five JSON integers and its
+        rng state one ``random`` accepts; otherwise the resume would end
+        in a traceback, at once or mid-run."""
+        _, document = self.document(params5, problem, tmp_path)
+        edit(document)
+        with pytest.raises(serialization.SerializationError,
+                           match="dmw_checkpoint document " + message):
+            serialization.loads(json.dumps(document))
+
+    def test_cli_resume_with_other_agent_count(self, tmp_path):
+        """A checkpoint that does not fit the run is one line on stderr;
+        any other ``ParameterError`` keeps its own message."""
+        path = tmp_path / "cp.json"
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        command = [sys.executable, "-m", "repro", "run", "--tasks", "3"]
+        env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
+        subprocess.run(command + ["--agents", "4", "--checkpoint", str(path)],
+                       cwd=root, capture_output=True, check=True, env=env)
+        result = subprocess.run(
+            command + ["--agents", "5", "--resume", str(path)], cwd=root,
+            capture_output=True, text=True, env=env)
+        assert result.returncode != 0
+        assert result.stderr.splitlines() == [
+            "cannot resume from %s: checkpoint was taken with 4 agents, "
+            "protocol has 5" % path]
+        result = subprocess.run(
+            command + ["--agents", "4", "--resume", str(path), "--parallel",
+                       "--workers", "0"], cwd=root, capture_output=True,
+            text=True, env=env)
+        assert result.returncode != 0
+        assert "cannot resume" not in result.stderr
+        assert result.stderr.splitlines()[-1] == (
+            "repro.core.exceptions.ParameterError: workers must be >= 1, "
+            "got 0")
+
     def test_cut_file_is_not_valid_json(self, params5, problem, tmp_path):
         path, _ = self.document(params5, problem, tmp_path)
         with open(path) as handle:
