@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tupl
 
 from ..crypto.fastexp import PublicValueCache
 from ..crypto.modular import OperationCounter
-from .bidding import AgentCommitments
+from .bidding import AgentCommitments, as_commitments
 from .outcome import DMWOutcome
 from .parameters import DMWParameters
 from .resolution import (
@@ -138,6 +138,10 @@ class TranscriptAuditor:
         for message in messages:
             if message.kind in boards:
                 task, payload = message.payload
+                if message.kind == COMMITMENTS.name:
+                    # Published as plain vectors; evaluated under this
+                    # auditor's own parameters.
+                    payload = as_commitments(payload)
                 board = boards[message.kind].setdefault(task, {})
                 board[message.sender] = payload
         quarantined = set()

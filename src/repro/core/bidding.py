@@ -25,11 +25,12 @@ identification) to the bid hidden in ``deg e``.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
-from typing import Any, Dict, NamedTuple, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Tuple, cast
 
-from ..crypto.commitments import PedersenCommitter, PolynomialCommitment
+from ..crypto.commitments import PedersenCommitter
 from ..crypto.modular import NULL_COUNTER, OperationCounter
 from ..crypto.polynomials import Polynomial, evaluate_all
 from ..crypto.secret import SecretInt, local_value
@@ -40,8 +41,9 @@ class ShareBundle(NamedTuple):
     """The four share values one agent sends another for one task.
 
     All values are elements of ``Z_q`` evaluated at the recipient's
-    pseudonym.  Weight: 4 field elements.  An immutable tuple, like
-    :class:`~repro.network.message.Message` that carries it.
+    pseudonym.  Weight: 4 field elements.  An immutable tuple; it
+    crosses every network as the plain tuple of its values
+    (:data:`as_share_bundle` rebuilds it).
     """
 
     e_value: int
@@ -51,28 +53,34 @@ class ShareBundle(NamedTuple):
 
     FIELD_ELEMENTS = 4
 
-    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # Unpickled in C from the socket transport's frames.
-        return (tuple.__new__, (type(self), tuple(self)))
-
 
 class AgentCommitments(NamedTuple):
     """The published commitment vectors ``(O, Q, R)`` of one agent/task.
 
+    Each vector is the tuple of its committed group elements (slots
+    ``1..sigma``) and carries no group: every verifier evaluates it under
+    its own parameters (:func:`~repro.crypto.commitments
+    .evaluate_commitment`).  It crosses every network as the plain tuple
+    of its three vectors (:data:`as_commitments` rebuilds it).
+
     Weight: ``3 * sigma`` group elements.
     """
 
-    o_vector: PolynomialCommitment
-    q_vector: PolynomialCommitment
-    r_vector: PolynomialCommitment
+    o_vector: Tuple[int, ...]
+    q_vector: Tuple[int, ...]
+    r_vector: Tuple[int, ...]
 
     @property
     def field_elements(self) -> int:
-        return (self.o_vector.size + self.q_vector.size + self.r_vector.size)
+        return len(self.o_vector) + len(self.q_vector) + len(self.r_vector)
 
-    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # Unpickled in C from the socket transport's frames.
-        return (tuple.__new__, (type(self), tuple(self)))
+
+#: Rebuild a record from its wire form (the plain tuple of its fields) in
+#: C: a Python function here would add a call per receipt.
+as_commitments = cast(Callable[[Tuple[Any, ...]], AgentCommitments],
+                      functools.partial(tuple.__new__, AgentCommitments))
+as_share_bundle = cast(Callable[[Tuple[Any, ...]], ShareBundle],
+                       functools.partial(tuple.__new__, ShareBundle))
 
 
 @dataclass(frozen=True)
@@ -141,7 +149,8 @@ def encode_bid(parameters: DMWParameters, bid: SecretInt,
     # Q and R are both blinded by h: one pass commits them together.
     q_vector, r_vector = committer.commit_polynomial_pair(e, f, h, sigma,
                                                           counter)
-    commitments = AgentCommitments(o_vector, q_vector, r_vector)
+    commitments = AgentCommitments(o_vector.elements, q_vector.elements,
+                                   r_vector.elements)
     return BidPackage(bid=bid, e=e, f=f, g=g, h=h, commitments=commitments)
 
 

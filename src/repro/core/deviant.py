@@ -114,17 +114,9 @@ class CorruptCommitmentsAgent(DeviantAgent):
     def begin_task(self, task: int) -> _BeginTaskResult:
         commitments, bundles = super().begin_task(task)
         group = self.parameters.group
-        o_elements = list(commitments.o_vector.elements)
-        o_elements[0] = group.mul(o_elements[0], self.parameters.z1)
-        corrupted = AgentCommitments(
-            o_vector=type(commitments.o_vector)(
-                parameters=self.parameters.group_parameters,
-                elements=tuple(o_elements),
-            ),
-            q_vector=commitments.q_vector,
-            r_vector=commitments.r_vector,
-        )
-        return corrupted, bundles
+        o_vector = list(commitments.o_vector)
+        o_vector[0] = group.mul(o_vector[0], self.parameters.z1)
+        return commitments._replace(o_vector=tuple(o_vector)), bundles
 
 
 class WithholdSharesAgent(DeviantAgent):

@@ -37,6 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..network.message import Message
 from ..network.transport import Transport
 from .agent import DMWAgent
+from .bidding import as_commitments, as_share_bundle
 from .exceptions import ProtocolAbort
 from .rounds import (COMMITMENTS, F_DISCLOSURE, LAMBDA_PSI, PAYMENT_CLAIM,
                      ROUNDS, SECOND_PRICE, SHARE_BUNDLE, WINNER_CLAIM,
@@ -72,13 +73,17 @@ class AgentMachine:
                            field_elements=elements)
 
     def send_bidding(self, task: int, transport: Transport) -> None:
-        """Phase II: publish commitments, unicast the private shares."""
+        """Phase II: publish commitments, unicast the private shares.
+
+        Both records travel as plain tuples (:meth:`recv_bidding` rebuilds
+        them), so no record class is pickled on a socket wire.
+        """
         commitments, bundles = self.agent.begin_task(task)
         if commitments is not None:
-            self._transmit(transport, COMMITMENTS, (task, commitments))
+            self._transmit(transport, COMMITMENTS, (task, tuple(commitments)))
         for recipient, bundle in bundles.items():
             if bundle is not None:
-                self._transmit(transport, SHARE_BUNDLE, (task, bundle),
+                self._transmit(transport, SHARE_BUNDLE, (task, tuple(bundle)),
                                recipient)
 
     def send_aggregates(self, task: int, transport: Transport) -> None:
@@ -117,14 +122,33 @@ class AgentMachine:
 
     # -- receive steps --------------------------------------------------------
     def recv_bidding(self, transport: Transport) -> None:
-        """Absorb the bidding round: commitments, then private bundles."""
+        """Absorb the bidding round: commitments, then private bundles.
+
+        Each record is rebuilt from its plain tuple.  A payload that is not
+        ``(task, record)`` with three vectors (commitments) or four values
+        (a bundle) is not stored, so :meth:`DMWAgent.check_shares
+        <repro.core.agent.DMWAgent.check_shares>` blames its sender as if
+        nothing had arrived.
+        """
+        agent = self.agent
         for message in transport.receive(self.index, COMMITMENTS.name):
-            message_task, commitments = message.payload
-            self.agent.receive_commitments(message_task, message.sender,
-                                           commitments)
+            try:
+                message_task, vectors = message.payload
+                arity = len(vectors)
+            except (TypeError, ValueError):
+                continue
+            if arity == 3:
+                agent.receive_commitments(message_task, message.sender,
+                                          as_commitments(vectors))
         for message in transport.receive(self.index, SHARE_BUNDLE.name):
-            message_task, bundle = message.payload
-            self.agent.receive_bundle(message_task, message.sender, bundle)
+            try:
+                message_task, values = message.payload
+                arity = len(values)
+            except (TypeError, ValueError):
+                continue
+            if arity == 4:
+                agent.receive_bundle(message_task, message.sender,
+                                     as_share_bundle(values))
 
     def collect_published(self, kind: MessageKind, transport: Transport,
                           boards: Boards) -> None:

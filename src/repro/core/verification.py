@@ -22,7 +22,8 @@ import random
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..crypto import fastexp
-from ..crypto.commitments import verify_share_batch
+from ..crypto.commitments import (PolynomialCommitment, evaluate_commitment,
+                                  verify_share_batch)
 from ..crypto.fastexp import PublicValueCache
 from ..crypto.groups import GroupParameters
 from ..crypto.modular import NULL_COUNTER, OperationCounter
@@ -118,14 +119,15 @@ def verify_share_bundle(parameters: DMWParameters,
     first failure; eq. (9) is derived from eq. (8) (see
     :func:`_verify_q_then_r`).
     """
+    group_parameters = parameters.group_parameters
     q = parameters.group.q
     product_value = (bundle.e_value * bundle.f_value) % q
     if (parameters.share_verification_mode == "batched"
             and rng is not None and fastexp.enabled()):
         coefficients = [rng.randrange(1, q) for _ in range(3)]
         valid = verify_share_batch(
-            [commitments.o_vector, commitments.q_vector,
-             commitments.r_vector],
+            [PolynomialCommitment(group_parameters, vector)
+             for vector in commitments],
             pseudonym,
             [(product_value, bundle.g_value),
              (bundle.e_value, bundle.h_value),
@@ -134,17 +136,19 @@ def verify_share_bundle(parameters: DMWParameters,
         )
     else:
         valid = (
-            commitments.o_vector.verify_share(pseudonym, product_value,
-                                              bundle.g_value, counter, cache)
-            and _verify_q_then_r(parameters, commitments, pseudonym, bundle,
-                                 counter, cache)
+            group_parameters.open_value(product_value, bundle.g_value,
+                                        counter)
+            == evaluate_commitment(group_parameters, commitments.o_vector,
+                                   pseudonym, counter, cache)
+            and _verify_q_then_r(group_parameters, commitments, pseudonym,
+                                 bundle, counter, cache)
         )
     if stats is not None:
         stats.record("share_bundle", valid)
     return valid
 
 
-def _verify_q_then_r(parameters: DMWParameters,
+def _verify_q_then_r(group_parameters: GroupParameters,
                      commitments: AgentCommitments, pseudonym: int,
                      bundle: ShareBundle, counter: OperationCounter,
                      cache: Optional[PublicValueCache]) -> bool:
@@ -158,19 +162,22 @@ def _verify_q_then_r(parameters: DMWParameters,
     literal listing (``naive_mode``) charges it.
     """
     q_vector, r_vector = commitments.q_vector, commitments.r_vector
+    open_value = group_parameters.open_value
     if not fastexp.enabled():
-        return (q_vector.verify_share(pseudonym, bundle.e_value,
-                                      bundle.h_value, counter, cache)
-                and r_vector.verify_share(pseudonym, bundle.f_value,
-                                          bundle.h_value, counter, cache))
-    group_parameters = parameters.group_parameters
+        return (open_value(bundle.e_value, bundle.h_value, counter)
+                == evaluate_commitment(group_parameters, q_vector, pseudonym,
+                                       counter, cache)
+                and open_value(bundle.f_value, bundle.h_value, counter)
+                == evaluate_commitment(group_parameters, r_vector, pseudonym,
+                                       counter, cache))
     group = group_parameters.group
-    q_at = q_vector.evaluate(pseudonym, counter, cache)
-    if group_parameters.open_value(bundle.e_value, bundle.h_value,
-                                   counter) != q_at:
+    q_at = evaluate_commitment(group_parameters, q_vector, pseudonym, counter,
+                               cache)
+    if open_value(bundle.e_value, bundle.h_value, counter) != q_at:
         return False
     group_parameters.charge_opening(bundle.f_value, bundle.h_value, counter)
-    r_at = r_vector.evaluate(pseudonym, counter, cache)
+    r_at = evaluate_commitment(group_parameters, r_vector, pseudonym, counter,
+                               cache)
     shift = group_parameters.generator_tables[0].pow(
         (bundle.f_value - bundle.e_value) % group.q)
     return shift * q_at % group.p == r_at
@@ -185,7 +192,8 @@ def gamma_value(parameters: DMWParameters, commitments: AgentCommitments,
     Publicly computable; equals ``z1^{e_k(alpha_i)} z2^{h_k(alpha_i)}``
     when agent ``k`` is honest.
     """
-    return commitments.q_vector.evaluate(pseudonym, counter, cache)
+    return evaluate_commitment(parameters.group_parameters,
+                               commitments.q_vector, pseudonym, counter, cache)
 
 
 def phi_value(parameters: DMWParameters, commitments: AgentCommitments,
@@ -197,7 +205,8 @@ def phi_value(parameters: DMWParameters, commitments: AgentCommitments,
     Publicly computable; equals ``z1^{f_k(alpha_i)} z2^{h_k(alpha_i)}``
     when agent ``k`` is honest.
     """
-    return commitments.r_vector.evaluate(pseudonym, counter, cache)
+    return evaluate_commitment(parameters.group_parameters,
+                               commitments.r_vector, pseudonym, counter, cache)
 
 
 def verify_lambda_psi(parameters: DMWParameters,
@@ -216,6 +225,7 @@ def verify_lambda_psi(parameters: DMWParameters,
     ``exclude`` (used for the second-price values, which divide the winner
     out of the aggregates).
     """
+    group_parameters = parameters.group_parameters
     modulus = parameters.group.p
     product = 1
     terms = 0
@@ -223,8 +233,8 @@ def verify_lambda_psi(parameters: DMWParameters,
         if index == exclude:
             continue
         # Gamma_{i,k} (gamma_value), multiplied in place.
-        gamma = commitments.q_vector.evaluate(publisher_pseudonym, counter,
-                                              cache)
+        gamma = evaluate_commitment(group_parameters, commitments.q_vector,
+                                    publisher_pseudonym, counter, cache)
         product = product * gamma % modulus
         terms += 1
     # One multiplication per Gamma term plus Lambda_i * Psi_i.

@@ -20,6 +20,7 @@ from .backend import (
 from .commitments import (
     PedersenCommitter,
     PolynomialCommitment,
+    evaluate_commitment,
     verify_share_batch,
 )
 from .fastexp import (
@@ -103,6 +104,7 @@ __all__ = [
     "clear_declassification_audit",
     "declassification_audit",
     "declassify",
+    "evaluate_commitment",
     "local_value",
     "sanitize_enabled",
     "secret_json_default",

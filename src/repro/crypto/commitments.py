@@ -15,14 +15,15 @@ received *share* against the public vector without learning anything else:
 
 (eqs. (7)-(9) of the paper).  This module provides the single-value
 commitment, the coefficient-vector commitment, and the homomorphic
-evaluation used by those checks.
+evaluation used by those checks (:func:`evaluate_commitment`, which takes a
+vector's bare elements and the verifier's own group parameters).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fastexp
 from .fastexp import PublicValueCache, multi_exp
@@ -36,7 +37,7 @@ def _horner_schedule(order: int, point: int, size: int) -> int:
     """Counted work of the exponents ``point^1 .. point^size mod order``.
 
     The summed square-and-multiply schedules that
-    :meth:`PolynomialCommitment.evaluate` charges for a ``size``-slot
+    :func:`evaluate_commitment` charges for a ``size``-slot
     vector at ``point`` (``0 <= point < order``), i.e. what ``size``
     :meth:`~repro.crypto.modular.OperationCounter.count_exp` calls would
     add to ``multiplication_work``.  It depends only on public
@@ -145,8 +146,11 @@ class PolynomialCommitment(NamedTuple):
     """A vector of per-coefficient Pedersen commitments (slots ``1..sigma``).
 
     The commitment reveals only ``sigma`` (public protocol parameter), never
-    the underlying degree, because every slot is blinded.  An immutable
-    tuple, published inside a network message.
+    the underlying degree, because every slot is blinded.  What
+    :class:`PedersenCommitter` returns; only the ``elements`` are
+    published (:class:`~repro.core.bidding.AgentCommitments`), and a
+    verifier evaluates them under its own parameters
+    (:func:`evaluate_commitment`).
     """
 
     parameters: GroupParameters
@@ -157,55 +161,13 @@ class PolynomialCommitment(NamedTuple):
         """The number of committed coefficient slots (``sigma``)."""
         return len(self.elements)
 
-    def __reduce__(self) -> Tuple[Any, Tuple[Any, ...]]:
-        # Unpickled in C from the socket transport's frames.
-        return (tuple.__new__, (type(self), tuple(self)))
-
     def evaluate(self, point: int,
                  counter: OperationCounter = NULL_COUNTER,
                  cache: Optional[PublicValueCache] = None) -> int:
-        """Homomorphically evaluate the committed polynomials at ``point``.
-
-        Returns ``prod_{l=1}^{sigma} C_l^(point^l) =
-        z1^{value(point)} z2^{blinding(point)}`` — the right-hand side of
-        eqs. (7)-(9).
-
-        Execution uses Horner in the exponent at the (small) point
-        (:func:`~repro.crypto.fastexp.horner_multi_exp`) and, when
-        ``cache`` is given, a per-execution memo keyed by
-        ``(modulus, elements, point)``; the counted cost is the per-term
-        square-and-multiply schedule in every case (replayed against
-        ``counter`` on cache hits).
-        """
-        group = self.parameters.group
-        if not fastexp.enabled():
-            result = 1
-            power = 1
-            for element in self.elements:
-                power = (power * point) % group.q
-                result = group.mul(result, group.exp(element, power, counter),
-                                   counter)
-            return result
-        q = group.q
-        reduced_point = point % q
-        key = None
-        if cache is not None:
-            key = (group.p, self.elements, reduced_point)
-            entry = cache.get_evaluation(key)
-            if entry is not None:
-                value, exp_count, exp_work = entry
-                counter.count_exp_batch(exp_count, exp_work)
-                counter.count_mul(exp_count)
-                return value
-        exp_count = len(self.elements)
-        exp_work = _horner_schedule(q, reduced_point, exp_count)
-        counter.count_exp_batch(exp_count, exp_work)
-        counter.count_mul(exp_count)
-        value = fastexp.horner_multi_exp(self.elements, reduced_point, q,
-                                         group.p)
-        if key is not None:
-            cache.put_evaluation(key, (value, exp_count, exp_work))
-        return value
+        """Homomorphically evaluate the committed polynomials at ``point``
+        (:func:`evaluate_commitment` under this vector's parameters)."""
+        return evaluate_commitment(self.parameters, self.elements, point,
+                                   counter, cache)
 
     def verify_share(self, point: int, value: int, blinding: int,
                      counter: OperationCounter = NULL_COUNTER,
@@ -218,6 +180,54 @@ class PolynomialCommitment(NamedTuple):
         """
         left = self.parameters.open_value(value, blinding, counter)
         return left == self.evaluate(point, counter, cache)
+
+
+def evaluate_commitment(parameters: GroupParameters,
+                        elements: Tuple[int, ...], point: int,
+                        counter: OperationCounter = NULL_COUNTER,
+                        cache: Optional[PublicValueCache] = None) -> int:
+    """Homomorphically evaluate a committed vector at ``point``.
+
+    ``elements`` are the vector's group elements (slots ``1..sigma``),
+    evaluated under ``parameters`` — the verifier's own group, never one
+    that arrived with the vector.  Returns ``prod_{l=1}^{sigma}
+    C_l^(point^l) = z1^{value(point)} z2^{blinding(point)}`` — the
+    right-hand side of eqs. (7)-(9).
+
+    Execution uses Horner in the exponent at the (small) point
+    (:func:`~repro.crypto.fastexp.horner_multi_exp`) and, when ``cache``
+    is given, a per-execution memo keyed by ``(modulus, elements,
+    point)``; the counted cost is the per-term square-and-multiply
+    schedule in every case (replayed against ``counter`` on cache hits).
+    """
+    group = parameters.group
+    if not fastexp.enabled():
+        result = 1
+        power = 1
+        for element in elements:
+            power = (power * point) % group.q
+            result = group.mul(result, group.exp(element, power, counter),
+                               counter)
+        return result
+    q = group.q
+    reduced_point = point % q
+    key = None
+    if cache is not None:
+        key = (group.p, elements, reduced_point)
+        entry = cache.get_evaluation(key)
+        if entry is not None:
+            value, exp_count, exp_work = entry
+            counter.count_exp_batch(exp_count, exp_work)
+            counter.count_mul(exp_count)
+            return value
+    exp_count = len(elements)
+    exp_work = _horner_schedule(q, reduced_point, exp_count)
+    counter.count_exp_batch(exp_count, exp_work)
+    counter.count_mul(exp_count)
+    value = fastexp.horner_multi_exp(elements, reduced_point, q, group.p)
+    if key is not None:
+        cache.put_evaluation(key, (value, exp_count, exp_work))
+    return value
 
 
 def verify_share_batch(commitments: Sequence[PolynomialCommitment],

@@ -9,6 +9,11 @@ Protocol-level deviations (sending *wrong* shares, withholding a specific
 value while otherwise participating) are modelled by the deviating agent
 strategies in :mod:`repro.core.deviant` — the fault plan is for the
 substrate faults those strategies do not cover.
+
+A corruptor sees each payload in its wire form, as the sender queued it:
+plain tuples, with no record class.  A share bundle's payload is
+``(task, (e, f, g, h))``, and a commitments payload is ``(task, (o, q,
+r))``, each vector the bare tuple of its group elements.
 """
 
 from __future__ import annotations

@@ -31,9 +31,10 @@ import random
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional
 
 from ..core.agent import DMWAgent
 from ..core.parameters import DMWParameters
@@ -53,6 +54,11 @@ DURATION_BUCKETS = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0,
                     60.0, 120.0)
 
 JOB_STATES = ("queued", "running", "done", "failed")
+
+#: Finished job records the daemon keeps.  Past this, the oldest finished
+#: record goes, with its report and outcome; a queued or running job is
+#: never evicted.
+MAX_FINISHED_JOBS = 1024
 
 
 @dataclass
@@ -102,8 +108,10 @@ class AuctionService:
                  pool_workers: int = 2,
                  max_queued: int = 256) -> None:
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
+        #: Every kept record, in submission order.
         self._jobs: Dict[str, JobRecord] = {}
-        self._order: List[str] = []
+        #: Ids of the kept finished records, oldest first.
+        self._finished: Deque[str] = deque()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._busy = 0
@@ -148,7 +156,6 @@ class AuctionService:
                                request=request,
                                submitted_at=time.time())
             self._jobs[record.job_id] = record
-            self._order.append(record.job_id)
         self._queue.put(record.job_id)
         self._queue_depth.set(self._queue.qsize())
         return record
@@ -160,7 +167,7 @@ class AuctionService:
 
     def jobs(self) -> List[JobRecord]:
         with self._lock:
-            return [self._jobs[job_id] for job_id in self._order]
+            return list(self._jobs.values())
 
     def wait_idle(self, timeout: float = 60.0) -> bool:
         """Block until the queue is drained and no job is running."""
@@ -198,6 +205,9 @@ class AuctionService:
                 record.finished_at = finished_at
                 record.error = error
                 record.state = state
+                self._finished.append(job_id)
+                while len(self._finished) > MAX_FINISHED_JOBS:
+                    del self._jobs[self._finished.popleft()]
             self._jobs_total.inc(state=state)
             duration = record.duration()
             if duration is not None:

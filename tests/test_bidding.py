@@ -32,9 +32,8 @@ class TestEncodeBid:
 
     def test_commitment_vectors_have_width_sigma(self, params5, rng):
         package = encode_bid(params5, 1, rng)
-        assert package.commitments.o_vector.size == params5.sigma
-        assert package.commitments.q_vector.size == params5.sigma
-        assert package.commitments.r_vector.size == params5.sigma
+        for vector in package.commitments:
+            assert type(vector) is tuple and len(vector) == params5.sigma
         assert package.commitments.field_elements == 3 * params5.sigma
 
     def test_invalid_bid_rejected(self, params5, rng):

@@ -27,7 +27,7 @@ from repro.core.parameters import DMWParameters
 from repro.core.protocol import DMWProtocol, run_dmw
 from repro.core.agent import DMWAgent
 from repro.crypto import fastexp, interpolation
-from repro.crypto.commitments import PolynomialCommitment
+from repro.crypto.commitments import PolynomialCommitment, evaluate_commitment
 from repro.crypto.fastexp import (
     FixedBaseTable,
     PublicValueCache,
@@ -259,18 +259,19 @@ class TestCounterBatching:
 
 class TestPublicValueCache:
     def test_commitment_evaluation_hit_replays_counts(self, params5, rng):
-        committer = params5.group_parameters
-        group = committer.group
+        group_parameters = params5.group_parameters
         # Build a commitment through the protocol layer.
         from repro.core.bidding import encode_bid
         encoded = encode_bid(params5, bid=2, rng=rng)
-        commitment = encoded.commitments.q_vector
+        vector = encoded.commitments.q_vector
         point = params5.pseudonyms[0]
         cache = PublicValueCache()
         miss_counter = OperationCounter()
-        first = commitment.evaluate(point, miss_counter, cache)
+        first = evaluate_commitment(group_parameters, vector, point,
+                                    miss_counter, cache)
         hit_counter = OperationCounter()
-        second = commitment.evaluate(point, hit_counter, cache)
+        second = evaluate_commitment(group_parameters, vector, point,
+                                     hit_counter, cache)
         assert first == second
         assert hit_counter.snapshot() == miss_counter.snapshot()
         assert cache.stats()["hits"] == 1
@@ -295,8 +296,12 @@ class TestPublicValueCache:
         a = encode_bid(params5, bid=1, rng=random.Random(1))
         b = encode_bid(params5, bid=1, rng=random.Random(2))
         point = params5.pseudonyms[1]
-        value_a = a.commitments.q_vector.evaluate(point, NULL_COUNTER, cache)
-        value_b = b.commitments.q_vector.evaluate(point, NULL_COUNTER, cache)
+        value_a = evaluate_commitment(params5.group_parameters,
+                                      a.commitments.q_vector, point,
+                                      NULL_COUNTER, cache)
+        value_b = evaluate_commitment(params5.group_parameters,
+                                      b.commitments.q_vector, point,
+                                      NULL_COUNTER, cache)
         # Distinct blinding -> distinct commitments -> distinct entries.
         assert value_a != value_b
         assert cache.stats()["evaluations"] == 2
@@ -607,7 +612,9 @@ class TestOnePassChargesMatchReference:
             # multiplication per included agent, plus Lambda * Psi.
             reference = OperationCounter()
             for index in included:
-                commitments[index].q_vector.evaluate(point, reference)
+                evaluate_commitment(params5.group_parameters,
+                                    commitments[index].q_vector, point,
+                                    reference)
             reference.count_mul(len(included) + 1)
             assert outcomes[0][1] == reference.snapshot()
 

@@ -21,7 +21,7 @@ from repro.network.message import Message
 from repro.scheduling.problem import SchedulingProblem
 
 
-def run_with_faults(params, problem, fault_plan, seed=0):
+def run_with_faults(params, problem, fault_plan, seed=0, degraded=False):
     master = random.Random(seed)
     agents = [
         DMWAgent(index, params,
@@ -31,7 +31,7 @@ def run_with_faults(params, problem, fault_plan, seed=0):
         for index in range(problem.num_agents)
     ]
     protocol = DMWProtocol(params, agents, fault_plan=fault_plan)
-    return protocol.execute(problem.num_tasks)
+    return protocol.execute(problem.num_tasks, degraded=degraded)
 
 
 @pytest.fixture()
@@ -111,18 +111,14 @@ class TestDroppedLinks:
 
 class TestCorruptedLinks:
     def test_corrupted_share_in_flight_detected(self, params5, problem):
-        from repro.core.bidding import ShareBundle
-
         def corrupt(message):
             if message.kind != "share_bundle":
                 return message
-            task, bundle = message.payload
+            task, (e, f, g, h) = message.payload  # the bundle's wire form
             q = params5.group.q
-            bad = ShareBundle((bundle.e_value + 1) % q, bundle.f_value,
-                              bundle.g_value, bundle.h_value)
             return Message(sender=message.sender,
-                           recipient=message.recipient,
-                           kind=message.kind, payload=(task, bad),
+                           recipient=message.recipient, kind=message.kind,
+                           payload=(task, ((e + 1) % q, f, g, h)),
                            field_elements=message.field_elements)
 
         plan = FaultPlan(corruptors={(1, 4): corrupt})
@@ -133,3 +129,53 @@ class TestCorruptedLinks:
         # indistinguishable from a corrupt sender.
         assert outcome.abort.detected_by == 4
         assert outcome.abort.offender == 1
+
+
+def truncate(kind, keep, task=None):
+    """Cut each ``kind`` record in flight to its first ``keep`` values
+    (only ``task``'s, when given)."""
+    def corrupt(message):
+        if message.kind != kind:
+            return message
+        message_task, record = message.payload
+        if task not in (None, message_task):
+            return message
+        return message._replace(payload=(message_task, tuple(record)[:keep]))
+
+    return corrupt
+
+
+#: kind -> (values kept, the receiver's abort reason).
+TRUNCATIONS = {"share_bundle": (3, "agent 1 sent no share bundle"),
+               "commitments": (2, "agent 1 published no commitments")}
+
+
+class TestMalformedBiddingPayload:
+    """A bidding record of the wrong arity is not stored, so the receiver
+    blames its sender as if nothing had arrived."""
+
+    @pytest.mark.parametrize("kind", sorted(TRUNCATIONS))
+    def test_strict_mode_aborts_blaming_the_sender(self, params5, problem,
+                                                    kind):
+        keep, reason = TRUNCATIONS[kind]
+        plan = FaultPlan(corruptors={(1, 4): truncate(kind, keep)})
+        outcome = run_with_faults(params5, problem, plan)
+        assert not outcome.completed
+        abort = outcome.abort
+        assert (abort.reason, abort.phase, abort.task) == (reason,
+                                                           "bidding", 0)
+        assert (abort.offender, abort.detected_by) == (1, 4)
+
+    @pytest.mark.parametrize("kind", sorted(TRUNCATIONS))
+    def test_degraded_mode_quarantines_the_task(self, params5, problem,
+                                                kind):
+        keep, reason = TRUNCATIONS[kind]
+        plan = FaultPlan(corruptors={(1, 4): truncate(kind, keep, task=1)})
+        outcome = run_with_faults(params5, problem, plan, degraded=True)
+        assert outcome.completed and outcome.quarantined_tasks == (1,)
+        abort = outcome.task_aborts[1]
+        assert (abort.reason, abort.offender, abort.detected_by) == (
+            reason, 1, 4)
+        expected = MinWork().run(truthful_bids(problem))
+        assert outcome.schedule.assignment[0] == \
+            expected.schedule.assignment[0]

@@ -15,7 +15,6 @@ import random
 import pytest
 
 from repro.core.agent import DMWAgent
-from repro.core.bidding import ShareBundle
 from repro.core.protocol import DMWProtocol
 from repro.mechanisms.base import truthful_bids
 from repro.mechanisms.minwork import MinWork
@@ -57,11 +56,10 @@ def corrupt_share(params):
     def corrupt(message):
         if message.kind != "share_bundle":
             return message
-        task, bundle = message.payload
-        bad = ShareBundle((bundle.e_value + 1) % q, bundle.f_value,
-                          bundle.g_value, bundle.h_value)
+        task, (e, f, g, h) = message.payload  # the bundle's wire form
         return Message(sender=message.sender, recipient=message.recipient,
-                       kind=message.kind, payload=(task, bad),
+                       kind=message.kind,
+                       payload=(task, ((e + 1) % q, f, g, h)),
                        field_elements=message.field_elements)
 
     return corrupt

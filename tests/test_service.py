@@ -28,8 +28,12 @@ Pins the daemon's contracts (``docs/SERVICE.md``):
    are the same on a fresh daemon and a warmed one.
 8. **Terminal-state publication** — a record reads ``done`` only once
    ``finished_at`` is stamped.
+9. **Finished-job ceiling** — the daemon keeps the newest
+   ``MAX_FINISHED_JOBS`` finished records and evicts the oldest, report
+   and outcome included; queued and running jobs are never evicted.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -39,6 +43,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import weakref
 
 import pytest
 
@@ -645,3 +650,54 @@ class TestTerminalStatePublication:
         record = _run(service, JOB)
         assert record.finished_at is not None
         assert reads[int(record.finished_at) - 1] == "running"
+
+
+# ---------------------------------------------------------------------------
+# 9. Finished-job ceiling
+# ---------------------------------------------------------------------------
+
+class TestFinishedJobCeiling:
+    def test_oldest_finished_records_are_evicted(self, service, client,
+                                                  monkeypatch):
+        from repro.service import engine
+
+        monkeypatch.setattr(engine, "MAX_FINISHED_JOBS", 2)
+        release = threading.Event()
+        execute = service._execute
+
+        def held_at_job_5(record):
+            if record.job_id == "job-5":
+                assert release.wait(60)
+            execute(record)
+
+        monkeypatch.setattr(service, "_execute", held_at_job_5)
+
+        def listed():
+            status, document = client.get("/jobs")
+            assert status == 200
+            return [(job["id"], job["state"]) for job in document["jobs"]]
+
+        try:
+            kept = [weakref.ref(service.submit(
+                {"agents": 3, "tasks": 1, "seed": seed}))
+                for seed in range(6)]
+            deadline = time.monotonic() + 60
+            while service.job("job-5").state != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            # Jobs 1-4 finished, 5 runs and 6 waits: only 3 and 4 of the
+            # finished records are kept, and nothing holds 1 or 2 any more.
+            assert listed() == [("job-3", "done"), ("job-4", "done"),
+                                ("job-5", "running"), ("job-6", "queued")]
+            for job_id in ("job-1", "job-2"):
+                assert client.get("/jobs/" + job_id) == (
+                    404, {"error": "unknown_job"})
+                assert client.get("/jobs/%s/report" % job_id)[0] == 404
+            gc.collect()
+            assert [ref() is None for ref in kept] == [True] * 2 + [False] * 4
+        finally:
+            release.set()
+        assert service.wait_idle(60)
+        assert listed() == [("job-5", "done"), ("job-6", "done")]
+        assert client.get("/jobs/job-4")[0] == 404
+        assert client.get("/jobs/job-6/report")[0] == 200

@@ -14,6 +14,7 @@ from repro.core.verification import (
     verify_lambda_psi,
     verify_share_bundle,
 )
+from repro.crypto.commitments import evaluate_commitment
 from repro.crypto.fastexp import PublicValueCache, naive_mode
 from repro.crypto.groups import fixture_group
 from repro.crypto.modular import OperationCounter
@@ -185,9 +186,16 @@ class TestDisclosure:
 
 
 def _perturbed(vector, slot, factor, modulus):
-    elements = list(vector.elements)
+    elements = list(vector)
     elements[slot] = elements[slot] * factor % modulus
-    return vector._replace(elements=tuple(elements))
+    return tuple(elements)
+
+
+def _opens(parameters, vector, pseudonym, value, blinding):
+    """One share equation (eqs. (7)-(9)) in the literal listing."""
+    group_parameters = parameters.group_parameters
+    return (group_parameters.open_value(value, blinding)
+            == evaluate_commitment(group_parameters, vector, pseudonym))
 
 
 class TestShareBundleMatchesReference:
@@ -251,11 +259,11 @@ class TestShareBundleMatchesReference:
                 assert self.verdict(parameters, commitments, pseudonym,
                                     bundle, naive=False,
                                     cache=cache) == reference, name
-            q_opens = commitments.q_vector.verify_share(
-                pseudonym, bundle.e_value, bundle.h_value)
-            o_opens = commitments.o_vector.verify_share(
-                pseudonym, bundle.e_value * bundle.f_value,
-                bundle.g_value)
+            q_opens = _opens(parameters, commitments.q_vector, pseudonym,
+                             bundle.e_value, bundle.h_value)
+            o_opens = _opens(parameters, commitments.o_vector, pseudonym,
+                             bundle.e_value * bundle.f_value,
+                             bundle.g_value)
             if o_opens and q_opens and not honest:
                 r_only += 1
         assert r_only == 2  # r_vector*z1 and the foreign r_vector
@@ -291,8 +299,9 @@ class TestPublishedOpenings:
         evaluations_only = PublicValueCache()
         for _ in range(2):
             for vector in commitments:
-                vector.r_vector.evaluate(alpha, OperationCounter(),
-                                         evaluations_only)
+                evaluate_commitment(params5.group_parameters,
+                                    vector.r_vector, alpha,
+                                    OperationCounter(), evaluations_only)
         assert cache.stats() == evaluations_only.stats()
 
     def test_memo_keeps_a_tampered_row_invalid(self, params5, setup):
