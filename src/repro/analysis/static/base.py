@@ -15,8 +15,8 @@ function from file to violations.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,6 @@ class FileContext:
     path: str
     source: str
     tree: ast.Module
-    lines: List[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
 
     @property
     def normalized_path(self) -> str:
@@ -67,12 +62,6 @@ class FileContext:
     @property
     def parts(self) -> Tuple[str, ...]:
         return tuple(p for p in self.normalized_path.split("/") if p)
-
-    def line_text(self, lineno: int) -> str:
-        """1-based source line (empty string when out of range)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
 
 
 class Rule:
@@ -94,16 +83,13 @@ class Rule:
     exempt_names:
         File names exempt from the rule (modules that legitimately
         implement the guarded primitive).
-    default_enabled:
-        Whether the rule runs without an explicit ``--select``.
     """
 
-    rule_id: str = "DMW000"
+    rule_id: str = ""
     description: str = ""
     invariant: str = ""
     include_parts: Tuple[str, ...] = ()
     exempt_names: Tuple[str, ...] = ()
-    default_enabled: bool = True
 
     def applies_to(self, context: FileContext) -> bool:
         if context.filename in self.exempt_names:
@@ -132,17 +118,16 @@ class ProjectRule(Rule):
 
     Project rules run once per lint invocation over a
     :class:`~repro.analysis.static.project.ProjectContext` holding every
-    parsed file, instead of once per file; they are how interprocedural
-    properties (cross-module taint, protocol phase order, call-graph
-    reachability) become lintable.  ``check`` defaults to producing
-    nothing so a project rule slots into the per-file pass as a no-op;
-    a rule may override *both* to combine a local and a global pass
-    (DMW004 does).
+    parsed file, instead of once per file; they are how call-graph
+    properties (a blocking helper one hop below a coroutine, a module
+    write reachable from a pool task) become lintable.  ``check``
+    defaults to producing nothing so a project rule slots into the
+    per-file pass as a no-op.
 
     ``check_project`` must itself honor path scoping by only reporting
     violations whose file satisfies :meth:`Rule.applies_to` — the engine
     cannot pre-filter, because a project rule may need out-of-scope
-    files (helpers a secret flows through) to analyze in-scope ones.
+    files (helpers a pool task calls) to analyze in-scope ones.
     """
 
     def check(self, context: FileContext) -> Iterator[Violation]:
@@ -158,19 +143,6 @@ class ProjectRule(Rule):
         raise NotImplementedError
 
 
-def terminal_name(node: ast.AST) -> Optional[str]:
-    """The rightmost identifier of a Name/Attribute chain, else None.
-
-    ``x`` -> ``"x"``; ``self.coefficients`` -> ``"coefficients"``;
-    ``a.b.c`` -> ``"c"``; anything else -> ``None``.
-    """
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
 def dotted_name(node: ast.AST) -> Optional[str]:
     """Render a Name/Attribute chain as ``a.b.c``, else None."""
     parts: List[str] = []
@@ -182,27 +154,3 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(current.id)
         return ".".join(reversed(parts))
     return None
-
-
-def iter_functions(tree: ast.Module) -> Iterator[ast.AST]:
-    """Yield every function/async-function definition in the module."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def call_name(node: ast.Call) -> Optional[str]:
-    """The dotted name of a call target, else None."""
-    return dotted_name(node.func)
-
-
-def assigned_names(target: ast.AST) -> Sequence[str]:
-    """Plain names bound by an assignment target (tuples flattened)."""
-    if isinstance(target, ast.Name):
-        return (target.id,)
-    if isinstance(target, (ast.Tuple, ast.List)):
-        names: List[str] = []
-        for element in target.elts:
-            names.extend(assigned_names(element))
-        return tuple(names)
-    return ()

@@ -1,10 +1,9 @@
 """Module resolution and call graph for whole-program dmwlint rules.
 
 The per-file rules see one AST at a time; the whole-program rules
-(interprocedural DMW004, async-safety DMW010, pool-shared-state DMW011)
-need to know *who calls whom* across module boundaries.  This module
-builds that picture from nothing but the parsed ASTs the engine already
-holds:
+(async-safety DMW010, pool-shared-state DMW011) need to know *who calls
+whom* across module boundaries.  This module builds that picture from
+nothing but the parsed ASTs the engine already holds:
 
 * :func:`module_name_for_path` maps a file path to its dotted module
   name (``src/repro/core/machine.py`` -> ``repro.core.machine``);
@@ -30,6 +29,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from .base import dotted_name
+
 #: Maximum ``from x import y`` hops followed through package re-exports.
 _REEXPORT_DEPTH = 10
 
@@ -47,10 +48,6 @@ class FunctionInfo:
     is_async: bool
 
     @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
-
-    @property
     def param_names(self) -> List[str]:
         args = self.node.args  # type: ignore[attr-defined]
         ordered = list(args.posonlyargs) + list(args.args)
@@ -61,11 +58,6 @@ class FunctionInfo:
         if args.kwarg is not None:
             names.append(args.kwarg.arg)
         return names
-
-    @property
-    def label(self) -> str:
-        """Human-oriented short name for messages (``module:func``)."""
-        return self.qualname
 
 
 @dataclass
@@ -93,18 +85,6 @@ class ModuleInfo:
     #: ``d -> a.b.c``; ``import a.b as c`` => ``c -> a.b``;
     #: ``import a.b`` => ``a -> a``).
     imports: Dict[str, str] = field(default_factory=dict)
-
-
-def _dotted(node: ast.AST) -> Optional[str]:
-    parts: List[str] = []
-    current = node
-    while isinstance(current, ast.Attribute):
-        parts.append(current.attr)
-        current = current.value
-    if isinstance(current, ast.Name):
-        parts.append(current.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def module_name_for_path(path: str) -> str:
@@ -173,7 +153,7 @@ def _collect_definitions(module: ModuleInfo) -> None:
                 is_async=isinstance(node, ast.AsyncFunctionDef))
             module.functions[node.name] = info
         elif isinstance(node, ast.ClassDef):
-            bases = tuple(b for b in (_dotted(base) for base in node.bases)
+            bases = tuple(b for b in map(dotted_name, node.bases)
                           if b is not None)
             cls = ClassInfo(name=node.name, module=module.name, node=node,
                             bases=bases)
@@ -348,7 +328,7 @@ class Project:
                 cls = self.resolve_class(module, base.id)
                 if cls is not None:
                     return self.resolve_method(cls, method)
-            dotted = _dotted(func)
+            dotted = dotted_name(func)
             if dotted is not None:
                 head = dotted.split(".")[0]
                 if head in module.imports:
@@ -372,7 +352,7 @@ class Project:
         for arg in (list(args.posonlyargs) + list(args.args)
                     + list(args.kwonlyargs)):
             if arg.annotation is not None:
-                annotation = _dotted(arg.annotation)
+                annotation = dotted_name(arg.annotation)
                 if annotation is not None:
                     cls = self.resolve_class(module, annotation)
                     if cls is not None:
@@ -385,7 +365,7 @@ class Project:
                 continue
             if not isinstance(node.value, ast.Call):
                 continue
-            ctor = _dotted(node.value.func)
+            ctor = dotted_name(node.value.func)
             if ctor is None:
                 continue
             cls = self.resolve_class(module, ctor)
@@ -409,7 +389,6 @@ class CallGraph:
     def __init__(self, project: Project) -> None:
         self.project = project
         self.edges: Dict[str, List[CallEdge]] = {}
-        self.callers: Dict[str, Set[str]] = {}
         self._build()
 
     def _build(self) -> None:
@@ -424,8 +403,6 @@ class CallGraph:
                     continue
                 sites.append(CallEdge(caller=caller.qualname,
                                       callee=callee.qualname, node=node))
-                self.callers.setdefault(callee.qualname,
-                                        set()).add(caller.qualname)
             self.edges[caller.qualname] = sites
 
     def callees(self, qualname: str) -> List[CallEdge]:

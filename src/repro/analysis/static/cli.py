@@ -5,18 +5,13 @@ Usage::
     python -m repro.lint                   # src + benchmarks/examples
     python -m repro.lint src/              # lint one tree, human output
     dmwlint --format json src/             # machine-readable report
-    dmwlint --format sarif src/            # SARIF 2.1.0 for code scanning
-    dmwlint --baseline dmwlint-baseline.json src/   # ratchet: new only
-    dmwlint --write-baseline dmwlint-baseline.json src/
-    dmwlint --jobs 4 src/                  # parallel per-file pass
     dmwlint --list-rules                   # rule catalog with invariants
-    dmwlint --select DMW001,DMW004 src/    # run a subset
-    dmwlint --check-annotations src/       # add DMW000 strict-typing rule
+    dmwlint --select DMW001,DMW007 src/    # run a subset
 
-With no explicit paths, ``src`` is linted under the full default rule
-set and ``benchmarks``/``examples`` (when present) under the relaxed
-set — example code must still be deterministic (DMW001) and exact
-(DMW006), but is not held to protocol-internal rules.
+With no explicit paths, ``src`` is linted under every rule and
+``benchmarks``/``examples`` (when present) under the relaxed set —
+example code must still be deterministic (DMW001), but is not held to
+protocol-internal rules.
 
 Exit status: 0 when clean, 1 when violations or parse errors were found,
 2 on usage errors.
@@ -30,10 +25,8 @@ import sys
 from typing import List, Optional, Sequence
 
 from .base import Rule
-from .baseline import BaselineError, apply_baseline, write_baseline
 from .engine import LintReport, UsageError, run_paths
-from .rules import ALL_RULES, DEFAULT_RULES, RELAXED_RULES
-from .sarif import render_sarif
+from .rules import ALL_RULES, RELAXED_RULES
 
 #: Trees linted with the relaxed rule set when no paths are given.
 RELAXED_SCOPE_DIRS = ("benchmarks", "examples")
@@ -43,33 +36,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmwlint",
         description="DMW-aware static analysis: mechanically enforce the "
-                    "paper invariants (determinism, secrecy, field "
-                    "arithmetic, message immutability) on the codebase.")
+                    "paper invariants that no test or runtime check "
+                    "covers (seeded randomness, the pluggable arithmetic "
+                    "backend, event-loop and pool-worker hygiene).")
     parser.add_argument("paths", nargs="*", default=None,
                         help="files or directories to lint (default: src "
-                             "under the full rule set, plus benchmarks/ and "
+                             "under every rule, plus benchmarks/ and "
                              "examples/ under the relaxed set)")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
+    parser.add_argument("--format", choices=("text", "json"),
                         default="text",
                         help="output format (default: text)")
     parser.add_argument("--select", metavar="RULES", default=None,
                         help="comma-separated rule ids to run "
-                             "(e.g. DMW001,DMW004)")
+                             "(e.g. DMW001,DMW007)")
     parser.add_argument("--ignore", metavar="RULES", default=None,
                         help="comma-separated rule ids to skip")
-    parser.add_argument("--baseline", metavar="PATH", default=None,
-                        help="baseline file of accepted findings; only "
-                             "violations not in the baseline fail the run")
-    parser.add_argument("--write-baseline", metavar="PATH", default=None,
-                        help="write the current findings to PATH as the new "
-                             "baseline and exit 0")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the per-file pass "
-                             "(default: 1; the whole-program pass always "
-                             "runs in the parent)")
-    parser.add_argument("--check-annotations", action="store_true",
-                        help="also run DMW000 (strict annotation coverage "
-                             "on crypto/core/network)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
@@ -86,15 +67,12 @@ def _parse_rule_ids(flag: str, tokens: str) -> List[str]:
     return wanted
 
 
-def _resolve_rules(select: Optional[str], ignore: Optional[str],
-                   check_annotations: bool) -> List[Rule]:
+def _resolve_rules(select: Optional[str],
+                   ignore: Optional[str]) -> List[Rule]:
+    rules = list(ALL_RULES)
     if select:
         wanted = set(_parse_rule_ids("--select", select))
-        rules = [rule for rule in ALL_RULES if rule.rule_id in wanted]
-    else:
-        rules = list(DEFAULT_RULES)
-        if check_annotations:
-            rules = [r for r in ALL_RULES if r.rule_id == "DMW000"] + rules
+        rules = [rule for rule in rules if rule.rule_id in wanted]
     if ignore:
         dropped = set(_parse_rule_ids("--ignore", ignore))
         rules = [rule for rule in rules if rule.rule_id not in dropped]
@@ -104,10 +82,9 @@ def _resolve_rules(select: Optional[str], ignore: Optional[str],
 def _render_rule_catalog() -> str:
     lines = ["dmwlint rule catalog", "====================", ""]
     for rule in ALL_RULES:
-        status = "default" if rule.default_enabled else "opt-in"
         scope = ("/".join(rule.include_parts)
                  if rule.include_parts else "everywhere")
-        lines.append("%s (%s, scope: %s)" % (rule.rule_id, status, scope))
+        lines.append("%s (scope: %s)" % (rule.rule_id, scope))
         lines.append("  %s" % rule.description)
         lines.append("  invariant: %s" % rule.invariant)
         if rule.exempt_names:
@@ -116,14 +93,14 @@ def _render_rule_catalog() -> str:
     return "\n".join(lines)
 
 
-def _run_default_scope(rules: List[Rule], jobs: int) -> LintReport:
+def _run_default_scope(rules: List[Rule]) -> LintReport:
     """No explicit paths: src under ``rules``, example trees relaxed."""
-    report = run_paths(["src"], rules, jobs=jobs)
+    report = run_paths(["src"], rules)
     selected = {rule.rule_id for rule in rules}
     relaxed = [rule for rule in RELAXED_RULES if rule.rule_id in selected]
     for directory in RELAXED_SCOPE_DIRS:
         if relaxed and os.path.isdir(directory):
-            report.merge(run_paths([directory], relaxed, jobs=jobs))
+            report.merge(run_paths([directory], relaxed))
     return report
 
 
@@ -134,28 +111,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(_render_rule_catalog())
         return 0
     try:
-        rules = _resolve_rules(args.select, args.ignore,
-                               args.check_annotations)
-        if args.jobs < 1:
-            raise UsageError("dmwlint: --jobs must be >= 1")
+        rules = _resolve_rules(args.select, args.ignore)
         if args.paths:
-            report = run_paths(args.paths, rules, jobs=args.jobs)
+            report = run_paths(args.paths, rules)
         else:
-            report = _run_default_scope(rules, args.jobs)
-        if args.write_baseline:
-            count = write_baseline(report, args.write_baseline)
-            print("dmwlint: wrote baseline with %d finding(s) to %s"
-                  % (count, args.write_baseline))
-            return 0
-        if args.baseline:
-            apply_baseline(report, args.baseline)
-    except (UsageError, BaselineError) as error:
+            report = _run_default_scope(rules)
+    except UsageError as error:
         print(error, file=sys.stderr)
         return 2
     if args.format == "json":
         print(report.render_json())
-    elif args.format == "sarif":
-        print(render_sarif(report, rules))
     else:
         print(report.render_human())
     return 0 if report.ok else 1

@@ -7,12 +7,11 @@ here so the rules stay testable on in-memory source strings.
 Two passes share one parse per file:
 
 * the **file pass** runs every rule's per-file ``check`` on each
-  :class:`FileContext` (optionally across worker processes, ``jobs``);
+  :class:`FileContext`;
 * the **project pass** hands all contexts at once to each
   :class:`~repro.analysis.static.base.ProjectRule` via a
   :class:`~repro.analysis.static.project.ProjectContext`, which is how
-  interprocedural rules (DMW004's cross-module taint, DMW010, DMW011)
-  see the whole program.
+  the call-graph rules (DMW010, DMW011) see the whole program.
 
 Suppressions apply uniformly: a ``# dmwlint: disable=...`` comment
 silences project-pass findings on its line exactly like file-pass ones,
@@ -24,9 +23,8 @@ from __future__ import annotations
 import ast
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .base import FileContext, ProjectRule, Rule, Violation
 from .suppressions import parse_suppressions
@@ -47,7 +45,6 @@ class LintReport:
     violations: List[Violation] = field(default_factory=list)
     files_checked: int = 0
     suppressed_count: int = 0
-    baselined_count: int = 0
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
 
     @property
@@ -62,13 +59,10 @@ class LintReport:
         lines = [v.format_human() for v in self.sorted_violations()]
         for path, error in self.parse_errors:
             lines.append("%s: PARSE-ERROR %s" % (path, error))
-        summary = ("dmwlint: %d file(s) checked, %d violation(s), "
-                   "%d suppressed" % (self.files_checked,
-                                      len(self.violations),
-                                      self.suppressed_count))
-        if self.baselined_count:
-            summary += ", %d baselined" % self.baselined_count
-        lines.append(summary)
+        lines.append("dmwlint: %d file(s) checked, %d violation(s), "
+                     "%d suppressed" % (self.files_checked,
+                                        len(self.violations),
+                                        self.suppressed_count))
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -78,7 +72,6 @@ class LintReport:
             "files_checked": self.files_checked,
             "violation_count": len(self.violations),
             "suppressed_count": self.suppressed_count,
-            "baselined_count": self.baselined_count,
             "violations": [v.to_dict() for v in self.sorted_violations()],
             "parse_errors": [
                 {"path": path, "error": error}
@@ -93,7 +86,6 @@ class LintReport:
         self.violations.extend(other.violations)
         self.files_checked += other.files_checked
         self.suppressed_count += other.suppressed_count
-        self.baselined_count += other.baselined_count
         self.parse_errors.extend(other.parse_errors)
 
 
@@ -122,8 +114,8 @@ def _project_pass(contexts: List[FileContext],
                      if isinstance(rule, ProjectRule)]
     if not project_rules or not contexts:
         return []
-    # Imported lazily: project.py pulls in the callgraph/dataflow stack,
-    # which plain per-file linting never needs.
+    # Imported lazily: project.py pulls in the call graph, which plain
+    # per-file linting never needs.
     from .project import ProjectContext
     project = ProjectContext(contexts)
     raw: List[Violation] = []
@@ -168,37 +160,6 @@ def lint_source(path: str, source: str,
     return report
 
 
-def lint_file(path: str, rules: Sequence[Rule]) -> LintReport:
-    """Lint one file from disk."""
-    with open(path, "r", encoding="utf-8") as handle:
-        source = handle.read()
-    return lint_source(path, source, rules)
-
-
-def _lint_file_worker(args: Tuple[str, Sequence[Rule]]) -> LintReport:
-    """Per-file worker for ``jobs > 1``: file pass only.
-
-    The project pass needs every AST in one address space, so it always
-    runs in the parent; workers handle the embarrassingly parallel
-    per-file rules.  Module-level so it pickles.
-    """
-    path, rules = args
-    report = LintReport(files_checked=1)
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-    except OSError as error:
-        report.parse_errors.append((path, str(error)))
-        return report
-    context, parse_error = _parse_context(path, source)
-    if context is None:
-        assert parse_error is not None
-        report.parse_errors.append(parse_error)
-        return report
-    _apply_suppressions(report, _file_pass(context, rules), [context])
-    return report
-
-
 def discover_files(paths: Iterable[str]) -> List[str]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
@@ -223,49 +184,31 @@ def discover_files(paths: Iterable[str]) -> List[str]:
 
 
 def run_paths(paths: Iterable[str],
-              rules: Optional[Sequence[Rule]] = None,
-              jobs: int = 1) -> LintReport:
+              rules: Optional[Sequence[Rule]] = None) -> LintReport:
     """Lint every ``.py`` file under ``paths`` with ``rules``.
 
-    ``rules`` defaults to ``DEFAULT_RULES`` — the ten default-enabled
-    domain rules (DMW001–DMW011 without DMW009; the opt-in DMW000
-    annotation gate is excluded).  ``jobs > 1`` fans the per-file pass out over worker
-    processes; the whole-program pass always runs in the parent.
+    ``rules`` defaults to ``ALL_RULES``.  Every file is parsed once; the
+    file pass and the whole-program pass share the ASTs.
     """
     if rules is None:
-        from .rules import DEFAULT_RULES
-        rules = DEFAULT_RULES
-    files = discover_files(paths)
+        from .rules import ALL_RULES
+        rules = ALL_RULES
     report = LintReport()
     contexts: List[FileContext] = []
-    # Parse every file once in the parent: the project pass shares these
-    # ASTs, and with jobs == 1 the file pass does too.
-    sources: Dict[str, str] = {}
-    for path in files:
+    for path in discover_files(paths):
+        report.files_checked += 1
         try:
             with open(path, "r", encoding="utf-8") as handle:
-                sources[path] = handle.read()
+                source = handle.read()
         except OSError as error:
             report.parse_errors.append((path, str(error)))
-            report.files_checked += 1
             continue
-        context, parse_error = _parse_context(path, sources[path])
-        report.files_checked += 1
+        context, parse_error = _parse_context(path, source)
         if context is None:
             assert parse_error is not None
             report.parse_errors.append(parse_error)
-        else:
-            contexts.append(context)
-    if jobs > 1 and len(contexts) > 1:
-        worker_args = [(context.path, rules) for context in contexts]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for sub_report in pool.map(_lint_file_worker, worker_args):
-                report.violations.extend(sub_report.violations)
-                report.suppressed_count += sub_report.suppressed_count
-                report.parse_errors.extend(sub_report.parse_errors)
-    else:
-        for context in contexts:
-            _apply_suppressions(report, _file_pass(context, rules),
-                                [context])
+            continue
+        contexts.append(context)
+        _apply_suppressions(report, _file_pass(context, rules), [context])
     _apply_suppressions(report, _project_pass(contexts, rules), contexts)
     return report

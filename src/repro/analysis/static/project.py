@@ -2,10 +2,9 @@
 
 The engine parses every file once into :class:`FileContext` objects;
 :class:`ProjectContext` bundles them and lazily derives the expensive
-whole-program structures — the :class:`~.callgraph.Project` index, the
-:class:`~.callgraph.CallGraph`, and the interprocedural
-:class:`~.dataflow.TaintSummary` table — so several project rules share
-one computation per run.
+whole-program structures — the :class:`~.callgraph.Project` index and
+the :class:`~.callgraph.CallGraph` — so several project rules share one
+computation per run.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from typing import Dict, List, Optional
 
 from .base import FileContext
 from .callgraph import CallGraph, Project
-from .dataflow import TaintSummary, compute_summaries
 
 
 class ProjectContext:
@@ -26,7 +24,6 @@ class ProjectContext:
             context.path: context for context in self.contexts}
         self._project: Optional[Project] = None
         self._graph: Optional[CallGraph] = None
-        self._summaries: Optional[Dict[str, TaintSummary]] = None
 
     @property
     def project(self) -> Project:
@@ -40,12 +37,6 @@ class ProjectContext:
         if self._graph is None:
             self._graph = CallGraph(self.project)
         return self._graph
-
-    @property
-    def taint_summaries(self) -> Dict[str, TaintSummary]:
-        if self._summaries is None:
-            self._summaries = compute_summaries(self.project, self.callgraph)
-        return self._summaries
 
     def context_for(self, path: str) -> Optional[FileContext]:
         return self.by_path.get(path)

@@ -5,14 +5,14 @@ Two forms are recognized, mirroring pylint's comment idiom:
 * **Line suppression** — a trailing comment on the violating line::
 
       x = random.random()  # dmwlint: disable=DMW001
-      y = a * b            # dmwlint: disable=DMW003,DMW006
-      z = leak(bid)        # dmwlint: disable=all
+      y = pow(b, e, m)     # dmwlint: disable=DMW001,DMW007
+      ACTIVE = backend     # dmwlint: disable=all
 
   The suppression applies to that physical line only.
 
 * **File suppression** — a standalone comment anywhere in the file::
 
-      # dmwlint: disable-file=DMW002
+      # dmwlint: disable-file=DMW007
 
   The listed rules are disabled for the whole file.
 
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set
+from typing import Dict, FrozenSet, Set
 
 from .base import Violation
 
@@ -67,13 +67,6 @@ class Suppressions:
         if line_rules is None:
             return False
         return ALL in line_rules or violation.rule_id in line_rules
-
-    def filter(self, violations: List[Violation]) -> List[Violation]:
-        return [v for v in violations if not self.is_suppressed(v)]
-
-    @property
-    def count(self) -> int:
-        return len(self.by_line) + (1 if self.file_wide else 0)
 
 
 def parse_suppressions(source: str) -> Suppressions:

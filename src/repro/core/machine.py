@@ -24,10 +24,11 @@ historical semantics exactly: a broadcast copy dropped on one link is
 still visible in the merged view if any other participant received it.
 
 The machine contains no mechanism logic of its own — every decision is
-made by the wrapped agent, and the agent never sees the transport
-(``dmwlint`` rule DMW008 enforces that agent and machine code reach the
-wire only through the transport parameter handed to the send/receive
-steps).
+made by the wrapped agent, and the agent never sees the transport.
+Agent and machine code reach the wire only through the transport
+parameter handed to the send/receive steps; the asyncio parity tests
+(``tests/test_transport.py``) enforce this, since a message that
+bypasses the transport never crosses the sockets.
 """
 
 from __future__ import annotations

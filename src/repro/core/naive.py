@@ -128,7 +128,10 @@ class NaiveDistributedMinWork:
         if not decision.dispensed:
             abort = ProtocolAbort(
                 "payment claims conflict (agents %s)"
-                % (decision.conflicting_agents,), phase="payments")
+                % (decision.conflicting_agents,), phase="payments",
+                offender=(decision.conflicting_agents[0]
+                          if len(decision.conflicting_agents) == 1
+                          else None))
             return DMWOutcome(completed=False, schedule=None, payments=None,
                               transcripts=[], abort=abort,
                               network_metrics=self.network.metrics,

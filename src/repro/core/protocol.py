@@ -509,6 +509,9 @@ class DMWProtocol:
                 "payment claims conflict (agents %s); no payments dispensed"
                 % (decision.conflicting_agents,),
                 phase="payments",
+                offender=(decision.conflicting_agents[0]
+                          if len(decision.conflicting_agents) == 1
+                          else None),
             )
         self.recorder.event("payments_dispensed",
                             payments=list(decision.payments))

@@ -143,7 +143,7 @@ class Gmpy2Backend(ArithmeticBackend):
     name = "gmpy2"
 
     def __init__(self) -> None:
-        import gmpy2  # noqa: F401  # dmwlint: disable=DMW007
+        import gmpy2  # noqa: F401
 
         self._gmpy2 = gmpy2
         self._mpz = gmpy2.mpz
@@ -183,7 +183,7 @@ ACTIVE: ArithmeticBackend = PythonBackend()
 def gmpy2_available() -> bool:
     """Return True when the gmpy2 engine can actually be constructed."""
     try:
-        import gmpy2  # noqa: F401  # dmwlint: disable=DMW007
+        import gmpy2  # noqa: F401
     except ImportError:
         return False
     return True

@@ -1,8 +1,9 @@
 """Runtime secret-taint sanitizer: ``Secret[T]`` and ``declassify``.
 
-Static rule DMW004 catches secret values flowing to sinks *that the AST
-can see*; this module is its runtime twin.  Under ``DMW_SANITIZE=1`` the
-agents wrap their private values in :class:`Secret`, a taint wrapper that
+This module is the guard on secret flow.  Under ``DMW_SANITIZE=1``,
+which CI sets for the whole tier-1 suite (honest runs and every
+deviation family), the agents wrap their private values in
+:class:`Secret`, a taint wrapper that
 
 * supports the arithmetic and comparisons the protocol needs (results of
   arithmetic stay tainted; comparisons produce plain booleans, which is

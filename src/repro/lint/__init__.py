@@ -7,28 +7,6 @@ path, mirroring the ``dmw`` CLI convention.
 
 from __future__ import annotations
 
-from ..analysis.static import (  # noqa: F401  (re-exported API)
-    ALL_RULES,
-    DEFAULT_RULES,
-    LintReport,
-    Rule,
-    Violation,
-    lint_file,
-    lint_source,
-    rule_by_id,
-    run_paths,
-)
 from ..analysis.static.cli import main
 
-__all__ = [
-    "ALL_RULES",
-    "DEFAULT_RULES",
-    "LintReport",
-    "Rule",
-    "Violation",
-    "lint_file",
-    "lint_source",
-    "main",
-    "rule_by_id",
-    "run_paths",
-]
+__all__ = ["main"]

@@ -242,113 +242,137 @@ def validate_run_report(document: Any) -> None:
 
     Checks structural shape *and* the accounting invariant: the deltas of
     the phase-kind spans must sum exactly to the run's grand totals
-    whenever phase spans are present.
+    whenever phase spans are present.  A value of the wrong type deep in
+    a section (an event that is not an object, a span whose ``network``
+    is ``null``) also raises :class:`ReportSchemaError`, naming the
+    top-level field it sits in.
     """
     _require(isinstance(document, dict), "report must be a JSON object")
-    _require(document.get("type") == "dmw_run_report",
-             "type must be 'dmw_run_report'")
-    _require(document.get("version") in _ACCEPTED_VERSIONS,
-             "unsupported report version %r" % document.get("version"))
-    for key in ("params", "completed", "totals", "cache", "resilience",
-                "spans", "events", "metrics"):
-        _require(key in document, "missing key %r" % key)
-    for key in ("parallelism", "flight_summary", "profile", "provenance"):
-        _require(key in document, "missing key %r" % key)
-        _require(isinstance(document[key], dict),
-                 "%s must be an object" % key)
-    provenance = document["provenance"]
-    for key in ("package_version", "arithmetic_backend"):
-        _require(key in provenance, "provenance missing %r" % key)
-    flight_summary = document["flight_summary"]
-    if flight_summary:
-        for key in ("events_recorded", "events_retained", "capacity",
-                    "messages", "by_type", "by_kind"):
-            _require(key in flight_summary, "flight_summary missing %r" % key)
-        _require(flight_summary["events_retained"]
-                 <= flight_summary["events_recorded"],
-                 "flight_summary retains more events than recorded")
-        _require(sum(flight_summary["by_type"].values())
-                 == flight_summary["events_recorded"],
-                 "flight_summary.by_type must sum to events_recorded")
-        _require(sum(flight_summary["by_kind"].values())
-                 == flight_summary["events_recorded"],
-                 "flight_summary.by_kind must sum to events_recorded")
-    profile = document["profile"]
-    if profile:
-        _require("phases" in profile and "top_n" in profile,
-                 "profile must carry phases and top_n")
-        for phase_name, body in profile["phases"].items():
-            for key in ("functions_profiled", "calls", "time_s", "hotspots"):
-                _require(key in body, "profile phase %r missing %r"
-                         % (phase_name, key))
-    _require(isinstance(document["completed"], bool),
-             "completed must be a bool")
+    field = "type"
+    try:
+        _require(document.get("type") == "dmw_run_report",
+                 "type must be 'dmw_run_report'")
+        _require(document.get("version") in _ACCEPTED_VERSIONS,
+                 "unsupported report version %r" % document.get("version"))
+        for key in ("params", "completed", "totals", "cache", "resilience",
+                    "spans", "events", "metrics"):
+            _require(key in document, "missing key %r" % key)
+        for key in ("parallelism", "flight_summary", "profile",
+                    "provenance"):
+            _require(key in document, "missing key %r" % key)
+            _require(isinstance(document[key], dict),
+                     "%s must be an object" % key)
+        field = "provenance"
+        provenance = document["provenance"]
+        for key in ("package_version", "arithmetic_backend"):
+            _require(key in provenance, "provenance missing %r" % key)
+        field = "flight_summary"
+        flight_summary = document["flight_summary"]
+        if flight_summary:
+            for key in ("events_recorded", "events_retained", "capacity",
+                        "messages", "by_type", "by_kind"):
+                _require(key in flight_summary,
+                         "flight_summary missing %r" % key)
+            _require(flight_summary["events_retained"]
+                     <= flight_summary["events_recorded"],
+                     "flight_summary retains more events than recorded")
+            _require(sum(flight_summary["by_type"].values())
+                     == flight_summary["events_recorded"],
+                     "flight_summary.by_type must sum to events_recorded")
+            _require(sum(flight_summary["by_kind"].values())
+                     == flight_summary["events_recorded"],
+                     "flight_summary.by_kind must sum to events_recorded")
+        field = "profile"
+        profile = document["profile"]
+        if profile:
+            _require("phases" in profile and "top_n" in profile,
+                     "profile must carry phases and top_n")
+            for phase_name, body in profile["phases"].items():
+                for key in ("functions_profiled", "calls", "time_s",
+                            "hotspots"):
+                    _require(key in body, "profile phase %r missing %r"
+                             % (phase_name, key))
+        _require(isinstance(document["completed"], bool),
+                 "completed must be a bool")
 
-    resilience = document["resilience"]
-    _require(isinstance(resilience, dict), "resilience must be an object")
-    for key in ("retransmissions", "recovered_messages", "degraded",
-                "quarantined_tasks", "task_aborts"):
-        _require(key in resilience, "resilience missing %r" % key)
-    _require(isinstance(resilience["degraded"], bool),
-             "resilience.degraded must be a bool")
-    _require(sorted(int(task) for task in resilience["task_aborts"])
-             == list(resilience["quarantined_tasks"]),
-             "resilience.quarantined_tasks must mirror task_aborts keys")
+        field = "resilience"
+        resilience = document["resilience"]
+        _require(isinstance(resilience, dict),
+                 "resilience must be an object")
+        for key in ("retransmissions", "recovered_messages", "degraded",
+                    "quarantined_tasks", "task_aborts"):
+            _require(key in resilience, "resilience missing %r" % key)
+        _require(isinstance(resilience["degraded"], bool),
+                 "resilience.degraded must be a bool")
+        _require(sorted(int(task) for task in resilience["task_aborts"])
+                 == list(resilience["quarantined_tasks"]),
+                 "resilience.quarantined_tasks must mirror task_aborts keys")
 
-    totals = document["totals"]
-    _require(isinstance(totals, dict), "totals must be an object")
-    for key in ("operations", "operations_per_agent", "network"):
-        _require(key in totals, "totals missing %r" % key)
-    for key in _COUNTER_KEYS:
-        _require(key in totals["operations"],
-                 "totals.operations missing %r" % key)
-    for key in _NETWORK_KEYS:
-        _require(key in totals["network"],
-                 "totals.network missing %r" % key)
-
-    per_agent = totals["operations_per_agent"]
-    _require(isinstance(per_agent, list),
-             "operations_per_agent must be a list")
-    for key in _COUNTER_KEYS:
-        summed = sum(snapshot.get(key, 0) for snapshot in per_agent)
-        _require(summed == totals["operations"][key],
-                 "per-agent %s sum %d != total %d"
-                 % (key, summed, totals["operations"][key]))
-
-    _require(isinstance(document["spans"], list), "spans must be a list")
-    for span in document["spans"]:
-        for key in _SPAN_KEYS:
-            _require(key in span, "span entry missing %r" % key)
-        _require(span["end_s"] >= span["start_s"],
-                 "span %r ends before it starts" % span.get("name"))
-    _require(isinstance(document["events"], list), "events must be a list")
-    for event in document["events"]:
-        for key in _EVENT_KEYS:
-            _require(key in event, "event entry missing %r" % key)
-
-    # Accounting invariant: the phase spans partition the run exactly.
-    phases = [span for span in document["spans"]
-              if span["kind"] == KIND_PHASE]
-    if phases:
+        field = "totals"
+        totals = document["totals"]
+        _require(isinstance(totals, dict), "totals must be an object")
+        for key in ("operations", "operations_per_agent", "network"):
+            _require(key in totals, "totals missing %r" % key)
         for key in _COUNTER_KEYS:
-            attributed = sum(phase["operations"].get(key, 0)
-                             for phase in phases)
-            _require(attributed == totals["operations"][key],
-                     "phase %s sum %d != grand total %d"
-                     % (key, attributed, totals["operations"][key]))
+            _require(key in totals["operations"],
+                     "totals.operations missing %r" % key)
         for key in _NETWORK_KEYS:
-            attributed = sum(phase["network"].get(key, 0)
-                             for phase in phases)
-            _require(attributed == totals["network"][key],
-                     "phase network %s sum %d != grand total %d"
-                     % (key, attributed, totals["network"][key]))
+            _require(key in totals["network"],
+                     "totals.network missing %r" % key)
 
-    metrics = document["metrics"]
-    _require(isinstance(metrics, dict), "metrics must be an object")
-    for name, body in metrics.items():
-        _require(isinstance(body, dict) and "type" in body
-                 and "samples" in body,
-                 "metric %r must carry type and samples" % name)
+        per_agent = totals["operations_per_agent"]
+        _require(isinstance(per_agent, list),
+                 "operations_per_agent must be a list")
+        for key in _COUNTER_KEYS:
+            summed = sum(snapshot.get(key, 0) for snapshot in per_agent)
+            _require(summed == totals["operations"][key],
+                     "per-agent %s sum %d != total %d"
+                     % (key, summed, totals["operations"][key]))
+
+        field = "spans"
+        _require(isinstance(document["spans"], list), "spans must be a list")
+        for span in document["spans"]:
+            for key in _SPAN_KEYS:
+                _require(key in span, "span entry missing %r" % key)
+            _require(span["end_s"] >= span["start_s"],
+                     "span %r ends before it starts" % span.get("name"))
+        field = "events"
+        _require(isinstance(document["events"], list),
+                 "events must be a list")
+        for event in document["events"]:
+            for key in _EVENT_KEYS:
+                _require(key in event, "event entry missing %r" % key)
+
+        # Accounting invariant: the phase spans partition the run exactly.
+        field = "spans"
+        phases = [span for span in document["spans"]
+                  if span["kind"] == KIND_PHASE]
+        if phases:
+            for key in _COUNTER_KEYS:
+                attributed = sum(phase["operations"].get(key, 0)
+                                 for phase in phases)
+                _require(attributed == totals["operations"][key],
+                         "phase %s sum %d != grand total %d"
+                         % (key, attributed, totals["operations"][key]))
+            for key in _NETWORK_KEYS:
+                attributed = sum(phase["network"].get(key, 0)
+                                 for phase in phases)
+                _require(attributed == totals["network"][key],
+                         "phase network %s sum %d != grand total %d"
+                         % (key, attributed, totals["network"][key]))
+
+        field = "metrics"
+        metrics = document["metrics"]
+        _require(isinstance(metrics, dict), "metrics must be an object")
+        for name, body in metrics.items():
+            _require(isinstance(body, dict) and "type" in body
+                     and "samples" in body,
+                     "metric %r must carry type and samples" % name)
+    except ReportSchemaError:
+        raise
+    except (TypeError, ValueError, AttributeError) as error:
+        raise ReportSchemaError("report field %r is malformed: %s"
+                                % (field, error)) from None
 
 
 # ---------------------------------------------------------------------------

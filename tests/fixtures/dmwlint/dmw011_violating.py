@@ -4,6 +4,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 _SPEC = None
 _RESULTS = {}
+_SEEN = []
 
 
 def _init(spec):
@@ -14,6 +15,7 @@ def _init(spec):
 
 def _record(task):
     _RESULTS[task] = task
+    _SEEN.append(task)
 
 
 def _work(task):

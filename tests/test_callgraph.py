@@ -150,15 +150,6 @@ class TestReachability:
         graph = CallGraph(project)
         assert "m:island" not in graph.reachable(["m:a"])
 
-    def test_callers_reverse_map(self):
-        project = _project({
-            "src/m.py": ("def a():\n    shared()\n"
-                         "def b():\n    shared()\n"
-                         "def shared():\n    pass\n"),
-        })
-        graph = CallGraph(project)
-        assert graph.callers["m:shared"] == {"m:a", "m:b"}
-
 
 class TestMixedScenarios:
     @pytest.mark.parametrize("alias", ["import pkg.b as helper_mod",

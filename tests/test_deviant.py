@@ -81,6 +81,18 @@ class TestDetectionSemantics:
         assert outcome.abort_phase == expected_phase
         assert outcome.deviant_utility == 0.0
 
+    @pytest.mark.parametrize("deviant_index", range(5))
+    @pytest.mark.parametrize("strategy", ["inflated_payment_claim",
+                                          "withhold_payment_claim"])
+    def test_payment_conflict_names_the_claimant(self, params5, problem53,
+                                                 strategy, deviant_index):
+        factories = [honest_factory] * problem53.num_agents
+        factories[deviant_index] = standard_deviations()[strategy]
+        outcome = run_with_agents(params5, factories, problem53, seed=0)
+        assert not outcome.completed
+        assert outcome.abort.phase == "payments"
+        assert outcome.abort.offender == deviant_index
+
     @pytest.mark.parametrize("strategy", [
         "false_disclosure",
         "withhold_disclosure",

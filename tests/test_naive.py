@@ -82,6 +82,7 @@ class TestStrategicModel:
         outcome = protocol.execute(2)
         assert not outcome.completed
         assert outcome.abort.phase == "payments"
+        assert outcome.abort.offender == 1
 
 
 class TestTheDeltaDMWBuys:

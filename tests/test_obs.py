@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.core.agent import DMWAgent
 from repro.core.protocol import DMWProtocol, run_dmw
 from repro.core.rounds import PAYMENTS, ROUNDS
@@ -573,6 +574,51 @@ class TestRunReport:
         mutate(document)
         with pytest.raises(ReportSchemaError):
             validate_run_report(document)
+
+    def test_every_single_field_mutation_is_accepted_or_named(
+            self, tmp_path, capsys):
+        """Each single-field mutation of a real ``dmw run`` report either
+        validates or raises ReportSchemaError, never a bare exception.
+
+        A field is deleted or set to one of seven wrong-typed values.
+        Lists are mutated through their first element, since every
+        element of a report list has the same shape.
+        """
+        path = tmp_path / "report.json"
+        assert main(["run", "-n", "4", "-m", "2", "--seed", "3", "--trace",
+                     "--profile", "--flight-json", str(tmp_path / "f.json"),
+                     "--report", str(path)]) == 0
+        capsys.readouterr()
+        document = json.loads(path.read_text())
+        delete = object()
+
+        def sites(node):
+            items = (node.items() if isinstance(node, dict)
+                     else enumerate(node[:1]))
+            for key, value in list(items):
+                yield node, key
+                if isinstance(value, (dict, list)):
+                    yield from sites(value)
+
+        outcomes = {"accepted": 0, "rejected": 0}
+        for parent, key in list(sites(document)):
+            original = parent[key]
+            for value in (delete, None, "s", [], {}, 1.5, -1, True):
+                if value is delete:
+                    del parent[key]
+                else:
+                    parent[key] = value
+                try:
+                    validate_run_report(document)
+                    outcomes["accepted"] += 1
+                except ReportSchemaError:
+                    outcomes["rejected"] += 1
+                if value is delete and isinstance(parent, list):
+                    parent.insert(key, original)
+                else:
+                    parent[key] = original
+        validate_run_report(document)
+        assert outcomes["accepted"] and outcomes["rejected"] > 500, outcomes
 
     def test_minimal_report_without_recorder(self, params5, problem53):
         outcome = run_dmw(problem53, parameters=params5,

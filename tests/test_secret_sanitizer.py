@@ -1,17 +1,20 @@
 """Tests for the runtime secret-taint sanitizer (``repro.crypto.secret``).
 
-The sanitizer is DMW004's runtime twin: under ``DMW_SANITIZE=1`` bids are
-wrapped in :class:`Secret`, every rendering path raises
+The sanitizer is the guard on secret flow: under ``DMW_SANITIZE=1`` bids
+are wrapped in :class:`Secret`, every rendering path raises
 :class:`SecretLeakError`, and the only door out is :func:`declassify`,
-which records an auditable event.  The end-to-end test runs the full
-protocol in sanitized mode and checks the audit lists *exactly* the
-paper-sanctioned reveals (y*, winner, y**, winner claims).
+which records an auditable event.  The end-to-end tests run the full
+protocol in sanitized mode, honest and under every deviation family, and
+check the audit lists only the paper-sanctioned reveals (y*, winner,
+y**, winner claims).
 """
 
 import json
 
 import pytest
 
+from repro.analysis.faithfulness import honest_factory, run_with_agents
+from repro.core.deviant import standard_deviations
 from repro.core.protocol import run_dmw
 from repro.crypto.secret import (
     SANITIZE_ENV_VAR,
@@ -130,6 +133,10 @@ class TestDeclassify:
         assert declassification_audit()[0].label == "winner_bid"
 
 
+#: The reveal channels the paper sanctions (Phase III).
+SANCTIONED_LABELS = {"y*", "winner", "y**", "winner_bid"}
+
+
 class TestSanitizedProtocolRun:
     def test_full_run_audits_only_sanctioned_reveals(self, sanitized,
                                                      problem53):
@@ -138,8 +145,7 @@ class TestSanitizedProtocolRun:
         events = declassification_audit()
         assert events, "a sanitized run must record its reveals"
         labels = {event.label for event in events}
-        # The paper sanctions exactly these reveal channels (Phase III).
-        assert labels <= {"y*", "winner", "y**", "winner_bid"}
+        assert labels <= SANCTIONED_LABELS
         assert {"y*", "winner", "y**"} <= labels
         for event in events:
             assert "sanctioned reveal" in event.reason
@@ -154,3 +160,18 @@ class TestSanitizedProtocolRun:
         assert sanitized_outcome.schedule == plain_outcome.schedule
         assert list(sanitized_outcome.payments) == \
             list(plain_outcome.payments)
+
+
+class TestSanitizedDeviationSweep:
+    """Deviant runs reach the complaint, exclusion and abort paths that
+    an honest run never takes; a bid printed, logged or dumped on one of
+    them must raise there too."""
+
+    @pytest.mark.parametrize("strategy", sorted(standard_deviations()))
+    def test_deviant_run_reveals_only_sanctioned_values(
+            self, sanitized, params5, problem53, strategy):
+        factories = [honest_factory] * problem53.num_agents
+        factories[2] = standard_deviations()[strategy]
+        run_with_agents(params5, factories, problem53, seed=0)
+        labels = {event.label for event in declassification_audit()}
+        assert labels <= SANCTIONED_LABELS
