@@ -2,14 +2,15 @@
 
 Covers what the per-rule fixtures in ``tests/test_dmwlint.py`` do not:
 unknown paths and rule ids are usage errors, ``--ignore`` drops a rule,
-and the default scope widens to the example trees under the relaxed
-rule set.
+the default rule sets hold the kept rules, and the default scope widens
+to the example trees under the relaxed rule set.
 """
 
 import pytest
 
 from repro.analysis.static import UsageError, discover_files
 from repro.analysis.static.cli import main as lint_main
+from repro.analysis.static.rules import ALL_RULES, RELAXED_RULES
 
 
 class TestDiscovery:
@@ -49,3 +50,14 @@ class TestCliSurface:
         out = capsys.readouterr().out
         assert "src" in out and "benchmarks" in out
         assert out.count("DMW001") == 2
+
+
+class TestProtocolFlowOnRealSource:
+    def test_default_rule_set_has_eleven_rules(self):
+        """The name is historical: the default set once held eleven
+        rules.  Four remain for ``src/``, and the example trees get
+        DMW001 alone; the protocol's round schedule is checked at
+        runtime instead (``tests/test_rounds.py``)."""
+        assert [rule.rule_id for rule in ALL_RULES] == [
+            "DMW001", "DMW007", "DMW010", "DMW011"]
+        assert [rule.rule_id for rule in RELAXED_RULES] == ["DMW001"]
