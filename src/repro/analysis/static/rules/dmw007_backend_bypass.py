@@ -3,11 +3,12 @@
 Backend invariant (``docs/PERFORMANCE.md``, "Arithmetic backends"): every
 modular exponentiation and inversion in the counted protocol path must
 route through :mod:`repro.crypto.backend` (directly, or via ``modular``/
-``fastexp``, which wrap it).  A stray three-argument ``pow(...)`` — or a
-direct ``gmpy2`` import/call — executes on a hard-coded engine, so the
-``python`` and ``gmpy2`` backends would no longer be interchangeable and
-the bit-identical-across-backends guarantee (``tests/test_backend.py``)
-could silently rot.
+``fastexp``, which wrap it).  A stray three-argument ``pow(...)``, the
+builtin ``pow`` passed or bound as a value (``powmod = pow``,
+``map(pow, ...)``), or a direct ``gmpy2`` import/call executes on a
+hard-coded engine, so the ``python`` and ``gmpy2`` backends would no
+longer be interchangeable and the bit-identical-across-backends guarantee
+(``tests/test_backend.py``) could silently rot.
 
 Sanctioned idiom: ``backend.ACTIVE.powmod(...)`` / ``backend.ACTIVE.invert``
 (or the counted ``mod_exp``/``mod_inv`` wrappers).  Exempt:
@@ -36,6 +37,8 @@ class BackendBypassRule(Rule):
     exempt_names = ("backend.py", "primes.py")
 
     def check(self, context: FileContext) -> Iterator[Violation]:
+        called = {id(node.func) for node in ast.walk(context.tree)
+                  if isinstance(node, ast.Call)}
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -67,3 +70,9 @@ class BackendBypassRule(Rule):
                         "raw three-argument pow() hard-codes the CPython "
                         "engine; use backend.ACTIVE.powmod (or the counted "
                         "mod_exp wrapper)")
+            elif (isinstance(node, ast.Name) and node.id == "pow"
+                    and isinstance(node.ctx, ast.Load)
+                    and id(node) not in called):
+                yield self.violation(
+                    context, node, "the builtin pow used as a value; use "
+                    "backend.ACTIVE.powmod")

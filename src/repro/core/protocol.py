@@ -466,8 +466,10 @@ class DMWProtocol:
         """Run one act step on every machine for every task in the batch.
 
         A task fails at the first abort its act step returns, or with an
-        ``allocating`` abort when resolution cannot complete;
-        :meth:`_fail_task` then voids the run or quarantines the task.
+        ``allocating`` abort when resolution cannot complete, which names
+        a lone publisher missing from the resolving agent's valid set as
+        the offender.  :meth:`_fail_task` then voids the run or
+        quarantines the task.
         """
         for task in list(tasks):
             abort = None
@@ -477,8 +479,11 @@ class DMWProtocol:
                     if abort is not None:
                         break
             except ResolutionError as error:
-                abort = ProtocolAbort(str(error), phase="allocating",
-                                      task=task)
+                lone = len(error.missing) == 1
+                abort = ProtocolAbort(
+                    str(error), phase="allocating", task=task,
+                    detected_by=machine.index if lone else None,
+                    offender=error.missing[0] if lone else None)
             if abort is not None and \
                     self._fail_task(task, abort, tasks) is not None:
                 return abort

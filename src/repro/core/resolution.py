@@ -32,7 +32,12 @@ from .parameters import DMWParameters
 
 
 class ResolutionError(DMWError):
-    """Raised when a degree resolution cannot be completed."""
+    """Raised when a degree resolution cannot be completed.  ``missing``
+    names the publishers absent from a price resolution's valid set."""
+
+    def __init__(self, message: str, missing: Sequence[int] = ()) -> None:
+        super().__init__(message)
+        self.missing = tuple(missing)
 
 
 def resolve_first_price(parameters: DMWParameters,
@@ -63,23 +68,30 @@ def resolve_first_price(parameters: DMWParameters,
         If too few valid values remain (fewer than ``tau* + 1`` for every
         candidate ``tau*``) or no candidate degree passes.
     """
+    return _resolve_price("first-price", parameters, lambda_values, counter,
+                          cache)
+
+
+def _resolve_price(name: str, parameters: DMWParameters,
+                   lambda_values: Dict[int, int], counter: OperationCounter,
+                   cache: Optional[PublicValueCache]) -> Tuple[int, int]:
+    """Eq. (12) on ``lambda_values``; ``name`` says which price failed."""
     indices = sorted(lambda_values)
+    missing = sorted(set(range(parameters.num_agents)) - set(indices))
     points = [parameters.pseudonyms[i] for i in indices]
     values = [lambda_values[i] for i in indices]
     candidates = parameters.first_price_degree_candidates()
     if len(points) < min(candidates) + 1:
         raise ResolutionError(
             "only %d valid Lambda values; cannot resolve any candidate degree"
-            % len(points)
-        )
+            % len(points), missing)
     degree = resolve_degree_in_exponent(parameters.group, points, values,
                                         candidates=candidates,
                                         counter=counter, cache=cache)
     if degree is None:
         raise ResolutionError(
-            "no candidate degree passed first-price resolution (corrupted "
-            "aggregate or too few shares)"
-        )
+            "no candidate degree passed %s resolution (corrupted "
+            "aggregate or too few shares)" % name, missing)
     return parameters.bid_for_degree(degree), degree
 
 
@@ -161,5 +173,5 @@ def resolve_second_price(parameters: DMWParameters,
     Same mechanics as :func:`resolve_first_price`; the caller supplies the
     verified ``Lambda'_i`` values.
     """
-    return resolve_first_price(parameters, lambda_values_excluding_winner,
-                               counter, cache)
+    return _resolve_price("second-price", parameters,
+                          lambda_values_excluding_winner, counter, cache)

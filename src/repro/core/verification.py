@@ -23,10 +23,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..crypto import fastexp
 from ..crypto.commitments import (PolynomialCommitment, evaluate_commitment,
+                                  evaluation_walk, only_ints,
                                   verify_share_batch)
 from ..crypto.fastexp import PublicValueCache
 from ..crypto.groups import GroupParameters
-from ..crypto.modular import NULL_COUNTER, OperationCounter
+from ..crypto.modular import NULL_COUNTER, OperationCounter, exp_work
 from .bidding import AgentCommitments, ShareBundle
 from .parameters import DMWParameters
 
@@ -106,25 +107,37 @@ def verify_share_bundle(parameters: DMWParameters,
     * eq. (8): ``z1^{e(a)} z2^{h(a)} = prod Q_l^{a^l}``;
     * eq. (9): ``z1^{f(a)} z2^{h(a)} = prod R_l^{a^l}``.
 
+    The equations are checked in that order, stopping at the first
+    failure.  A bundle value that is not an ``int`` fails the check; a
+    vector that is not a tuple of ints fails its equation uncharged.
+
+    The per-share path is one pass with one charge, what the literal
+    listing (:func:`~repro.crypto.fastexp.naive_mode`) charges up to the
+    same failure: one walk over the generator tables builds every
+    left-hand side, and :func:`~repro.crypto.commitments.evaluation_walk`
+    evaluates ``O``, ``Q`` and ``R``.  Eq. (9) is derived from eq. (8):
+    ``z1`` has order ``q``, so once ``Q(a) = z1^e z2^h``, ``z1^f z2^h ==
+    R(a)`` exactly when ``z1^((f - e) mod q) * Q(a) == R(a)``.
+
     When ``parameters.share_verification_mode == "batched"`` and an
     ``rng`` is supplied, the three equations are folded into one
     random-linear-combination multi-exponentiation
     (:func:`~repro.crypto.commitments.verify_share_batch`): same counted
     cost, same verdicts up to a ``1/q`` soundness error, one combined
-    Straus chain instead of three openings plus three evaluations.  The
-    batched path is an execution fast path, so it defers to the
-    per-share listing under :func:`~repro.crypto.fastexp.naive_mode`.
-
-    The per-share path checks the equations in that order and stops at the
-    first failure; eq. (9) is derived from eq. (8) (see
-    :func:`_verify_q_then_r`).
+    Straus chain instead of three openings plus three evaluations.  Both
+    fast paths defer to the listing under ``naive_mode``.
     """
     group_parameters = parameters.group_parameters
     q = parameters.group.q
-    product_value = (bundle.e_value * bundle.f_value) % q
-    if (parameters.share_verification_mode == "batched"
-            and rng is not None and fastexp.enabled()):
+    if not only_ints(bundle):
+        valid = False
+    elif not fastexp.enabled():
+        valid = _share_listing(group_parameters, commitments, pseudonym,
+                               bundle, counter)
+    elif (parameters.share_verification_mode == "batched"
+            and rng is not None):
         coefficients = [rng.randrange(1, q) for _ in range(3)]
+        product_value = (bundle.e_value * bundle.f_value) % q
         valid = verify_share_batch(
             [PolynomialCommitment(group_parameters, vector)
              for vector in commitments],
@@ -135,52 +148,68 @@ def verify_share_bundle(parameters: DMWParameters,
             coefficients, counter, cache,
         )
     else:
-        valid = (
-            group_parameters.open_value(product_value, bundle.g_value,
-                                        counter)
-            == evaluate_commitment(group_parameters, commitments.o_vector,
-                                   pseudonym, counter, cache)
-            and _verify_q_then_r(group_parameters, commitments, pseudonym,
-                                 bundle, counter, cache)
-        )
+        valid = _share_pass(group_parameters, commitments, pseudonym,
+                            bundle, counter, cache)
     if stats is not None:
         stats.record("share_bundle", valid)
     return valid
 
 
-def _verify_q_then_r(group_parameters: GroupParameters,
-                     commitments: AgentCommitments, pseudonym: int,
-                     bundle: ShareBundle, counter: OperationCounter,
-                     cache: Optional[PublicValueCache]) -> bool:
-    """Eqs. (8) and (9) in that order, the second derived from the first.
+def _share_listing(group_parameters: GroupParameters,
+                   commitments: AgentCommitments, pseudonym: int,
+                   bundle: ShareBundle, counter: OperationCounter) -> bool:
+    """Eqs. (7), (8) and (9) as the paper lists them, one after another."""
+    e_value, f_value, g_value, h_value = bundle
+    q = group_parameters.group.q
+    openings = (((e_value * f_value) % q, g_value), (e_value, h_value),
+                (f_value, h_value))
+    for (value, blinding), vector in zip(openings, commitments):
+        if not (type(vector) is tuple and only_ints(vector)):
+            return False
+        if (group_parameters.open_value(value, blinding, counter)
+                != evaluate_commitment(group_parameters, vector, pseudonym,
+                                       counter)):
+            return False
+    return True
 
-    Once eq. (8) holds, ``Q(a) = z1^e z2^h``; ``z1`` has order ``q``, so
-    eq. (9) ``z1^f z2^h == R(a)`` holds exactly when
-    ``z1^((f - e) mod q) * Q(a) == R(a)``, for any ``R(a)`` and any share
-    values.  One ``z1`` table walk then replaces the ``R`` opening, whose
-    schedule is still charged, and only when eq. (8) passes, as the
-    literal listing (``naive_mode``) charges it.
-    """
-    q_vector, r_vector = commitments.q_vector, commitments.r_vector
-    open_value = group_parameters.open_value
-    if not fastexp.enabled():
-        return (open_value(bundle.e_value, bundle.h_value, counter)
-                == evaluate_commitment(group_parameters, q_vector, pseudonym,
-                                       counter, cache)
-                and open_value(bundle.f_value, bundle.h_value, counter)
-                == evaluate_commitment(group_parameters, r_vector, pseudonym,
-                                       counter, cache))
+
+def _share_pass(group_parameters: GroupParameters,
+                commitments: AgentCommitments, pseudonym: int,
+                bundle: ShareBundle, counter: OperationCounter,
+                cache: Optional[PublicValueCache]) -> bool:
+    """Eqs. (7)-(9) in one pass with one charge (see
+    :func:`verify_share_bundle`)."""
     group = group_parameters.group
-    q_at = evaluate_commitment(group_parameters, q_vector, pseudonym, counter,
-                               cache)
-    if open_value(bundle.e_value, bundle.h_value, counter) != q_at:
-        return False
-    group_parameters.charge_opening(bundle.f_value, bundle.h_value, counter)
-    r_at = evaluate_commitment(group_parameters, r_vector, pseudonym, counter,
-                               cache)
-    shift = group_parameters.generator_tables[0].pow(
-        (bundle.f_value - bundle.e_value) % group.q)
-    return shift * q_at % group.p == r_at
+    q = group.q
+    e_value, f_value, g_value, h_value = (
+        bundle.e_value % q, bundle.f_value % q, bundle.g_value % q,
+        bundle.h_value % q)
+    product = e_value * f_value % q
+    o_side, q_side, shift = group_parameters.share_check_sides(
+        product, g_value, e_value, h_value, (f_value - e_value) % q)
+    left_sides = (o_side, q_side, shift * q_side % group.p)
+    h_work = exp_work(h_value)
+    opening_works = (exp_work(product) + exp_work(g_value),
+                     exp_work(e_value) + h_work, exp_work(f_value) + h_work)
+    exps = work = muls = 0
+    valid = False
+    for left, opening_work, entry in zip(
+            left_sides, opening_works,
+            evaluation_walk(group_parameters, commitments, pseudonym, cache)):
+        if entry is None:
+            break
+        right, count, schedule = entry
+        # The opening's two exps and one mul, then the evaluation's.
+        exps += count + 2
+        work += schedule + opening_work
+        muls += count + 1
+        if left != right:
+            break
+    else:
+        valid = True
+    counter.count_exp_batch(exps, work)
+    counter.count_mul(muls)
+    return valid
 
 
 def gamma_value(parameters: DMWParameters, commitments: AgentCommitments,
@@ -224,22 +253,39 @@ def verify_lambda_psi(parameters: DMWParameters,
     pseudonym ``alpha_i``, where the product runs over all agents except
     ``exclude`` (used for the second-price values, which divide the winner
     out of the aggregates).
+
+    The fast path is one :func:`~repro.crypto.commitments.evaluation_walk`
+    over the ``Q`` vectors, multiplied in place, charged once as the
+    listing charges: a ``Gamma`` evaluation (:func:`gamma_value`) and a
+    multiplication per included agent, plus ``Lambda_i * Psi_i``.
     """
     group_parameters = parameters.group_parameters
     modulus = parameters.group.p
+    vectors = [commitments.q_vector
+               for index, commitments in enumerate(all_commitments)
+               if index != exclude]
     product = 1
-    terms = 0
-    for index, commitments in enumerate(all_commitments):
-        if index == exclude:
-            continue
-        # Gamma_{i,k} (gamma_value), multiplied in place.
-        gamma = evaluate_commitment(group_parameters, commitments.q_vector,
-                                    publisher_pseudonym, counter, cache)
-        product = product * gamma % modulus
-        terms += 1
-    # One multiplication per Gamma term plus Lambda_i * Psi_i.
-    counter.count_mul(terms + 1)
-    valid = product == lambda_value * psi_value_ % modulus
+    well_formed = True
+    if fastexp.enabled():
+        exps = work = 0
+        for entry in evaluation_walk(group_parameters, vectors,
+                                     publisher_pseudonym, cache):
+            if entry is None:
+                well_formed = False
+                break
+            gamma, count, schedule = entry
+            product = product * gamma % modulus
+            exps += count
+            work += schedule
+        counter.count_exp_batch(exps, work)
+        counter.count_mul(exps + len(vectors) + 1)
+    else:
+        for vector in vectors:
+            product = product * evaluate_commitment(
+                group_parameters, vector, publisher_pseudonym,
+                counter) % modulus
+        counter.count_mul(len(vectors) + 1)
+    valid = well_formed and product == lambda_value * psi_value_ % modulus
     if stats is not None:
         stats.record("lambda_psi", valid)
     return valid
@@ -256,56 +302,68 @@ def verify_f_disclosure(parameters: DMWParameters,
 
     ``disclosed`` maps each agent index ``l`` to the pair
     ``(f_l(alpha_k), h_l(alpha_k))`` the discloser ``A_k`` claims to hold.
-    Each pair must open ``Phi_{k,l}``; a complete and valid row lets anyone
-    run plain degree resolution on every ``f_l``.
+    Each pair must open ``Phi_{k,l}`` (:func:`phi_value`), checked in
+    index order up to the first that does not; a complete and valid row
+    lets anyone run plain degree resolution on every ``f_l``.
     """
-    valid = _f_disclosure_consistent(parameters, all_commitments,
-                                     discloser_pseudonym, disclosed,
-                                     counter, cache)
+    if set(disclosed) != set(range(len(all_commitments))):
+        valid = False
+    elif fastexp.enabled():
+        valid = _disclosure_pass(parameters.group_parameters,
+                                 all_commitments, discloser_pseudonym,
+                                 disclosed, counter, cache)
+    else:
+        valid = all(
+            parameters.group_parameters.open_value(*disclosed[index],
+                                                   counter)
+            == phi_value(parameters, commitments, discloser_pseudonym,
+                         counter)
+            for index, commitments in enumerate(all_commitments))
     if stats is not None:
         stats.record("f_disclosure", valid)
     return valid
 
 
-def _f_disclosure_consistent(parameters: DMWParameters,
-                             all_commitments: Sequence[AgentCommitments],
-                             discloser_pseudonym: int,
-                             disclosed: Dict[int, Tuple[int, int]],
-                             counter: OperationCounter,
-                             cache: Optional[PublicValueCache]) -> bool:
-    if set(disclosed) != set(range(len(all_commitments))):
-        return False
-    group_parameters = parameters.group_parameters
-    for index, commitments in enumerate(all_commitments):
-        f_value, h_value = disclosed[index]
-        expected = phi_value(parameters, commitments, discloser_pseudonym,
-                             counter, cache)
-        opened = _open_published(group_parameters, f_value, h_value,
-                                 counter, cache)
-        if opened != expected:
-            return False
-    return True
-
-
-def _open_published(group_parameters: GroupParameters, value: int,
-                    blinding: int, counter: OperationCounter,
-                    cache: Optional[PublicValueCache]) -> int:
-    """Open one disclosed eq. (13) pair, once per execution.
-
-    Every assigned verifier, and the auditor, opens the same published
-    pairs, so with a cache each opening is memoised by content and its
-    counted schedule replayed on a hit.  Share-check openings never come
-    here: their arguments are private.
+def _disclosure_pass(group_parameters: GroupParameters,
+                     all_commitments: Sequence[AgentCommitments],
+                     discloser_pseudonym: int,
+                     disclosed: Dict[int, Tuple[int, int]],
+                     counter: OperationCounter,
+                     cache: Optional[PublicValueCache]) -> bool:
+    """Eq. (13) in one walk over the ``R`` vectors, each beside its
+    disclosed opening, charged once as the listing charges up to the first
+    pair that fails.  Every verifier opens the same published pairs, so a
+    cache memoises each opening for the execution, keyed ``(p, z1, z2, f
+    mod q, h mod q)``; private share openings never come here.
     """
-    if cache is None or not fastexp.enabled():
-        return group_parameters.open_value(value, blinding, counter)
     group = group_parameters.group
-    key = (group.p, group_parameters.z1, group_parameters.z2,
-           value % group.q, blinding % group.q)
-    opened = cache.get_opening(key)
-    if opened is None:
-        opened = group_parameters.open_value(value, blinding, counter)
-        cache.put_opening(key, opened)
+    q = group.q
+    key_prefix = (group.p, group_parameters.z1, group_parameters.z2)
+    exps = work = muls = 0
+    valid = False
+    r_vectors = (commitments.r_vector for commitments in all_commitments)
+    for index, entry in enumerate(evaluation_walk(
+            group_parameters, r_vectors, discloser_pseudonym, cache)):
+        if entry is None:
+            break
+        phi, count, schedule = entry
+        f_value, h_value = disclosed[index]
+        f_value %= q
+        h_value %= q
+        exps += count + 2
+        work += schedule + exp_work(f_value) + exp_work(h_value)
+        muls += count + 1
+        key = key_prefix + (f_value, h_value)
+        opened = None if cache is None else cache.get_opening(key)
+        if opened is None:  # opened uncharged: the pass charges below
+            opened = group_parameters.open_value(f_value, h_value,
+                                                 NULL_COUNTER)
+            if cache is not None:
+                cache.put_opening(key, opened)
+        if opened != phi:
+            break
     else:
-        group_parameters.charge_opening(value, blinding, counter)
-    return opened
+        valid = True
+    counter.count_exp_batch(exps, work)
+    counter.count_mul(muls)
+    return valid

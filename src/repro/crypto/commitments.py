@@ -23,32 +23,44 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
-from . import fastexp
-from .fastexp import PublicValueCache, multi_exp
+from . import backend, fastexp
+from .fastexp import CacheEntry, PublicValueCache, multi_exp
 from .groups import GroupParameters
-from .modular import NULL_COUNTER, OperationCounter
+from .modular import NULL_COUNTER, OperationCounter, exp_work
 from .polynomials import Polynomial
+
+_INT = frozenset((int,))
+
+
+def only_ints(values: Iterable[object]) -> bool:
+    """Whether every value is exactly an ``int`` (no ``bool``, float,
+    string or list), as received shares and commitment elements must be."""
+    return _INT.issuperset(map(type, values))
 
 
 @lru_cache(maxsize=4096)
-def _horner_schedule(order: int, point: int, size: int) -> int:
-    """Counted work of the exponents ``point^1 .. point^size mod order``.
-
-    The summed square-and-multiply schedules that
-    :func:`evaluate_commitment` charges for a ``size``-slot
-    vector at ``point`` (``0 <= point < order``), i.e. what ``size``
-    :meth:`~repro.crypto.modular.OperationCounter.count_exp` calls would
-    add to ``multiplication_work``.  It depends only on public
-    parameters, so it is worked out once per ``(order, point, size)``.
-    """
-    schedule = OperationCounter()
+def _horner_plan(order: int, point: int, size: int
+                 ) -> Tuple[int, Tuple[Tuple[int, int], ...], int]:
+    """``(leading, wrapped, work)`` for ``size`` slots at ``0 <= point <
+    order``: slots ``1..leading`` have ``point^l < order`` and are folded
+    by Horner, ``wrapped`` pairs each later slot with ``point^l mod
+    order``, and ``work`` is the counted schedule of all ``point^l mod
+    order``."""
+    leading = work = 0
+    wrapped: List[Tuple[int, int]] = []
     power = 1
-    for _ in range(size):
-        power = (power * point) % order
-        schedule.count_exp(power)
-    return schedule.multiplication_work
+    for slot in range(size):
+        power *= point
+        if slot == leading and power < order:
+            leading += 1
+        else:
+            power %= order
+            wrapped.append((slot, power))
+        work += exp_work(power)
+    return leading, tuple(wrapped), work
 
 
 @dataclass(frozen=True)
@@ -194,11 +206,11 @@ def evaluate_commitment(parameters: GroupParameters,
     C_l^(point^l) = z1^{value(point)} z2^{blinding(point)}`` — the
     right-hand side of eqs. (7)-(9).
 
-    Execution uses Horner in the exponent at the (small) point
-    (:func:`~repro.crypto.fastexp.horner_multi_exp`) and, when ``cache``
-    is given, a per-execution memo keyed by ``(modulus, elements,
-    point)``; the counted cost is the per-term square-and-multiply
-    schedule in every case (replayed against ``counter`` on cache hits).
+    Execution is one step of :func:`evaluation_walk`; the counted cost is
+    the per-term square-and-multiply schedule plus one multiplication per
+    term in every case (replayed on cache hits).  Outside
+    :func:`~repro.crypto.fastexp.naive_mode`, ``elements`` must be a
+    tuple of ints (``TypeError`` otherwise).
     """
     group = parameters.group
     if not fastexp.enabled():
@@ -209,25 +221,62 @@ def evaluate_commitment(parameters: GroupParameters,
             result = group.mul(result, group.exp(element, power, counter),
                                counter)
         return result
-    q = group.q
-    reduced_point = point % q
-    key = None
-    if cache is not None:
-        key = (group.p, elements, reduced_point)
-        entry = cache.get_evaluation(key)
-        if entry is not None:
-            value, exp_count, exp_work = entry
-            counter.count_exp_batch(exp_count, exp_work)
-            counter.count_mul(exp_count)
-            return value
-    exp_count = len(elements)
-    exp_work = _horner_schedule(q, reduced_point, exp_count)
-    counter.count_exp_batch(exp_count, exp_work)
+    entry = next(evaluation_walk(parameters, (elements,), point, cache))
+    if entry is None:
+        raise TypeError("a commitment vector is a tuple of ints")
+    value, exp_count, schedule = entry
+    counter.count_exp_batch(exp_count, schedule)
     counter.count_mul(exp_count)
-    value = fastexp.horner_multi_exp(elements, reduced_point, q, group.p)
-    if key is not None:
-        cache.put_evaluation(key, (value, exp_count, exp_work))
     return value
+
+
+def evaluation_walk(parameters: GroupParameters,
+                    vectors: Iterable[Tuple[int, ...]], point: int,
+                    cache: Optional[PublicValueCache] = None
+                    ) -> Iterator[Optional[CacheEntry]]:
+    """Lazily yield ``(value, exponentiations, schedule)`` per vector at
+    ``point``, what :func:`evaluate_commitment` returns and charges,
+    charging nothing: a caller that stops at a failed equation evaluates
+    nothing past it, and charges its whole pass at once.
+
+    With a ``cache``, each vector is looked up once under ``(p, elements,
+    point mod q)``.  A miss runs Horner in the exponent by the plan of
+    ``(q, point mod q, len(elements))``, exact for any element, in the
+    order-``q`` subgroup or not.  Yields ``None`` for a vector that is not
+    a tuple, whose key does not hash or, on a miss, that holds anything
+    but ints: a hit means the same content already passed.
+    """
+    group = parameters.group
+    p, q = group.p, group.q
+    point %= q
+    powmod = backend.ACTIVE.powmod
+    for elements in vectors:
+        if type(elements) is not tuple:
+            yield None
+            continue
+        if cache is not None:
+            key = (p, elements, point)
+            try:
+                entry = cache.get_evaluation(key)
+            except TypeError:  # an unhashable element
+                yield None
+                continue
+            if entry is not None:
+                yield entry
+                continue
+        if not only_ints(elements):
+            yield None
+            continue
+        leading, wrapped, schedule = _horner_plan(q, point, len(elements))
+        acc = 1
+        for index in range(leading - 1, -1, -1):
+            acc = powmod(acc * elements[index] % p, point, p)
+        for index, power in wrapped:
+            acc = acc * powmod(elements[index], power, p) % p
+        entry = (acc, len(elements), schedule)
+        if cache is not None:
+            cache.put_evaluation(key, entry)
+        yield entry
 
 
 def verify_share_batch(commitments: Sequence[PolynomialCommitment],
@@ -291,9 +340,8 @@ def verify_share_batch(commitments: Sequence[PolynomialCommitment],
         counter.count_exp(blinding % q)
         counter.count_mul()
         # ... plus the homomorphic evaluation (sigma exps + sigma muls).
-        counter.count_exp_batch(vector.size,
-                                _horner_schedule(q, reduced_point,
-                                                vector.size))
+        _, _, schedule = _horner_plan(q, reduced_point, vector.size)
+        counter.count_exp_batch(vector.size, schedule)
         counter.count_mul(vector.size)
     # Execution: fold everything into one multi-exp over 2 + sum sigma_j
     # bases.  Negated slot exponents are lifted to q - x (the generators

@@ -14,8 +14,9 @@ model bit-for-bit identical:
   products with full-size exponents: batched share verification and the
   degree-resolution products ``prod_k Lambda_k^{rho_k}`` whose weights
   have no small signed representative;
-* :func:`horner_multi_exp` — Horner in the exponent for commitment-vector
-  evaluations ``prod_l C_l^{alpha^l}`` at the small public pseudonyms;
+* commitment-vector evaluations ``prod_l C_l^{alpha^l}`` at the small
+  public pseudonyms (Horner in the exponent, in
+  :func:`~repro.crypto.commitments.evaluation_walk`), memoised here;
 * :func:`batch_mod_inv` — Montgomery's batch-inversion trick (one real
   inversion plus ``3(k-1)`` multiplications for ``k`` inverses);
 * :class:`PublicValueCache` — a per-execution memo for publicly derivable
@@ -32,9 +33,10 @@ Every fast-path call site charges the caller's
 (the one the reference implementation would have executed), regardless of
 how the value is actually produced — including on cache hits, where the
 memoised schedule is replayed against the requesting agent's counter.
-This keeps the Table-1/Theorem-12 benches unchanged while wall-clock
-drops; see ``docs/PERFORMANCE.md`` for the full counted-vs-measured
-contract.
+The Phase III checks charge each whole check in one ``count_exp_batch``
+and one ``count_mul``.  This keeps the Table-1/Theorem-12 benches
+unchanged while wall-clock drops; see ``docs/PERFORMANCE.md`` for the
+full counted-vs-measured contract.
 
 Cache scoping
 -------------
@@ -366,37 +368,6 @@ def multi_exp(bases: Sequence[int], exponents: Sequence[int], modulus: int,
     tables = straus_tables([base for base, _ in pairs], modulus, window)
     return multi_exp_with_tables(tables, [e for _, e in pairs], modulus,
                                  window)
-
-
-def horner_multi_exp(bases: Sequence[int], point: int, order: int,
-                     modulus: int) -> int:
-    """Return ``prod_{l=1..t} bases[l-1] ** (point^l mod order) mod modulus``.
-
-    Horner in the exponent (uncounted): over the leading slots
-    ``l = 1..L`` whose powers ``point^l`` stay below ``order``,
-    ``acc = (acc * bases[l-1]) ** point`` for ``l = L`` down to ``1``
-    raises every base to exactly ``point^l`` with one small-exponent
-    C-level ``powmod`` per slot and no tables.  Each remaining slot,
-    where ``point^l`` would wrap, gets its own ``powmod`` by the reduced
-    power.  So the result is exact for *every* base, including elements
-    outside the subgroup of order ``order``, for which ``point^l`` and
-    ``point^l mod order`` give different values.  ``point`` must lie in
-    ``0 .. order - 1``; at the protocol's pseudonyms ``1..n`` almost no
-    power wraps.
-    """
-    powmod = _backend.ACTIVE.powmod
-    leading = 0
-    power = 1
-    while leading < len(bases) and power * point < order:
-        power *= point
-        leading += 1
-    acc = 1
-    for index in range(leading - 1, -1, -1):
-        acc = powmod(acc * bases[index] % modulus, point, modulus)
-    for index in range(leading, len(bases)):
-        power = power * point % order
-        acc = acc * powmod(bases[index], power, modulus) % modulus
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -20,16 +20,9 @@ from functools import cached_property
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from . import backend, fastexp
-from .modular import (NULL_COUNTER, OperationCounter, mod_exp, mod_inv,
-                      mod_mul, popcount)
+from .modular import (NULL_COUNTER, OperationCounter, exp_work, mod_exp,
+                      mod_inv, mod_mul, popcount)
 from .primes import find_subgroup_generator, generate_schnorr_parameters, is_prime
-
-
-def _exp_work(exponent: int) -> int:
-    """Square-and-multiply work of ``exponent`` (as ``count_exp`` adds)."""
-    if exponent > 1:
-        return exponent.bit_length() + popcount(exponent) - 2
-    return 0
 
 
 @dataclass(frozen=True)
@@ -213,20 +206,6 @@ class GroupParameters:
             row += 1
         return int(result)
 
-    def charge_opening(self, value: int, blinding: int,
-                       counter: OperationCounter = NULL_COUNTER) -> None:
-        """Charge what :meth:`open_value` charges, computing nothing.
-
-        For call sites that already know the opening's result (eq. (9)
-        derived from eq. (8), a memoised eq. (13) pair): two
-        exponentiations with the schedules of the reduced exponents, plus
-        one multiplication.
-        """
-        q = self.group.q
-        counter.count_exp_batch(2, _exp_work(value % q)
-                                + _exp_work(blinding % q))
-        counter.count_mul()
-
     def open_pair(self, first: int, second: int, blinding: int,
                   counter: OperationCounter = NULL_COUNTER
                   ) -> Tuple[int, int]:
@@ -247,8 +226,8 @@ class GroupParameters:
         first %= q
         second %= q
         blinding %= q
-        counter.count_exp_batch(4, _exp_work(first) + _exp_work(second)
-                                + 2 * _exp_work(blinding))
+        counter.count_exp_batch(4, exp_work(first) + exp_work(second)
+                                + 2 * exp_work(blinding))
         counter.count_mul(2)
         z1_table, z2_table = self.generator_tables
         z1_rows, z2_rows = z1_table.rows, z2_table.rows
@@ -271,6 +250,36 @@ class GroupParameters:
             row += 1
         return (int(first_power * shared % modulus),
                 int(second_power * shared % modulus))
+
+    def share_check_sides(self, product: int, product_blinding: int,
+                          value: int, blinding: int, shift: int
+                          ) -> Tuple[int, int, int]:
+        """Return ``z1^product z2^product_blinding``, ``z1^value
+        z2^blinding`` and ``z1^shift`` for exponents reduced mod ``q``.
+
+        The generator sides of one bundle's eqs. (7)-(9) in one walk over
+        both tables' rows (digit 0 of every row is 1).  Uncharged: its
+        caller charges the listing's schedule.
+        """
+        z1_table, z2_table = self.generator_tables
+        z1_rows, z2_rows = z1_table.rows, z2_table.rows
+        window, mask, modulus = z1_table.window, z1_table.mask, self.group.p
+        first = second = shifted = 1
+        row = 0
+        while product or product_blinding or value or blinding or shift:
+            z1_row, z2_row = z1_rows[row], z2_rows[row]
+            first = (first * z1_row[product & mask]
+                     * z2_row[product_blinding & mask] % modulus)
+            second = (second * z1_row[value & mask]
+                      * z2_row[blinding & mask] % modulus)
+            shifted = shifted * z1_row[shift & mask] % modulus
+            product >>= window
+            product_blinding >>= window
+            value >>= window
+            blinding >>= window
+            shift >>= window
+            row += 1
+        return int(first), int(second), int(shifted)
 
     def div_z1(self, value: int, exponent: int,
                counter: OperationCounter = NULL_COUNTER) -> int:

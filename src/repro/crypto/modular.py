@@ -45,6 +45,14 @@ popcount: Callable[[int], int] = getattr(int, "bit_count",
                                          _popcount_fallback)
 
 
+def exp_work(exponent: int) -> int:
+    """Square-and-multiply work of ``exponent >= 0``, as
+    :meth:`OperationCounter.count_exp` adds it (for batched charges)."""
+    if exponent > 1:
+        return exponent.bit_length() + popcount(exponent) - 2
+    return 0
+
+
 class OperationCounter:
     """Accumulates modular-arithmetic operation counts.
 

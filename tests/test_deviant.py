@@ -5,6 +5,8 @@ deviation in :mod:`repro.core.deviant`, the deviator's utility never
 exceeds its honest utility, and honest bystanders never end up negative.
 """
 
+import random
+
 import pytest
 
 from repro.analysis.faithfulness import (
@@ -23,6 +25,7 @@ from repro.core.deviant import (
     WrongAggregatesAgent,
     standard_deviations,
 )
+from repro.core.protocol import DMWProtocol
 from repro.scheduling.problem import SchedulingProblem
 
 
@@ -92,6 +95,41 @@ class TestDetectionSemantics:
         assert not outcome.completed
         assert outcome.abort.phase == "payments"
         assert outcome.abort.offender == deviant_index
+
+    @pytest.mark.parametrize("degraded", [False, True])
+    @pytest.mark.parametrize("parallel", [False, True])
+    @pytest.mark.parametrize("deviant_index", range(5))
+    @pytest.mark.parametrize("strategy", ["wrong_aggregates",
+                                          "withhold_aggregates",
+                                          "wrong_second_price"])
+    def test_resolution_abort_names_the_lone_absentee(
+            self, params5, problem53, strategy, deviant_index, parallel,
+            degraded):
+        """Every honest agent excludes the deviant's aggregates, so the
+        failed resolution blames the one publisher its valid set lacks."""
+        factories = [honest_factory] * problem53.num_agents
+        factories[deviant_index] = standard_deviations()[strategy]
+        rows = [[int(problem53.time(i, j))
+                 for j in range(problem53.num_tasks)]
+                for i in range(problem53.num_agents)]
+        master = random.Random(0)
+        agents = [factory(index, params5, rows[index],
+                          random.Random(master.getrandbits(64)))
+                  for index, factory in enumerate(factories)]
+        outcome = DMWProtocol(params5, agents).execute(
+            problem53.num_tasks, parallel=parallel, degraded=degraded)
+        if degraded:
+            aborts = list(outcome.task_aborts.values())
+        else:
+            assert not outcome.completed
+            aborts = [outcome.abort]
+        price = ("second-price" if strategy == "wrong_second_price"
+                 else "first-price")
+        assert aborts
+        for abort in aborts:
+            assert abort.phase == "allocating"
+            assert "passed %s resolution" % price in abort.reason
+            assert (abort.offender, abort.detected_by) == (deviant_index, 0)
 
     @pytest.mark.parametrize("strategy", [
         "false_disclosure",

@@ -34,7 +34,7 @@ SCOPE_PATHS = {
 }
 
 #: One finding per case in each violating fixture.
-VIOLATING_CASES = {"DMW001": 2, "DMW007": 3, "DMW010": 3, "DMW011": 3}
+VIOLATING_CASES = {"DMW001": 2, "DMW007": 5, "DMW010": 3, "DMW011": 3}
 
 RULE_IDS = sorted(SCOPE_PATHS)
 

@@ -179,3 +179,70 @@ class TestMalformedBiddingPayload:
         expected = MinWork().run(truthful_bids(problem))
         assert outcome.schedule.assignment[0] == \
             expected.schedule.assignment[0]
+
+
+def rewrite(kind, field, replacement, task=None):
+    """Replace one field of each ``kind`` record in flight (only
+    ``task``'s, when given): a commitments record's ``Q`` vector, its first
+    element, or a bundle's ``e`` value."""
+    def corrupt(message):
+        if message.kind != kind:
+            return message
+        message_task, record = message.payload
+        if task not in (None, message_task):
+            return message
+        record = list(record)
+        if field == "q_vector":
+            record[1] = replacement(record[1])
+        else:
+            record[0] = replacement(record[0])
+        return message._replace(payload=(message_task, tuple(record)))
+
+    return corrupt
+
+
+#: The malformed contents of a well-shaped bidding record: name ->
+#: (kind, field, how the field is rewritten).
+MALFORMED_CONTENTS = {
+    "q_vector as a list": ("commitments", "q_vector", list),
+}
+for _label, _element in (("None", None), ("str", "s"), ("list", [1]),
+                         ("float", 1.5), ("bool", True)):
+    MALFORMED_CONTENTS["q_vector[0] " + _label] = (
+        "commitments", "q_vector",
+        lambda vector, element=_element: (element,) + tuple(vector[1:]))
+    if _element is not True:
+        MALFORMED_CONTENTS["e_value " + _label] = (
+            "share_bundle", "e_value", lambda value, element=_element: element)
+
+
+class TestMalformedBiddingContents:
+    """A record of the right arity whose values are not ints fails the
+    share check at its receiver, which blames the sender; no run ends in
+    a bare exception."""
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CONTENTS))
+    def test_strict_mode_aborts_blaming_the_sender(self, params5, problem,
+                                                    name):
+        kind, field, replacement = MALFORMED_CONTENTS[name]
+        plan = FaultPlan(corruptors={(1, 4): rewrite(kind, field,
+                                                     replacement)})
+        outcome = run_with_faults(params5, problem, plan)
+        assert not outcome.completed
+        abort = outcome.abort
+        assert (abort.phase, abort.task) == ("allocating", 0)
+        assert (abort.offender, abort.detected_by) == (1, 4)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CONTENTS))
+    def test_degraded_mode_quarantines_the_task(self, params5, problem,
+                                                name):
+        kind, field, replacement = MALFORMED_CONTENTS[name]
+        plan = FaultPlan(corruptors={(1, 4): rewrite(kind, field,
+                                                     replacement, task=1)})
+        outcome = run_with_faults(params5, problem, plan, degraded=True)
+        assert outcome.completed and outcome.quarantined_tasks == (1,)
+        abort = outcome.task_aborts[1]
+        assert (abort.offender, abort.detected_by) == (1, 4)
+        expected = MinWork().run(truthful_bids(problem))
+        assert outcome.schedule.assignment[0] == \
+            expected.schedule.assignment[0]

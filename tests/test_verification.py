@@ -1,5 +1,6 @@
 """Unit tests for repro.core.verification (eqs. (7)-(9), (11), (13))."""
 
+import contextlib
 import random
 
 import pytest
@@ -198,16 +199,101 @@ def _opens(parameters, vector, pseudonym, value, blinding):
             == evaluate_commitment(group_parameters, vector, pseudonym))
 
 
+def _parameters(group_size):
+    return DMWParameters.generate(
+        5, fault_bound=1, group_parameters=fixture_group(group_size))
+
+
+def _variants(parameters, vector):
+    """Received forms of one vector, each with the evaluation it should
+    give: ``True`` when it keeps every slot's residue mod ``p``."""
+    group = parameters.group
+    p = group.p
+    outside = next(x for x in range(2, p) if not group.contains(x))
+    variants = {"*z1": (_perturbed(vector, 1, parameters.z1, p), False),
+                "short": (vector[:-1], False),
+                "long": (vector + vector[:1], False)}
+    for label, element in (("=0", 0), ("=p-1", p - 1), ("=p+1", p + 1),
+                           ("=-1", -1), ("=outside", outside)):
+        variants[label] = ((element,) + vector[1:], False)
+    for label, shift in (("+p", p), ("-p", -p)):
+        variants[label] = ((vector[0] + shift,) + vector[1:], True)
+    return variants
+
+
+def _cache(kind, warm):
+    """No cache, a fresh one, or one seeded from ``warm``."""
+    if kind == "none":
+        return None
+    cache = PublicValueCache()
+    if kind == "warm":
+        cache.seed_from(warm)
+    return cache
+
+
+def _warm_cache(parameters, vectors, pseudonym):
+    warm = PublicValueCache()
+    for vector in vectors:
+        evaluate_commitment(parameters.group_parameters, vector, pseudonym,
+                            cache=warm)
+    return warm
+
+
+def _expected_stats(parameters, kind, warm, vectors, pseudonym):
+    """The statistics of one lookup per evaluated vector."""
+    reference = _cache(kind, warm)
+    for vector in vectors:
+        evaluate_commitment(parameters.group_parameters, vector, pseudonym,
+                            cache=reference)
+    return reference.stats()
+
+
+class RecordingCounter(OperationCounter):
+    """An :class:`OperationCounter` that also lists the calls charging it."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def count_add(self, times=1):
+        self.calls.append("count_add")
+        super().count_add(times)
+
+    def count_mul(self, times=1):
+        self.calls.append("count_mul")
+        super().count_mul(times)
+
+    def count_inv(self, times=1):
+        self.calls.append("count_inv")
+        super().count_inv(times)
+
+    def count_exp(self, exponent):
+        self.calls.append("count_exp")
+        super().count_exp(exponent)
+
+    def count_exp_batch(self, count, work):
+        self.calls.append("count_exp_batch")
+        super().count_exp_batch(count, work)
+
+
+ONE_CHARGE = ["count_exp_batch", "count_mul"]
+
+
 class TestShareBundleMatchesReference:
-    """The per-share path derives eq. (9) from eq. (8); every verdict and
-    every counter snapshot equals the literal listing's (``naive_mode``),
-    with and without a cache, including values outside ``[0, q)``."""
+    """The per-share path checks a bundle in one pass with one charge and
+    derives eq. (9) from eq. (8).  Every verdict, every counter snapshot
+    and the cache statistics equal the literal listing's (``naive_mode``)
+    with no cache, a fresh one and a warm-seeded one, including values
+    outside ``[0, q)``, elements outside the subgroup and vectors of the
+    wrong length."""
 
     def cases(self, parameters, packages, bundles):
         sender, receiver = 0, 2
         commitments = packages[sender].commitments
         bundle = bundles[sender][receiver]
-        q, p, z1 = parameters.group.q, parameters.group.p, parameters.z1
+        q = parameters.group.q
         yield "honest", commitments, bundle, True
         yield "honest+q", commitments, bundle._replace(
             e_value=bundle.e_value + q,
@@ -218,10 +304,11 @@ class TestShareBundleMatchesReference:
                     **{field: getattr(bundle, field) + delta})
                 yield "%s%+d" % (field, delta), commitments, shifted, False
         for name in ("o_vector", "q_vector", "r_vector"):
-            vector = _perturbed(getattr(commitments, name), 1, z1, p)
-            yield (name + "*z1",
-                   commitments._replace(**{name: vector}),
-                   bundle, False)
+            for label, (vector, honest) in _variants(
+                    parameters, getattr(commitments, name)).items():
+                yield (name + label,
+                       commitments._replace(**{name: vector}),
+                       bundle, honest)
         # R-only: O and Q still open, only eq. (9) fails.
         yield ("r_vector of another agent",
                commitments._replace(
@@ -229,8 +316,8 @@ class TestShareBundleMatchesReference:
                bundle, False)
 
     def verdict(self, parameters, commitments, pseudonym, bundle, naive,
-                cache):
-        counter = OperationCounter()
+                cache, counter=None):
+        counter = OperationCounter() if counter is None else counter
         if naive:
             with naive_mode():
                 valid = verify_share_bundle(parameters, commitments,
@@ -240,33 +327,268 @@ class TestShareBundleMatchesReference:
                                         bundle, counter, cache)
         return valid, counter.snapshot()
 
-    @pytest.mark.parametrize("group_size", ["small", "large"])
+    @staticmethod
+    def evaluated(parameters, commitments, pseudonym, bundle):
+        """The vectors the listing evaluates, up to its first failure."""
+        q = parameters.group.q
+        e_value, f_value, g_value, h_value = bundle
+        openings = (((e_value * f_value) % q, g_value), (e_value, h_value),
+                    (f_value, h_value))
+        vectors = []
+        for (value, blinding), vector in zip(openings, commitments):
+            vectors.append(vector)
+            if not _opens(parameters, vector, pseudonym, value, blinding):
+                break
+        return vectors
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
     def test_verdicts_and_counters(self, group_size):
-        parameters = DMWParameters.generate(
-            5, fault_bound=1, group_parameters=fixture_group(group_size))
+        parameters = _parameters(group_size)
         rng = random.Random("eq9-from-eq8-" + group_size)
         packages = [encode_bid(parameters, bid, rng) for bid in (1, 3, 2)]
         bundles = [all_share_bundles(parameters, package)
                    for package in packages]
         pseudonym = parameters.pseudonyms[2]
-        r_only = 0
+        warm = _warm_cache(parameters, packages[0].commitments, pseudonym)
+        r_only = r_tampered = 0
         for name, commitments, bundle, honest in self.cases(
                 parameters, packages, bundles):
             reference = self.verdict(parameters, commitments, pseudonym,
                                      bundle, naive=True, cache=None)
             assert reference[0] is honest, name
-            for cache in (None, PublicValueCache()):
+            evaluated = self.evaluated(parameters, commitments, pseudonym,
+                                       bundle)
+            for kind in ("none", "fresh", "warm"):
+                cache = _cache(kind, warm)
+                counter = RecordingCounter()
                 assert self.verdict(parameters, commitments, pseudonym,
-                                    bundle, naive=False,
-                                    cache=cache) == reference, name
-            q_opens = _opens(parameters, commitments.q_vector, pseudonym,
-                             bundle.e_value, bundle.h_value)
-            o_opens = _opens(parameters, commitments.o_vector, pseudonym,
-                             bundle.e_value * bundle.f_value,
-                             bundle.g_value)
-            if o_opens and q_opens and not honest:
-                r_only += 1
-        assert r_only == 2  # r_vector*z1 and the foreign r_vector
+                                    bundle, naive=False, cache=cache,
+                                    counter=counter) == reference, (name,
+                                                                    kind)
+                assert counter.calls == ONE_CHARGE, (name, kind)
+                if cache is not None:
+                    assert cache.stats() == _expected_stats(
+                        parameters, kind, warm, evaluated,
+                        pseudonym), (name, kind)
+            if name.startswith("r_vector") and not honest:
+                r_tampered += 1
+                r_only += len(evaluated) == 3
+        assert r_only == r_tampered == 9
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small"])
+    def test_warm_hits_replay_the_listing(self, group_size):
+        """Every vector hits a warm-seeded cache, and each hit charges
+        what the listing charges."""
+        parameters = _parameters(group_size)
+        rng = random.Random("warm-" + group_size)
+        package = encode_bid(parameters, 2, rng)
+        for receiver, pseudonym in enumerate(parameters.pseudonyms):
+            bundle = package.share_bundle_for(pseudonym)
+            warm = _warm_cache(parameters, package.commitments, pseudonym)
+            cache = _cache("warm", warm)
+            reference = self.verdict(parameters, package.commitments,
+                                     pseudonym, bundle, naive=True,
+                                     cache=None)
+            assert reference[0]
+            assert self.verdict(parameters, package.commitments, pseudonym,
+                                bundle, naive=False,
+                                cache=cache) == reference, receiver
+            assert cache.stats()["evaluation_hits"] == 3
+            assert cache.stats()["evaluation_misses"] == 0
+
+
+#: In-flight rewrites of one sender's bidding records: name ->
+#: ``(record, field, element slot or None, replacement)``.
+MALFORMED = {
+    "q_vector as a list": ("commitments", "q_vector", None, "list"),
+    "q_vector[0] None": ("commitments", "q_vector", 0, None),
+    "q_vector[0] str": ("commitments", "q_vector", 0, "s"),
+    "q_vector[0] list": ("commitments", "q_vector", 0, [1]),
+    "q_vector[0] float": ("commitments", "q_vector", 0, 1.5),
+    "q_vector[0] bool": ("commitments", "q_vector", 0, True),
+    "e_value None": ("share_bundle", "e_value", None, None),
+    "e_value str": ("share_bundle", "e_value", None, "s"),
+    "e_value list": ("share_bundle", "e_value", None, [1]),
+    "e_value float": ("share_bundle", "e_value", None, 1.5),
+    # The other vectors and a later value: the equations before a
+    # malformed vector stay charged.
+    "o_vector[2] None": ("commitments", "o_vector", 2, None),
+    "r_vector[0] str": ("commitments", "r_vector", 0, "s"),
+    "r_vector as a list": ("commitments", "r_vector", None, "list"),
+    "h_value bool": ("share_bundle", "h_value", None, True),
+}
+
+
+def _rewrite(record, field, slot, replacement):
+    """``record`` with ``field`` (or its element ``slot``) replaced."""
+    value = getattr(record, field)
+    if replacement == "list" and slot is None:
+        value = list(value)
+    elif slot is None:
+        value = replacement
+    else:
+        value = value[:slot] + (replacement,) + value[slot + 1:]
+    return record._replace(**{field: value})
+
+
+class TestMalformedContents:
+    """A bundle value that is not an int, or a vector that is not a tuple
+    of ints, fails the share check; the pass and the listing agree on the
+    verdict and on what was charged."""
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_rejected_like_the_listing(self, params5, setup, name):
+        kind, field, slot, replacement = MALFORMED[name]
+        _, packages, bundles = setup
+        commitments = packages[1].commitments
+        bundle = bundles[1][4]
+        if kind == "commitments":
+            commitments = _rewrite(commitments, field, slot, replacement)
+        else:
+            bundle = _rewrite(bundle, field, slot, replacement)
+        alpha = params5.pseudonyms[4]
+        verdicts = []
+        for naive, cache in ((True, None), (False, None),
+                             (False, PublicValueCache())):
+            counter = OperationCounter()
+            with contextlib.ExitStack() as stack:
+                if naive:
+                    stack.enter_context(naive_mode())
+                valid = verify_share_bundle(params5, commitments, alpha,
+                                            bundle, counter, cache)
+            verdicts.append((valid, counter.snapshot()))
+        assert verdicts[0][0] is False
+        assert verdicts == [verdicts[0]] * 3
+
+
+class TestLambdaPsiPassMatchesReference:
+    """Eqs. (11) and (15) walk the ``Q`` vectors once and charge once:
+    verdicts, counters and cache statistics equal the listing's."""
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
+    @pytest.mark.parametrize("exclude", [None, 2])
+    def test_verdicts_counters_and_cache_stats(self, group_size, exclude):
+        parameters = _parameters(group_size)
+        rng = random.Random("eq11-" + group_size)
+        packages = [encode_bid(parameters, bid, rng)
+                    for bid in (1, 3, 2, 2, 1)]
+        commitments = [package.commitments for package in packages]
+        group_parameters = parameters.group_parameters
+        alpha = parameters.pseudonyms[1]
+        included = [k for k in range(5) if k != exclude]
+        honest = (group_parameters.exp_z1(
+                      sum(packages[k].e.evaluate(alpha) for k in included)),
+                  group_parameters.exp_z2(
+                      sum(packages[k].h.evaluate(alpha) for k in included)))
+        p = parameters.group.p
+        cases = [("honest", commitments, honest, True),
+                 ("lambda*z1", commitments,
+                  (honest[0] * parameters.z1 % p, honest[1]), False),
+                 ("psi*z2", commitments,
+                  (honest[0], honest[1] * parameters.z2 % p), False)]
+        for label, (vector, same) in _variants(
+                parameters, commitments[3].q_vector).items():
+            changed = list(commitments)
+            changed[3] = changed[3]._replace(q_vector=vector)
+            cases.append(("q_vector" + label, changed, honest, same))
+        warm = _warm_cache(parameters, [c.q_vector for c in commitments],
+                           alpha)
+        for name, vectors, (lambda_value, psi_value), honest_case in cases:
+            reference = OperationCounter()
+            with naive_mode():
+                valid = verify_lambda_psi(parameters, vectors, alpha,
+                                          lambda_value, psi_value,
+                                          exclude=exclude, counter=reference)
+            assert valid is honest_case, name
+            for kind in ("none", "fresh", "warm"):
+                cache = _cache(kind, warm)
+                counter = RecordingCounter()
+                assert verify_lambda_psi(
+                    parameters, vectors, alpha, lambda_value, psi_value,
+                    exclude=exclude, counter=counter,
+                    cache=cache) is valid, (name, kind)
+                assert counter.snapshot() == reference.snapshot(), (name,
+                                                                    kind)
+                assert counter.calls == ONE_CHARGE, (name, kind)
+                if cache is not None:
+                    assert cache.stats() == _expected_stats(
+                        parameters, kind, warm,
+                        [vectors[k].q_vector for k in included],
+                        alpha), (name, kind)
+
+
+class TestDisclosurePassMatchesReference:
+    """Eq. (13) walks the ``R`` vectors once beside the published-openings
+    memo and charges once, stopping at the first pair that fails."""
+
+    @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
+    def test_verdicts_counters_and_cache_stats(self, group_size):
+        parameters = _parameters(group_size)
+        rng = random.Random("eq13-" + group_size)
+        packages = [encode_bid(parameters, bid, rng)
+                    for bid in (1, 3, 2, 2, 1)]
+        commitments = [package.commitments for package in packages]
+        discloser = 1
+        alpha = parameters.pseudonyms[discloser]
+        row = {sender: (package.f.evaluate(alpha), package.h.evaluate(alpha))
+               for sender, package in enumerate(packages)}
+        q = parameters.group.q
+        cases = [("honest", commitments, row, True),
+                 ("f+q", commitments, {**row, 3: (row[3][0] + q, row[3][1])},
+                  True),
+                 ("f+1", commitments, {**row, 3: (row[3][0] + 1, row[3][1])},
+                  False),
+                 ("h-1", commitments, {**row, 0: (row[0][0], row[0][1] - 1)},
+                  False)]
+        for label, (vector, same) in _variants(
+                parameters, commitments[2].r_vector).items():
+            changed = list(commitments)
+            changed[2] = changed[2]._replace(r_vector=vector)
+            cases.append(("r_vector" + label, changed, row, same))
+        warm = _warm_cache(parameters, [c.r_vector for c in commitments],
+                           alpha)
+        group_parameters = parameters.group_parameters
+        for name, vectors, disclosed, honest in cases:
+            reference = OperationCounter()
+            with naive_mode():
+                valid = verify_f_disclosure(parameters, vectors, alpha,
+                                            disclosed, reference)
+            assert valid is honest, name
+            reached = []
+            for index, commitment in enumerate(vectors):
+                reached.append(index)
+                if not _opens(parameters, commitment.r_vector, alpha,
+                              *disclosed[index]):
+                    break
+            for kind in ("none", "fresh", "warm"):
+                cache = _cache(kind, warm)
+                counter = RecordingCounter()
+                assert verify_f_disclosure(parameters, vectors, alpha,
+                                           disclosed, counter,
+                                           cache) is valid, (name, kind)
+                assert counter.snapshot() == reference.snapshot(), (name,
+                                                                    kind)
+                assert counter.calls == ONE_CHARGE, (name, kind)
+                if cache is None:
+                    continue
+                assert cache.stats() == _expected_stats(
+                    parameters, kind, warm,
+                    [vectors[k].r_vector for k in reached],
+                    alpha), (name, kind)
+                # The memo holds exactly the openings of the pairs reached.
+                assert set(cache._openings) == {
+                    (parameters.group.p, group_parameters.z1,
+                     group_parameters.z2, disclosed[k][0] % q,
+                     disclosed[k][1] % q) for k in reached}, (name, kind)
+
+    def test_incomplete_row_charges_nothing(self, params5, setup):
+        _, packages, bundles = setup
+        counter = RecordingCounter()
+        assert not verify_f_disclosure(
+            params5, [p.commitments for p in packages],
+            params5.pseudonyms[1],
+            {0: (bundles[0][1].f_value, bundles[0][1].h_value)}, counter)
+        assert counter.calls == []
 
 
 class TestPublishedOpenings:
