@@ -28,10 +28,13 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Tuple, cast
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Tuple,
+                    cast)
 
+from ..crypto import fastexp
 from ..crypto.commitments import PedersenCommitter
-from ..crypto.modular import NULL_COUNTER, OperationCounter
+from ..crypto.groups import GroupParameters
+from ..crypto.modular import NULL_COUNTER, OperationCounter, exp_work_total
 from ..crypto.polynomials import Polynomial, evaluate_all
 from ..crypto.secret import SecretInt, local_value
 from .parameters import DMWParameters
@@ -76,10 +79,11 @@ class AgentCommitments(NamedTuple):
 
 
 #: Rebuild a record from its wire form (the plain tuple of its fields) in
-#: C: a Python function here would add a call per receipt.
+#: C: a Python function here would add a call per receipt.  A bundle is
+#: also built from a row of share values.
 as_commitments = cast(Callable[[Tuple[Any, ...]], AgentCommitments],
                       functools.partial(tuple.__new__, AgentCommitments))
-as_share_bundle = cast(Callable[[Tuple[Any, ...]], ShareBundle],
+as_share_bundle = cast(Callable[[Iterable[Any]], ShareBundle],
                        functools.partial(tuple.__new__, ShareBundle))
 
 
@@ -107,13 +111,13 @@ class BidPackage:
                          ) -> ShareBundle:
         """Evaluate the four polynomials at ``pseudonym`` (step II.2)."""
         return ShareBundle(*evaluate_all((self.e, self.f, self.g, self.h),
-                                         pseudonym, counter))
+                                         (pseudonym,), counter)[0])
 
 
 def encode_bid(parameters: DMWParameters, bid: SecretInt,
                rng: random.Random,
                counter: OperationCounter = NULL_COUNTER) -> BidPackage:
-    """Perform step II.1 for one agent and task.
+    """Perform steps II.1 and II.3 for one agent and task.
 
     Parameters
     ----------
@@ -133,6 +137,13 @@ def encode_bid(parameters: DMWParameters, bid: SecretInt,
     -------
     A :class:`BidPackage` with freshly drawn polynomials and commitments;
     its ``bid`` attribute preserves the taint wrapper.
+
+    The commitments are one pass with one charge (:func:`_commit_pass`);
+    under :func:`~repro.crypto.fastexp.naive_mode` they are the literal
+    listing, :meth:`PedersenCommitter.commit_polynomial
+    <repro.crypto.commitments.PedersenCommitter.commit_polynomial>` for
+    ``O``, ``Q`` and ``R``.  Both give the same vectors and charge the
+    same totals.
     """
     raw_bid = local_value(bid)
     parameters.validate_bid(raw_bid)
@@ -143,27 +154,76 @@ def encode_bid(parameters: DMWParameters, bid: SecretInt,
     f = Polynomial.random(sigma - tau, q, rng, zero_constant_term=True)
     g = Polynomial.random(sigma, q, rng, zero_constant_term=True)
     h = Polynomial.random(sigma, q, rng, zero_constant_term=True)
-    committer = PedersenCommitter(parameters.group_parameters)
     product = e * f
-    o_vector = committer.commit_polynomial(product, g, sigma, counter)
-    # Q and R are both blinded by h: one pass commits them together.
-    q_vector, r_vector = committer.commit_polynomial_pair(e, f, h, sigma,
-                                                          counter)
-    commitments = AgentCommitments(o_vector.elements, q_vector.elements,
-                                   r_vector.elements)
+    if fastexp.enabled():
+        commitments = _commit_pass(parameters.group_parameters, sigma,
+                                   product, e, f, g, h, counter)
+    else:
+        committer = PedersenCommitter(parameters.group_parameters)
+        commitments = AgentCommitments(*(
+            committer.commit_polynomial(values, blindings, sigma,
+                                        counter).elements
+            for values, blindings in ((product, g), (e, h), (f, h))))
     return BidPackage(bid=bid, e=e, f=f, g=g, h=h, commitments=commitments)
+
+
+def _commit_pass(group_parameters: GroupParameters, sigma: int,
+                 product: Polynomial, e: Polynomial, f: Polynomial,
+                 g: Polynomial, h: Polynomial,
+                 counter: OperationCounter) -> AgentCommitments:
+    """``O``, ``Q`` and ``R`` in one pass with one charge.
+
+    Slot ``l`` is one :meth:`~repro.crypto.groups.GroupParameters
+    .opening_walk` of ``(a_l, g_l, e_l, h_l, (f_l - e_l) mod q)``, where
+    ``a_l`` is the coefficient of ``e*f``: it gives ``O_l``, ``Q_l`` and
+    ``z1^((f_l - e_l) mod q)``, and ``R_l`` is the last times ``Q_l``.
+    The charge is the listing's, two exponentiations and a multiplication
+    per opening, three openings per slot.  Every polynomial has a zero
+    constant term and degree at most ``sigma``, so slots ``1..sigma``
+    hold all the rest.
+    """
+    group = group_parameters.group
+    q, p = group.q, group.p
+    walk = group_parameters.opening_walk
+    o_vector: List[int] = []
+    q_vector: List[int] = []
+    r_vector: List[int] = []
+    slots = [polynomial.coefficients[1:]
+             + (0,) * (sigma + 1 - len(polynomial.coefficients))
+             for polynomial in (product, g, e, f, h)]
+    for a_l, g_l, e_l, f_l, h_l in zip(*slots):
+        o_l, q_l, shift = walk(a_l, g_l, e_l, h_l, (f_l - e_l) % q)
+        o_vector.append(o_l)
+        q_vector.append(q_l)
+        r_vector.append(shift * q_l % p)
+    # h blinds both Q and R; a padded zero adds no work.
+    counter.count_exp_batch(6 * sigma, exp_work_total(
+        product.coefficients + g.coefficients + e.coefficients
+        + f.coefficients + 2 * h.coefficients))
+    counter.count_mul(3 * sigma)
+    return AgentCommitments(tuple(o_vector), tuple(q_vector),
+                            tuple(r_vector))
 
 
 def all_share_bundles(parameters: DMWParameters, package: BidPackage,
                       counter: OperationCounter = NULL_COUNTER
                       ) -> Dict[int, ShareBundle]:
-    """Return the bundle for every agent (index -> bundle), own included.
+    """Step II.2: the bundle for every agent (index -> bundle), own
+    included.
 
     The agent keeps its own bundle (evaluated at its own pseudonym): the
     aggregate values ``E(alpha_i)`` and ``H(alpha_i)`` it must publish in
     step III.2 include its own polynomials.
+
+    One :func:`~repro.crypto.polynomials.evaluate_all` pass evaluates the
+    four polynomials at every pseudonym, charged once; under
+    :func:`~repro.crypto.fastexp.naive_mode` each bundle is its own
+    :meth:`BidPackage.share_bundle_for`.  The totals are the same.
     """
-    return {
-        index: package.share_bundle_for(pseudonym, counter)
-        for index, pseudonym in enumerate(parameters.pseudonyms)
-    }
+    pseudonyms = parameters.pseudonyms
+    if not fastexp.enabled():
+        return {index: package.share_bundle_for(pseudonym, counter)
+                for index, pseudonym in enumerate(pseudonyms)}
+    rows = evaluate_all((package.e, package.f, package.g, package.h),
+                        pseudonyms, counter)
+    return dict(enumerate(map(as_share_bundle, rows)))

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..crypto.commitments import only_ints
 from ..network.message import Message
 from ..network.transport import Transport
 from .agent import DMWAgent
@@ -46,6 +47,9 @@ from .rounds import (COMMITMENTS, F_DISCLOSURE, LAMBDA_PSI, PAYMENT_CLAIM,
 
 #: ``boards[task][sender] -> published value`` (the merged bulletin view).
 Boards = Dict[int, Dict[int, Any]]
+
+#: Published kinds whose value is a pair of group elements.
+_INT_PAIR_KINDS = frozenset((LAMBDA_PSI.name, SECOND_PRICE.name))
 
 
 class AgentMachine:
@@ -153,9 +157,23 @@ class AgentMachine:
 
     def collect_published(self, kind: MessageKind, transport: Transport,
                           boards: Boards) -> None:
-        """Drain one published kind into the merged bulletin-board view."""
+        """Drain one published kind into the merged bulletin-board view.
+
+        A copy that is not ``(task, value)`` with an int task is skipped,
+        and so is a ``lambda_psi`` or ``second_price`` value that is not
+        a pair of ints.  A skipped copy counts as not received: the
+        exclusion, complaint and lone-absentee paths handle its sender.
+        """
+        pairs = kind.name in _INT_PAIR_KINDS
         for message in transport.receive(self.index, kind.name):
-            message_task, value = message.payload
+            try:
+                message_task, value = message.payload
+            except (TypeError, ValueError):
+                continue
+            if type(message_task) is not int or (pairs and not (
+                    type(value) is tuple and len(value) == 2
+                    and only_ints(value))):
+                continue
             boards.setdefault(message_task, {})[message.sender] = value
 
     def collect_claims(self, transport: Transport,

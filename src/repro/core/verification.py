@@ -109,7 +109,8 @@ def verify_share_bundle(parameters: DMWParameters,
 
     The equations are checked in that order, stopping at the first
     failure.  A bundle value that is not an ``int`` fails the check; a
-    vector that is not a tuple of ints fails its equation uncharged.
+    vector that is not a tuple of ints fails its equation uncharged (the
+    whole check, on the batched path).
 
     The per-share path is one pass with one charge, what the literal
     listing (:func:`~repro.crypto.fastexp.naive_mode`) charges up to the
@@ -128,7 +129,6 @@ def verify_share_bundle(parameters: DMWParameters,
     fast paths defer to the listing under ``naive_mode``.
     """
     group_parameters = parameters.group_parameters
-    q = parameters.group.q
     if not only_ints(bundle):
         valid = False
     elif not fastexp.enabled():
@@ -136,23 +136,39 @@ def verify_share_bundle(parameters: DMWParameters,
                                bundle, counter)
     elif (parameters.share_verification_mode == "batched"
             and rng is not None):
-        coefficients = [rng.randrange(1, q) for _ in range(3)]
-        product_value = (bundle.e_value * bundle.f_value) % q
-        valid = verify_share_batch(
-            [PolynomialCommitment(group_parameters, vector)
-             for vector in commitments],
-            pseudonym,
-            [(product_value, bundle.g_value),
-             (bundle.e_value, bundle.h_value),
-             (bundle.f_value, bundle.h_value)],
-            coefficients, counter, cache,
-        )
+        # A vector that is not a tuple of ints fails uncharged, as on the
+        # per-share path, before the combination touches it.
+        valid = (all(type(vector) is tuple and only_ints(vector)
+                     for vector in commitments)
+                 and _share_batch(group_parameters, commitments, pseudonym,
+                                  bundle, rng, counter, cache))
     else:
         valid = _share_pass(group_parameters, commitments, pseudonym,
                             bundle, counter, cache)
     if stats is not None:
         stats.record("share_bundle", valid)
     return valid
+
+
+def _share_batch(group_parameters: GroupParameters,
+                 commitments: AgentCommitments, pseudonym: int,
+                 bundle: ShareBundle, rng: random.Random,
+                 counter: OperationCounter,
+                 cache: Optional[PublicValueCache]) -> bool:
+    """Eqs. (7)-(9) folded into one random linear combination (see
+    :func:`verify_share_bundle`)."""
+    q = group_parameters.group.q
+    coefficients = [rng.randrange(1, q) for _ in range(3)]
+    product_value = (bundle.e_value * bundle.f_value) % q
+    return verify_share_batch(
+        [PolynomialCommitment(group_parameters, vector)
+         for vector in commitments],
+        pseudonym,
+        [(product_value, bundle.g_value),
+         (bundle.e_value, bundle.h_value),
+         (bundle.f_value, bundle.h_value)],
+        coefficients, counter, cache,
+    )
 
 
 def _share_listing(group_parameters: GroupParameters,
@@ -185,7 +201,7 @@ def _share_pass(group_parameters: GroupParameters,
         bundle.e_value % q, bundle.f_value % q, bundle.g_value % q,
         bundle.h_value % q)
     product = e_value * f_value % q
-    o_side, q_side, shift = group_parameters.share_check_sides(
+    o_side, q_side, shift = group_parameters.opening_walk(
         product, g_value, e_value, h_value, (f_value - e_value) % q)
     left_sides = (o_side, q_side, shift * q_side % group.p)
     h_work = exp_work(h_value)

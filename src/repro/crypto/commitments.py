@@ -112,33 +112,6 @@ class PedersenCommitter:
         )
         return PolynomialCommitment(self.parameters, elements)
 
-    def commit_polynomial_pair(self, first: Polynomial, second: Polynomial,
-                               blindings: Polynomial, size: int,
-                               counter: OperationCounter = NULL_COUNTER
-                               ) -> Tuple["PolynomialCommitment",
-                                          "PolynomialCommitment"]:
-        """Commit ``first`` and ``second`` under the same ``blindings``.
-
-        Equal, in elements and counted cost, to
-        ``commit_polynomial(first, blindings, size)`` and
-        ``commit_polynomial(second, blindings, size)``; each slot pair is
-        one :meth:`~repro.crypto.groups.GroupParameters.open_pair`, which
-        walks the shared ``z2`` power once.  ``Q`` and ``R`` are committed
-        this way: both are blinded by ``h``.
-        """
-        first_coefficients, second_coefficients, blinding_coefficients = (
-            _slot_coefficients(size, first, second, blindings))
-        open_pair = self.parameters.open_pair
-        pairs = [open_pair(first_coefficients[l], second_coefficients[l],
-                           blinding_coefficients[l], counter)
-                 for l in range(1, size + 1)]
-        return (
-            PolynomialCommitment(self.parameters,
-                                 tuple(pair[0] for pair in pairs)),
-            PolynomialCommitment(self.parameters,
-                                 tuple(pair[1] for pair in pairs)),
-        )
-
 
 def _slot_coefficients(size: int,
                        *polynomials: Polynomial) -> List[List[int]]:

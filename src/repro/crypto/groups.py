@@ -20,8 +20,8 @@ from functools import cached_property
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from . import backend, fastexp
-from .modular import (NULL_COUNTER, OperationCounter, exp_work, mod_exp,
-                      mod_inv, mod_mul, popcount)
+from .modular import (NULL_COUNTER, OperationCounter, mod_exp, mod_inv,
+                      mod_mul, popcount)
 from .primes import find_subgroup_generator, generate_schnorr_parameters, is_prime
 
 
@@ -206,60 +206,20 @@ class GroupParameters:
             row += 1
         return int(result)
 
-    def open_pair(self, first: int, second: int, blinding: int,
-                  counter: OperationCounter = NULL_COUNTER
-                  ) -> Tuple[int, int]:
-        """Return the openings of ``first`` and ``second`` under one blinding.
-
-        Equal to ``(open_value(first, blinding), open_value(second,
-        blinding))``.  The two openings share ``z2^blinding`` (the ``Q``
-        and ``R`` slots of a bid are blinded by the same coefficient of
-        ``h``), so one loop walks three table rows: ``z1`` for each value
-        and ``z2`` once.  Counted cost: the two :meth:`open_value`
-        schedules.
-        """
-        if not fastexp.enabled():
-            return (self.open_value(first, blinding, counter),
-                    self.open_value(second, blinding, counter))
-        group = self.group
-        q = group.q
-        first %= q
-        second %= q
-        blinding %= q
-        counter.count_exp_batch(4, exp_work(first) + exp_work(second)
-                                + 2 * exp_work(blinding))
-        counter.count_mul(2)
-        z1_table, z2_table = self.generator_tables
-        z1_rows, z2_rows = z1_table.rows, z2_table.rows
-        window, mask, modulus = z1_table.window, z1_table.mask, group.p
-        first_power = second_power = shared = 1
-        row = 0
-        while first or second or blinding:
-            digit = first & mask
-            if digit:
-                first_power = first_power * z1_rows[row][digit] % modulus
-            digit = second & mask
-            if digit:
-                second_power = second_power * z1_rows[row][digit] % modulus
-            digit = blinding & mask
-            if digit:
-                shared = shared * z2_rows[row][digit] % modulus
-            first >>= window
-            second >>= window
-            blinding >>= window
-            row += 1
-        return (int(first_power * shared % modulus),
-                int(second_power * shared % modulus))
-
-    def share_check_sides(self, product: int, product_blinding: int,
-                          value: int, blinding: int, shift: int
-                          ) -> Tuple[int, int, int]:
+    def opening_walk(self, product: int, product_blinding: int,
+                     value: int, blinding: int, shift: int
+                     ) -> Tuple[int, int, int]:
         """Return ``z1^product z2^product_blinding``, ``z1^value
-        z2^blinding`` and ``z1^shift`` for exponents reduced mod ``q``.
+        z2^blinding`` and ``z1^shift`` for exponents reduced mod ``q``, in
+        one walk over both tables' rows (digit 0 of every row is 1).
 
-        The generator sides of one bundle's eqs. (7)-(9) in one walk over
-        both tables' rows (digit 0 of every row is 1).  Uncharged: its
-        caller charges the listing's schedule.
+        With ``shift = (f - e) mod q``, ``z1^shift * z1^e z2^h = z1^f
+        z2^h``, since ``z1`` has order ``q``.  So one walk gives the
+        generator sides of one bundle's eqs. (7)-(9) (the share check,
+        :func:`~repro.core.verification.verify_share_bundle`) and one
+        slot's ``O``, ``Q`` and ``R`` commitments (the committer,
+        :func:`~repro.core.bidding.encode_bid`).  Uncharged: each caller
+        charges the literal listing's schedule.
         """
         z1_table, z2_table = self.generator_tables
         z1_rows, z2_rows = z1_table.rows, z2_table.rows

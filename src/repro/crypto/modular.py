@@ -28,7 +28,7 @@ with near-zero overhead.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Dict, Iterator
+from typing import Callable, Dict, Iterator, Tuple
 
 from . import backend as _backend
 
@@ -51,6 +51,14 @@ def exp_work(exponent: int) -> int:
     if exponent > 1:
         return exponent.bit_length() + popcount(exponent) - 2
     return 0
+
+
+def exp_work_total(exponents: Tuple[int, ...]) -> int:
+    """The sum of :func:`exp_work` over ``exponents >= 0``, summed in C:
+    ``bit_length + popcount - 2`` is the work of every exponent but 0,
+    whose terms are all zero (and 1's sum is zero too)."""
+    return (sum(map(int.bit_length, exponents)) + sum(map(popcount, exponents))
+            - 2 * (len(exponents) - exponents.count(0)))
 
 
 class OperationCounter:

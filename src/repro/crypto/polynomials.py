@@ -61,14 +61,31 @@ class Polynomial:
         """
         if degree < -1:
             raise ValueError("degree must be >= -1, got %d" % degree)
+        if modulus < 2:
+            raise ValueError("modulus must be at least 2")
         if degree == -1:
             return cls.zero(modulus)
         if degree == 0 and zero_constant_term:
             raise ValueError("degree 0 with zero constant term is impossible")
-        coefficients = [0 if zero_constant_term else rng.randrange(modulus)]
-        coefficients.extend(rng.randrange(modulus) for _ in range(degree - 1))
+        # Coefficients below the leading one are rng.randrange(modulus),
+        # the leading one rng.randrange(1, modulus), each drawn by the
+        # rejection loop randrange runs on getrandbits: the same stream,
+        # draw for draw.
+        getrandbits = rng.getrandbits
+        bits = modulus.bit_length()
+        coefficients = [0] if zero_constant_term else []
+        for _ in range(max(degree, 1) - len(coefficients)):
+            draw = getrandbits(bits)
+            while draw >= modulus:
+                draw = getrandbits(bits)
+            coefficients.append(draw)
         if degree >= 1:
-            coefficients.append(rng.randrange(1, modulus))
+            bound = modulus - 1
+            bits = bound.bit_length()
+            draw = getrandbits(bits)
+            while draw >= bound:
+                draw = getrandbits(bits)
+            coefficients.append(1 + draw)
         return cls(coefficients, modulus)
 
     # -- basic queries ---------------------------------------------------------
@@ -92,7 +109,7 @@ class Polynomial:
     def evaluate(self, x: int, counter: OperationCounter = NULL_COUNTER) -> int:
         """Evaluate at ``x`` by Horner's rule, counting one multiplication
         and one addition per stored coefficient (charged once per call)."""
-        return evaluate_all((self,), x, counter)[0]
+        return evaluate_all((self,), (x,), counter)[0][0]
 
     def _check_compatible(self, other: "Polynomial") -> None:
         if self.modulus != other.modulus:
@@ -126,7 +143,8 @@ class Polynomial:
             if a == 0:
                 continue
             for j, b in enumerate(other.coefficients):
-                product[i + j] = (product[i + j] + a * b) % self.modulus
+                product[i + j] += a * b
+        # The constructor reduces every coefficient mod q.
         return Polynomial(product, self.modulus)
 
     def scale(self, scalar: int) -> "Polynomial":
@@ -138,7 +156,7 @@ class Polynomial:
     def shares_at(self, points: Sequence[int],
                   counter: OperationCounter = NULL_COUNTER) -> List[int]:
         """Evaluate at every point in ``points`` (the pseudonym list)."""
-        return [self.evaluate(point, counter) for point in points]
+        return [row[0] for row in evaluate_all((self,), points, counter)]
 
     def padded_coefficients(self, size: int) -> List[int]:
         """Coefficients ``a_0 .. a_{size-1}`` padded with zeros.
@@ -170,28 +188,35 @@ class Polynomial:
         return "Polynomial(%r, modulus=%d)" % (list(self.coefficients), self.modulus)
 
 
-def evaluate_all(polynomials: Sequence[Polynomial], x: int,
-                 counter: OperationCounter = NULL_COUNTER) -> List[int]:
-    """Evaluate every polynomial at ``x`` by Horner's rule, in one pass.
+def evaluate_all(polynomials: Sequence[Polynomial], points: Sequence[int],
+                 counter: OperationCounter = NULL_COUNTER
+                 ) -> List[List[int]]:
+    """Evaluate every polynomial at every point by Horner's rule, in one
+    pass: row ``i`` holds the values at ``points[i]``, in the order of
+    ``polynomials``.
 
-    Charges one multiplication and one addition per stored coefficient,
-    in one ``count_mul`` and one ``count_add`` for all of them: the same
-    totals as one :meth:`Polynomial.evaluate` call per polynomial.
+    Charges one multiplication and one addition per stored coefficient
+    and point, in one ``count_mul`` and one ``count_add`` for all of
+    them: the same totals as one :meth:`Polynomial.evaluate` call per
+    polynomial and point.  Horner runs over the integers and reduces
+    once at the end, which gives the same residue.
     """
-    values: List[int] = []
+    rows: List[List[int]] = [[] for _ in points]
     slots = 0
     for polynomial in polynomials:
         modulus = polynomial.modulus
-        coefficients = polynomial.coefficients
+        coefficients = polynomial.coefficients[::-1]
         slots += len(coefficients)
-        point = x % modulus
-        result = 0
-        for coefficient in reversed(coefficients):
-            result = (result * point + coefficient) % modulus
-        values.append(result)
-    counter.count_mul(slots)
-    counter.count_add(slots)
-    return values
+        for row, x in zip(rows, points):
+            point = x % modulus
+            result = 0
+            for coefficient in coefficients:
+                result = result * point + coefficient
+            row.append(result % modulus)
+    work = slots * len(rows)
+    counter.count_mul(work)
+    counter.count_add(work)
+    return rows
 
 
 def sum_polynomials(polynomials: Sequence[Polynomial], modulus: int) -> Polynomial:

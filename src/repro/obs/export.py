@@ -262,6 +262,11 @@ def validate_run_report(document: Any) -> None:
             _require(key in document, "missing key %r" % key)
             _require(isinstance(document[key], dict),
                      "%s must be an object" % key)
+        for key in ("schedule", "payments"):
+            _require(key in document, "missing key %r" % key)
+            _require(document[key] is None
+                     or isinstance(document[key], list),
+                     "%s must be a list or null" % key)
         field = "provenance"
         provenance = document["provenance"]
         for key in ("package_version", "arithmetic_backend"):
@@ -304,6 +309,9 @@ def validate_run_report(document: Any) -> None:
             _require(key in resilience, "resilience missing %r" % key)
         _require(isinstance(resilience["degraded"], bool),
                  "resilience.degraded must be a bool")
+        for key in ("retransmissions", "recovered_messages"):
+            _require(type(resilience[key]) is int and resilience[key] >= 0,
+                     "resilience.%s must be a non-negative int" % key)
         _require(sorted(int(task) for task in resilience["task_aborts"])
                  == list(resilience["quarantined_tasks"]),
                  "resilience.quarantined_tasks must mirror task_aborts keys")
@@ -342,6 +350,7 @@ def validate_run_report(document: Any) -> None:
         for event in document["events"]:
             for key in _EVENT_KEYS:
                 _require(key in event, "event entry missing %r" % key)
+            _require(type(event["seq"]) is int, "event seq must be an int")
 
         # Accounting invariant: the phase spans partition the run exactly.
         field = "spans"

@@ -118,7 +118,7 @@ def parse_job(payload: Any) -> JobRequest:
     fault_bound = _int_field(payload, "fault_bound", errors, 1, 1, MAX_AGENTS)
     workers = _int_field(payload, "workers", errors, 2, 1, MAX_WORKERS)
     group_size = payload.get("group_size", "small")
-    if group_size not in FIXTURE_SIZES:
+    if not isinstance(group_size, str) or group_size not in FIXTURE_SIZES:
         errors.add("group_size", "must be one of %s"
                    % ", ".join(sorted(FIXTURE_SIZES)))
     backend = payload.get("backend", "python")

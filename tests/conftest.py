@@ -62,3 +62,46 @@ def problem42():
         [2, 2],
         [1, 1],
     ])
+
+
+#: Stands for deleting a field in :func:`_single_field_mutants`.
+_DELETE = object()
+
+
+def _fields(node):
+    """Yield ``(container, key)`` for every field under ``node``.  A list
+    is mutated through its first element only, since every element of a
+    document list has the same shape."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node[:1]))
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _fields(value)
+
+
+def _single_field_mutants(document):
+    """Apply each single-field mutation to ``document`` in place, yielding
+    ``(container, key, value)`` while it holds: every field is deleted
+    (``value`` is then a sentinel), then set to ``None``, ``"s"``,
+    ``[]``, ``{}``, 1.5, -1 and ``True``.  The field is restored when
+    the generator resumes, so ``document`` ends as it began."""
+    for parent, key in list(_fields(document)):
+        original = parent[key]
+        for value in (_DELETE, None, "s", [], {}, 1.5, -1, True):
+            if value is _DELETE:
+                del parent[key]
+            else:
+                parent[key] = value
+            yield parent, key, value
+            if value is _DELETE and isinstance(parent, list):
+                parent.insert(key, original)
+            else:
+                parent[key] = original
+
+
+@pytest.fixture()
+def single_field_mutants():
+    """The single-field mutations a document reader must survive: it
+    loads each mutated document or raises its named error."""
+    return _single_field_mutants

@@ -1,16 +1,11 @@
 """Unit tests for repro.crypto.commitments."""
 
-import contextlib
-import random
-
 import pytest
 
 from repro.crypto.commitments import (
     PedersenCommitter,
     product_of_commitment_evaluations,
 )
-from repro.crypto.fastexp import naive_mode
-from repro.crypto.groups import fixture_group
 from repro.crypto.modular import OperationCounter
 from repro.crypto.polynomials import Polynomial
 
@@ -109,46 +104,6 @@ class TestPolynomialCommitment:
         product_value = (e.evaluate(point) * f.evaluate(point)) % q
         assert commitment.verify_share(point, product_value,
                                        g.evaluate(point))
-
-
-class TestCommitPolynomialPair:
-    """Q and R under one blinding: the pair equals two single commitments
-    in elements and in counted cost, on the fast and the naive path."""
-
-    @pytest.mark.parametrize("group_size", ["small", "large"])
-    def test_equals_two_single_commitments(self, group_size):
-        parameters = fixture_group(group_size)
-        committer = PedersenCommitter(parameters)
-        q = parameters.group.q
-        rng = random.Random("commit-pair-" + group_size)
-        size = 5
-        first = Polynomial.random(3, q, rng)
-        second = Polynomial.random(size - 3, q, rng)
-        blindings = Polynomial.random(size, q, rng)
-        for mode in (contextlib.nullcontext, naive_mode):
-            with mode():
-                reference = OperationCounter()
-                expected = (
-                    committer.commit_polynomial(first, blindings, size,
-                                                reference),
-                    committer.commit_polynomial(second, blindings, size,
-                                                reference))
-                counter = OperationCounter()
-                pair = committer.commit_polynomial_pair(first, second,
-                                                        blindings, size,
-                                                        counter)
-            assert pair == expected
-            assert counter.snapshot() == reference.snapshot()
-
-    def test_nonzero_constant_term_rejected(self, committer, rng):
-        q = committer.parameters.group.q
-        good = Polynomial.random(3, q, rng)
-        for first, second, blindings in (
-                (Polynomial([1, 2], q), good, good),
-                (good, Polynomial([1, 2], q), good),
-                (good, good, Polynomial([1, 2, 3, 4], q))):
-            with pytest.raises(ValueError):
-                committer.commit_polynomial_pair(first, second, blindings, 4)
 
 
 class TestAggregateProduct:

@@ -407,33 +407,6 @@ class TestGeneratorPathsMatchReference:
                                              reference) == opening
             assert counter.snapshot() == reference.snapshot()
 
-    @pytest.mark.parametrize("group_size", ["small", "large"])
-    def test_open_pair(self, group_size):
-        """One walk of the shared ``z2`` power gives both openings, and
-        charges both ``open_value`` schedules."""
-        parameters = fixture_group(group_size)
-        rng = random.Random("pair-opening-" + group_size)
-        exponents = _special_exponents(parameters.group.q, rng)
-        special = exponents[:7]
-        triples = [(first, second, blinding) for first in special
-                   for second in special for blinding in special]
-        triples += list(zip(exponents[7:], reversed(exponents),
-                            exponents[5:]))
-        for first, second, blinding in triples:
-            reference = OperationCounter()
-            expected = (parameters.open_value(first, blinding, reference),
-                        parameters.open_value(second, blinding, reference))
-            counter = OperationCounter()
-            pair = parameters.open_pair(first, second, blinding, counter)
-            assert pair == expected
-            assert all(type(opening) is int for opening in pair)
-            assert counter.snapshot() == reference.snapshot()
-            naive = OperationCounter()
-            with naive_mode():
-                assert parameters.open_pair(first, second, blinding,
-                                            naive) == expected
-            assert naive.snapshot() == reference.snapshot()
-
     @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
     def test_div_z1_and_div_z2(self, group_size):
         """Dividing out a generator power needs no inversion: same value

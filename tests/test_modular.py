@@ -9,6 +9,8 @@ from repro.crypto.modular import (
     NULL_COUNTER,
     OperationCounter,
     _popcount_fallback,
+    exp_work,
+    exp_work_total,
     metered,
     mod_add,
     mod_div,
@@ -162,3 +164,10 @@ class TestPopcount:
                         if value > 1 else 0)
             assert counter.multiplication_work == expected
             assert counter.exponentiations == 1
+
+    def test_exp_work_total_sums_exp_work(self):
+        values = tuple(self._values())
+        assert exp_work_total(values) == sum(map(exp_work, values))
+        for single in values:
+            assert exp_work_total((single,)) == exp_work(single)
+        assert exp_work_total((0, 0, 1, 1)) == exp_work_total(()) == 0

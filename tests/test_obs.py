@@ -576,13 +576,14 @@ class TestRunReport:
             validate_run_report(document)
 
     def test_every_single_field_mutation_is_accepted_or_named(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, single_field_mutants):
         """Each single-field mutation of a real ``dmw run`` report either
         validates or raises ReportSchemaError, never a bare exception.
 
-        A field is deleted or set to one of seven wrong-typed values.
-        Lists are mutated through their first element, since every
-        element of a report list has the same shape.
+        A field is deleted or set to one of seven wrong-typed values (the
+        ``single_field_mutants`` fixture).  The fields whose readers need
+        their type (``schedule``, ``payments``, the resilience counts and
+        each event's ``seq``) reject every wrong-typed value.
         """
         path = tmp_path / "report.json"
         assert main(["run", "-n", "4", "-m", "2", "--seed", "3", "--trace",
@@ -590,35 +591,29 @@ class TestRunReport:
                      "--report", str(path)]) == 0
         capsys.readouterr()
         document = json.loads(path.read_text())
-        delete = object()
-
-        def sites(node):
-            items = (node.items() if isinstance(node, dict)
-                     else enumerate(node[:1]))
-            for key, value in list(items):
-                yield node, key
-                if isinstance(value, (dict, list)):
-                    yield from sites(value)
-
+        # Fields whose readers need their type: a mutant of one validates
+        # only if it is one of the listed values.
+        checked = {(id(document), "schedule"): [None, []],
+                   (id(document), "payments"): [None, []],
+                   (id(document["resilience"]), "retransmissions"): [],
+                   (id(document["resilience"]), "recovered_messages"): [],
+                   (id(document["events"][0]), "seq"): [-1]}
+        mutated = set()
         outcomes = {"accepted": 0, "rejected": 0}
-        for parent, key in list(sites(document)):
-            original = parent[key]
-            for value in (delete, None, "s", [], {}, 1.5, -1, True):
-                if value is delete:
-                    del parent[key]
-                else:
-                    parent[key] = value
-                try:
-                    validate_run_report(document)
-                    outcomes["accepted"] += 1
-                except ReportSchemaError:
-                    outcomes["rejected"] += 1
-                if value is delete and isinstance(parent, list):
-                    parent.insert(key, original)
-                else:
-                    parent[key] = original
+        for parent, key, value in single_field_mutants(document):
+            allowed = checked.get((id(parent), key))
+            mutated.add((id(parent), key))
+            try:
+                validate_run_report(document)
+                outcomes["accepted"] += 1
+                assert allowed is None or any(
+                    type(value) is type(ok) and value == ok
+                    for ok in allowed), (key, value)
+            except ReportSchemaError:
+                outcomes["rejected"] += 1
         validate_run_report(document)
         assert outcomes["accepted"] and outcomes["rejected"] > 500, outcomes
+        assert mutated >= set(checked)
 
     def test_minimal_report_without_recorder(self, params5, problem53):
         outcome = run_dmw(problem53, parameters=params5,

@@ -1,9 +1,12 @@
 """Unit tests for repro.crypto.polynomials."""
 
+import random
+
 import pytest
 
+from repro.crypto.groups import fixture_group
 from repro.crypto.modular import OperationCounter
-from repro.crypto.polynomials import Polynomial, sum_polynomials
+from repro.crypto.polynomials import Polynomial, evaluate_all, sum_polynomials
 
 Q = 97
 
@@ -54,6 +57,39 @@ class TestRandom:
         polys = [Polynomial.random(3, Q, rng, zero_constant_term=False)
                  for _ in range(30)]
         assert any(p.coefficient(0) != 0 for p in polys)
+
+    @pytest.mark.parametrize("modulus", [2, Q, 2 ** 16 + 1, "tiny",
+                                         "large"])
+    def test_draws_equal_randrange(self, modulus):
+        """The draw consumes the stream exactly as ``randrange`` does:
+        equal coefficients, and the generator left in the same state.
+        ``2**16 + 1`` rejects almost half of its raw draws; a name stands
+        for that fixture group's ``q``."""
+        if isinstance(modulus, str):
+            modulus = fixture_group(modulus).group.q
+
+        def by_randrange(degree, rng, zero_constant_term):
+            if degree == -1:
+                return Polynomial.zero(modulus)
+            coefficients = [0 if zero_constant_term
+                            else rng.randrange(modulus)]
+            coefficients.extend(rng.randrange(modulus)
+                                for _ in range(degree - 1))
+            if degree >= 1:
+                coefficients.append(rng.randrange(1, modulus))
+            return Polynomial(coefficients, modulus)
+
+        for seed in (0, 1, 0xD311, 2 ** 70 + 3):
+            for degree in (-1, 0, 1, 2, 7):
+                for zero_constant_term in (True, False):
+                    if degree == 0 and zero_constant_term:
+                        continue
+                    drawn, expected = (random.Random(seed),
+                                       random.Random(seed))
+                    assert Polynomial.random(
+                        degree, modulus, drawn, zero_constant_term) == \
+                        by_randrange(degree, expected, zero_constant_term)
+                    assert drawn.getstate() == expected.getstate()
 
     def test_degree_minus_one_is_zero_poly(self, rng):
         assert Polynomial.random(-1, Q, rng).is_zero()
@@ -125,6 +161,21 @@ class TestArithmetic:
 
 
 class TestProtocolHelpers:
+    def test_evaluate_all_at_every_point(self, rng):
+        polynomials = [Polynomial.random(degree, Q, rng,
+                                         zero_constant_term=False)
+                       for degree in (-1, 0, 3, 6)]
+        points = [0, 1, 5, Q - 1, Q + 2, -4]
+        counter = OperationCounter()
+        rows = evaluate_all(polynomials, points, counter)
+        reference = OperationCounter()
+        assert rows == [[polynomial.evaluate(point, reference)
+                         for polynomial in polynomials]
+                        for point in points]
+        assert counter.snapshot() == reference.snapshot()
+        assert evaluate_all(polynomials, [], counter) == []
+        assert evaluate_all([], points) == [[] for _ in points]
+
     def test_shares_at(self, rng):
         poly = Polynomial.random(3, Q, rng)
         points = [1, 2, 3]

@@ -246,3 +246,59 @@ class TestMalformedBiddingContents:
         expected = MinWork().run(truthful_bids(problem))
         assert outcome.schedule.assignment[0] == \
             expected.schedule.assignment[0]
+
+
+def republish(kind, how):
+    """Rewrite each published ``kind`` copy in flight: ``how`` maps its
+    ``(task, value)`` payload to the one delivered."""
+    def corrupt(message):
+        if message.kind != kind:
+            return message
+        return message._replace(payload=how(*message.payload))
+
+    return corrupt
+
+
+#: A published ``(task, value)`` payload rewritten in flight: not a pair,
+#: a value that is not a pair, a pair whose first element is not an int
+#: or out of range, and a task that does not exist.
+PUBLISHED_REWRITES = {
+    "not a pair": lambda task, value: (task, value, value),
+    "value None": lambda task, value: (task, None),
+    "value str": lambda task, value: (task, "s"),
+    "task 99": lambda task, value: (99, value),
+}
+for _label, _element in (("None", None), ("list", [1]), ("float", 1.5),
+                         ("10**200", 10 ** 200), ("-1", -1)):
+    PUBLISHED_REWRITES["first element " + _label] = (
+        lambda task, value, element=_element: (task, (element, value[1])))
+
+
+class TestMalformedPublishedAggregates:
+    """A published ``lambda_psi`` or ``second_price`` copy that is not
+    ``(task, pair of ints)`` counts as not received.  Every run completes
+    with MinWork's outcome, or aborts or quarantines naming the sender;
+    none ends in a bare exception."""
+
+    @pytest.mark.parametrize("degraded", [False, True],
+                             ids=["strict", "degraded"])
+    @pytest.mark.parametrize("kind", ["lambda_psi", "second_price"])
+    @pytest.mark.parametrize("name", sorted(PUBLISHED_REWRITES))
+    def test_completes_or_names_the_sender(self, params5, problem, name,
+                                           kind, degraded):
+        plan = FaultPlan(corruptors={
+            (1, 4): republish(kind, PUBLISHED_REWRITES[name])})
+        outcome = run_with_faults(params5, problem, plan, degraded=degraded)
+        expected = MinWork().run(truthful_bids(problem))
+        if not outcome.completed:
+            assert outcome.abort.offender == 1
+            assert all(outcome.utility(i, problem) == 0 for i in range(5))
+            return
+        for task in range(problem.num_tasks):
+            if task in outcome.quarantined_tasks:
+                assert outcome.task_aborts[task].offender == 1
+            else:
+                assert outcome.schedule.assignment[task] == \
+                    expected.schedule.assignment[task]
+        if not outcome.quarantined_tasks:
+            assert list(outcome.payments) == list(expected.payments)

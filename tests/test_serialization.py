@@ -6,9 +6,12 @@ import random
 import pytest
 
 from repro import serialization
+from repro.core import DMWAgent, DMWProtocol, ProtocolCheckpoint
 from repro.core.protocol import run_dmw
+from repro.obs import Recorder
 from repro.scheduling.problem import SchedulingProblem
 from repro.scheduling.schedule import Schedule
+
 
 
 class TestProblemRoundTrip:
@@ -251,3 +254,43 @@ class TestNaiveOutcomeRoundTrip:
         assert restored.schedule == outcome.schedule
         assert restored.payments == outcome.payments
         assert restored.transcripts == []
+
+
+class TestEverySingleFieldMutation:
+    """Each single-field mutation of a real checkpoint and of a real
+    traced outcome either loads or raises ``SerializationError``, never a
+    bare exception (the ``single_field_mutants`` fixture)."""
+
+    def _assert_loads_or_named(self, document, mutants):
+        outcomes = {"loaded": 0, "rejected": 0}
+        for _ in mutants(document):
+            try:
+                serialization.loads(json.dumps(document))
+                outcomes["loaded"] += 1
+            except serialization.SerializationError:
+                outcomes["rejected"] += 1
+        serialization.loads(json.dumps(document))
+        assert outcomes["loaded"] and outcomes["rejected"], outcomes
+
+    def test_checkpoint(self, params5, problem53, single_field_mutants):
+        master = random.Random(7)
+        agents = [DMWAgent(index, params5,
+                           [int(problem53.time(index, task))
+                            for task in range(problem53.num_tasks)],
+                           rng=random.Random(master.getrandbits(64)))
+                  for index in range(params5.num_agents)]
+        protocol = DMWProtocol(params5, agents)
+        assert protocol._run_auction(0) is None
+        checkpoint = ProtocolCheckpoint.capture(protocol,
+                                                problem53.num_tasks, 1)
+        self._assert_loads_or_named(
+            json.loads(serialization.dumps(checkpoint)), single_field_mutants)
+
+    def test_traced_outcome(self, params5, problem53,
+                            single_field_mutants):
+        recorder = Recorder()
+        outcome = run_dmw(problem53, parameters=params5,
+                          rng=random.Random(0), recorder=recorder)
+        self._assert_loads_or_named(
+            json.loads(serialization.dumps(outcome, recorder=recorder)),
+            single_field_mutants)

@@ -449,6 +449,26 @@ class TestRejectPath:
         fields = {entry["field"] for entry in excinfo.value.errors}
         assert {"agents", "tasks", "seed"} <= fields
 
+    def test_every_job_field_mutation_parses_or_is_named(
+            self, single_field_mutants):
+        """Each single-field mutation of a full job document either
+        parses or raises ``JobValidationError``, never a bare exception
+        (the ``single_field_mutants`` fixture)."""
+        document = {"agents": 5, "tasks": 3, "seed": 7, "fault_bound": 1,
+                    "group_size": "small", "backend": "python",
+                    "mode": "sequential", "workers": 2, "degraded": False,
+                    "times": [[1, 2, 3], [3, 2, 1], [1, 3, 2], [2, 2, 2],
+                              [3, 1, 1]]}
+        parse_job(document)
+        outcomes = {"parsed": 0, "rejected": 0}
+        for _ in single_field_mutants(document):
+            try:
+                parse_job(document)
+                outcomes["parsed"] += 1
+            except JobValidationError:
+                outcomes["rejected"] += 1
+        assert outcomes["parsed"] and outcomes["rejected"], outcomes
+
 
 # ---------------------------------------------------------------------------
 # 4. Per-job arithmetic backend selection

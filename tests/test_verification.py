@@ -460,6 +460,32 @@ class TestMalformedContents:
         assert verdicts[0][0] is False
         assert verdicts == [verdicts[0]] * 3
 
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_rejected_uncharged_when_batched(self, params5, setup, name):
+        """The batched path rejects every rewrite before the combination
+        touches it, with and without a cache, and charges nothing; the
+        honest records still pass."""
+        kind, field, slot, replacement = MALFORMED[name]
+        _, packages, bundles = setup
+        commitments = packages[1].commitments
+        bundle = bundles[1][4]
+        batched = DMWParameters.generate(
+            5, fault_bound=1, group_parameters=params5.group_parameters,
+            share_verification_mode="batched")
+        alpha = params5.pseudonyms[4]
+        assert verify_share_bundle(batched, commitments, alpha, bundle,
+                                   rng=random.Random(4))
+        if kind == "commitments":
+            commitments = _rewrite(commitments, field, slot, replacement)
+        else:
+            bundle = _rewrite(bundle, field, slot, replacement)
+        for cache in (None, PublicValueCache()):
+            counter = OperationCounter()
+            assert verify_share_bundle(batched, commitments, alpha, bundle,
+                                       counter, cache,
+                                       rng=random.Random(4)) is False
+            assert counter.snapshot() == OperationCounter().snapshot()
+
 
 class TestLambdaPsiPassMatchesReference:
     """Eqs. (11) and (15) walk the ``Q`` vectors once and charge once:
