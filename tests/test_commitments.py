@@ -1,11 +1,18 @@
 """Unit tests for repro.crypto.commitments."""
 
+import contextlib
+import random
+
 import pytest
 
+from repro.core.bidding import encode_bid
+from repro.core.parameters import DMWParameters
 from repro.crypto.commitments import (
     PedersenCommitter,
     product_of_commitment_evaluations,
 )
+from repro.crypto.fastexp import naive_mode
+from repro.crypto.groups import fixture_group
 from repro.crypto.modular import OperationCounter
 from repro.crypto.polynomials import Polynomial
 
@@ -104,6 +111,49 @@ class TestPolynomialCommitment:
         product_value = (e.evaluate(point) * f.evaluate(point)) % q
         assert commitment.verify_share(point, product_value,
                                        g.evaluate(point))
+
+
+class TestCommitPolynomialPair:
+    """Q and R under one blinding: the committer's pass (``encode_bid``)
+    gives the pair that two single commitments give, in elements and in
+    counted cost, on the fast and the naive path."""
+
+    @pytest.mark.parametrize("group_size", ["small", "large"])
+    def test_equals_two_single_commitments(self, group_size):
+        group_parameters = fixture_group(group_size)
+        parameters = DMWParameters.generate(
+            6, fault_bound=1, group_parameters=group_parameters)
+        committer = PedersenCommitter(group_parameters)
+        sigma = parameters.sigma
+        for bid in (parameters.bid_values[0], parameters.bid_values[-1]):
+            for mode in (contextlib.nullcontext, naive_mode):
+                rng = random.Random("commit-pair-" + group_size)
+                counter = OperationCounter()
+                with mode():
+                    package = encode_bid(parameters, bid, rng, counter)
+                e, f, g, h = package.e, package.f, package.g, package.h
+                reference = OperationCounter()
+                with naive_mode():
+                    expected = tuple(
+                        committer.commit_polynomial(values, blindings, sigma,
+                                                    reference).elements
+                        for values, blindings in ((e * f, g), (e, h), (f, h)))
+                assert package.commitments == expected
+                assert counter.snapshot() == reference.snapshot()
+
+    def test_nonzero_constant_term_rejected(self, committer, rng):
+        """Neither single commitment of the pair takes a nonzero constant
+        term, in its values or in the shared blindings, on either path."""
+        q = committer.parameters.group.q
+        good = Polynomial.random(3, q, rng)
+        for first, second, blindings in (
+                (Polynomial([1, 2], q), good, good),
+                (good, Polynomial([1, 2], q), good),
+                (good, good, Polynomial([1, 2, 3, 4], q))):
+            for mode in (contextlib.nullcontext, naive_mode):
+                with mode(), pytest.raises(ValueError):
+                    for values in (first, second):
+                        committer.commit_polynomial(values, blindings, 4)
 
 
 class TestAggregateProduct:

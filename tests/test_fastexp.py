@@ -407,6 +407,36 @@ class TestGeneratorPathsMatchReference:
                                              reference) == opening
             assert counter.snapshot() == reference.snapshot()
 
+    @pytest.mark.parametrize("group_size", ["small", "large"])
+    def test_open_pair(self, group_size):
+        """One walk gives both openings under a shared blinding, as the
+        committer builds a slot's ``Q`` and ``R``: the walk's second side
+        and ``z1^((second - first) mod q)`` times it equal the two
+        ``open_value`` results, and its first side the ``O`` opening.
+        The walk is uncharged; the committer's charge is checked against
+        the listing in ``tests/test_bidding.py``."""
+        parameters = fixture_group(group_size)
+        group = parameters.group
+        q, p = group.q, group.p
+        rng = random.Random("pair-opening-" + group_size)
+        exponents = _special_exponents(q, rng)
+        special = exponents[:7]
+        triples = [(first, second, blinding) for first in special
+                   for second in special for blinding in special]
+        triples += list(zip(exponents[7:], reversed(exponents),
+                            exponents[5:]))
+        for first, second, blinding in triples:
+            with naive_mode():
+                expected = (parameters.open_value(first, blinding),
+                            parameters.open_value(second, blinding),
+                            parameters.open_value(blinding, first))
+            sides = parameters.opening_walk(blinding % q, first % q,
+                                            first % q, blinding % q,
+                                            (second - first) % q)
+            assert all(type(side) is int for side in sides)
+            opening, shift = sides[1], sides[2]
+            assert (opening, shift * opening % p, sides[0]) == expected
+
     @pytest.mark.parametrize("group_size", ["tiny", "small", "large"])
     def test_div_z1_and_div_z2(self, group_size):
         """Dividing out a generator power needs no inversion: same value
